@@ -21,11 +21,15 @@ void SegmentAllocator::enqueue_service(SegmentQueues& queues, const ConfiguredSe
 void SegmentAllocator::run_allocation(SegmentQueues& queues, DeploymentPlan& plan) {
   // Largest-size queues first (std::greater key order), first-fit front to
   // back across GPUs; find_start_slot applies the slot-preference rules.
-  for (auto& [gpcs, queue] : queues) {
-    while (!queue.empty()) {
-      Segment segment = std::move(queue.front());
-      queue.pop_front();
-      plan.place_first_fit(segment.service_id, segment.triplet);
+  // ALLOCATION only fills slots, and whether a size fits is monotone in the
+  // occupied mask, so a GPU that cannot take size k now never can later in
+  // this call. Each queue's search therefore resumes at the GPU where its
+  // previous segment landed: the same GPU a scan from 0 would pick, at
+  // O(sizes x GPUs + segments) instead of O(segments x GPUs).
+  for (const auto& [gpcs, queue] : queues) {
+    std::size_t cursor = 0;
+    for (const Segment& segment : queue) {
+      cursor = plan.place_first_fit(segment.service_id, segment.triplet, cursor);
     }
   }
   queues.clear();

@@ -3,7 +3,9 @@
 // Stage 1 — Segment Relocation: enqueue every service's segments into
 // per-size queues, then ALLOCATION drains the queues largest-size-first,
 // placing each segment on the first GPU (front to back) with a legal free
-// slot under the Section III-E1 preference rules.
+// slot under the Section III-E1 preference rules. ALLOCATION only adds
+// segments, so each queue's first-fit search resumes where the previous
+// segment of that size landed: linear in GPUs per size, not per segment.
 //
 // Stage 2 — Allocation Optimization: walk GPUs from the back; on each GPU
 // whose allocated GPC count is at or below the threshold (default 4,
@@ -16,7 +18,6 @@
 // makes the invariant explicit).
 #pragma once
 
-#include <deque>
 #include <map>
 #include <span>
 #include <vector>
@@ -58,7 +59,7 @@ class SegmentAllocator {
 
  private:
   /// Size-indexed segment queues (key = gpcs, drained in descending order).
-  using SegmentQueues = std::map<int, std::deque<Segment>, std::greater<int>>;
+  using SegmentQueues = std::map<int, std::vector<Segment>, std::greater<int>>;
 
   static void enqueue(SegmentQueues& queues, int service_id, const Triplet& triplet);
   static void enqueue_service(SegmentQueues& queues, const ConfiguredService& service);

@@ -72,21 +72,20 @@ Result<ScheduleResult> ParvaGpuScheduler::schedule(std::span<const ServiceSpec> 
   auto plan = allocator_.allocate(configured.value());
   if (!plan.ok()) return plan.error();
 
-  const auto stop = std::chrono::steady_clock::now();
-
   last_configured_ = std::move(configured).value();
   last_plan_ = std::move(plan).value();
 
   ScheduleResult result;
   result.deployment = to_deployment(last_plan_, name());
+  // Configuration keeps the input order, so a position in `services` is
+  // also the position of that service's configuration.
+  const ServiceIdIndex by_id(services);
   for (auto& unit : result.deployment.units) {
-    for (const ConfiguredService& service : last_configured_) {
-      if (service.spec.id == unit.service_id) {
-        unit.model = service.spec.model;
-        break;
-      }
-    }
+    if (const auto pos = by_id.find(unit.service_id)) unit.model = services[*pos].model;
   }
+
+  // The delay covers everything up to the returned Deployment.
+  const auto stop = std::chrono::steady_clock::now();
   result.scheduling_delay_ms =
       std::chrono::duration<double, std::milli>(stop - start).count();
 

@@ -66,8 +66,10 @@ std::string GpuPlan::to_string() const {
   return out;
 }
 
-std::size_t DeploymentPlan::place_first_fit(int service_id, const Triplet& triplet) {
-  for (std::size_t i = 0; i < gpus_.size(); ++i) {
+std::size_t DeploymentPlan::place_first_fit(int service_id, const Triplet& triplet,
+                                            std::size_t from) {
+  PARVA_REQUIRE(from <= gpus_.size(), "first-fit start index out of range");
+  for (std::size_t i = from; i < gpus_.size(); ++i) {
     if (gpus_[i].try_place(service_id, triplet)) return i;
   }
   gpus_.emplace_back(static_cast<int>(gpus_.size()));

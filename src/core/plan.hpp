@@ -69,9 +69,11 @@ class DeploymentPlan {
   GpuPlan& gpu(std::size_t index) { return gpus_.at(index); }
   const GpuPlan& gpu(std::size_t index) const { return gpus_.at(index); }
 
-  /// Places a segment on the first GPU (front to back) that fits it,
-  /// appending a new GPU when none does. Returns the GPU index used.
-  std::size_t place_first_fit(int service_id, const Triplet& triplet);
+  /// Places a segment on the first GPU (front to back, starting at index
+  /// `from`) that fits it, appending a new GPU when none does. Returns the
+  /// GPU index used. A caller passing `from > 0` must know that no GPU
+  /// before `from` fits the segment; the result then equals a scan from 0.
+  std::size_t place_first_fit(int service_id, const Triplet& triplet, std::size_t from = 0);
 
   /// Drops empty GPUs and renumbers the rest contiguously.
   void compact();

@@ -1,5 +1,7 @@
 #include "core/service.hpp"
 
+#include <algorithm>
+
 #include "common/error.hpp"
 
 namespace parva::core {
@@ -37,6 +39,23 @@ int instance_size_from_index(int index) {
     case 4: return 7;
     default: return -1;
   }
+}
+
+ServiceIdIndex::ServiceIdIndex(std::span<const ServiceSpec> services) {
+  by_id_.reserve(services.size());
+  for (std::size_t i = 0; i < services.size(); ++i) by_id_.emplace_back(services[i].id, i);
+  // Positions are unique, so sorting the pairs orders equal ids by
+  // position: the stable order by id, without stable_sort's extra buffer.
+  std::sort(by_id_.begin(), by_id_.end());
+}
+
+std::optional<std::size_t> ServiceIdIndex::find(int id) const {
+  const auto it = std::lower_bound(by_id_.begin(), by_id_.end(), id,
+                                   [](const std::pair<int, std::size_t>& entry, int key) {
+                                     return entry.first < key;
+                                   });
+  if (it == by_id_.end() || it->first != id) return std::nullopt;
+  return it->second;
 }
 
 }  // namespace parva::core

@@ -2,8 +2,11 @@
 #pragma once
 
 #include <array>
+#include <cstddef>
 #include <optional>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "profiler/profile_types.hpp"
@@ -101,6 +104,20 @@ struct ConfiguredService {
 struct Segment {
   int service_id = -1;
   Triplet triplet;
+};
+
+/// Service id -> position in a service list, through (id, position) pairs
+/// sorted once: O(n log n) to build, O(log n) per lookup. When ids repeat,
+/// the first position wins, as a front-to-back scan would.
+class ServiceIdIndex {
+ public:
+  explicit ServiceIdIndex(std::span<const ServiceSpec> services);
+
+  /// Position of the first service with `id`; nullopt when none has it.
+  std::optional<std::size_t> find(int id) const;
+
+ private:
+  std::vector<std::pair<int, std::size_t>> by_id_;
 };
 
 }  // namespace parva::core

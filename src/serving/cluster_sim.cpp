@@ -1068,22 +1068,12 @@ SimulationResult ClusterSimulation::run(const SimulationOptions& options) const 
   for (std::size_t s = 0; s < service_count; ++s) rates[s] = services_[s].request_rate;
   const std::vector<int> assignment = partition_services(rates, options.shards);
 
-  // service_id -> global service index via a sorted lookup table (stable
-  // on ties: the FIRST service with a given id wins, as the linear scan
-  // this replaced did). O(U log S) where the scan was O(U * S) — at a
-  // 10k-GPU fleet that loop alone was ~10^8 comparisons of setup.
-  std::vector<std::pair<int, std::size_t>> svc_by_id(service_count);
-  for (std::size_t s = 0; s < service_count; ++s) svc_by_id[s] = {services_[s].id, s};
-  std::stable_sort(svc_by_id.begin(), svc_by_id.end(),
-                   [](const auto& a, const auto& b) { return a.first < b.first; });
+  // service_id -> global service index; the first service with an id wins.
+  const core::ServiceIdIndex svc_by_id(services_);
   std::vector<int> unit_svc_global(unit_count, -1);
   for (std::size_t u = 0; u < unit_count; ++u) {
-    const int id = deployment_->units[u].service_id;
-    const auto it = std::lower_bound(
-        svc_by_id.begin(), svc_by_id.end(), id,
-        [](const std::pair<int, std::size_t>& entry, int key) { return entry.first < key; });
-    if (it != svc_by_id.end() && it->first == id) {
-      unit_svc_global[u] = static_cast<int>(it->second);
+    if (const auto s = svc_by_id.find(deployment_->units[u].service_id)) {
+      unit_svc_global[u] = static_cast<int>(*s);
     }
   }
 

@@ -4,14 +4,18 @@
 //   * every GPU layout is geometrically legal (no slot overlap),
 //   * every service's placed capacity covers its request rate,
 //   * every placed segment respects the internal latency bound,
-//   * Allocation Optimization never uses more GPUs than relocation alone.
+//   * Allocation Optimization never uses more GPUs than relocation alone,
+//   * Segment Relocation, whose first-fit search resumes per size queue,
+//     places exactly as a first-fit scan from GPU 0 for every segment.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <map>
 
 #include "common/rng.hpp"
 #include "core/allocator.hpp"
 #include "core/configurator.hpp"
+#include "scenarios/scenarios.hpp"
 #include "tests/core/test_support.hpp"
 
 namespace parva::core {
@@ -73,6 +77,43 @@ void check_plan(const DeploymentPlan& plan, const std::vector<ConfiguredService>
   }
 }
 
+/// Linear-scan oracle for Segment Relocation: the same size queues
+/// (largest size first, enqueue order kept), each segment placed by a
+/// first-fit scan from GPU 0.
+DeploymentPlan linear_scan_relocation(const std::vector<ConfiguredService>& services) {
+  std::map<int, std::vector<Segment>, std::greater<int>> queues;
+  for (const ConfiguredService& service : services) {
+    for (int i = 0; i < service.num_opt_seg; ++i) {
+      queues[service.opt_seg.gpcs].push_back(Segment{service.spec.id, service.opt_seg});
+    }
+    if (service.last_seg.has_value()) {
+      queues[service.last_seg->gpcs].push_back(Segment{service.spec.id, *service.last_seg});
+    }
+  }
+  DeploymentPlan plan;
+  for (const auto& [gpcs, queue] : queues) {
+    for (const Segment& segment : queue) {
+      plan.place_first_fit(segment.service_id, segment.triplet);
+    }
+  }
+  return plan;
+}
+
+TEST(AllocatorCursorTest, RelocationMatchesLinearScanOracleAtFleetScale) {
+  SegmentConfigurator configurator;
+  SegmentAllocator allocator;
+  for (const int fold : {70, 150}) {
+    const auto fleet = scenarios::scale_scenario(scenarios::scenario("S5"), fold);
+    auto configured = configurator.configure(fleet.services, builtin_profiles());
+    ASSERT_TRUE(configured.ok()) << "fold " << fold;
+    const auto relocated = allocator.segment_relocation(configured.value());
+    ASSERT_TRUE(relocated.ok());
+    EXPECT_EQ(relocated.value().to_string(),
+              linear_scan_relocation(configured.value()).to_string())
+        << "fold " << fold;
+  }
+}
+
 class AllocatorFuzz : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(AllocatorFuzz, InvariantsHoldOnRandomMixes) {
@@ -94,6 +135,11 @@ TEST_P(AllocatorFuzz, InvariantsHoldOnRandomMixes) {
     ASSERT_TRUE(relocated.ok());
     check_plan(optimized.value(), configured.value(), GetParam());
     check_plan(relocated.value(), configured.value(), GetParam());
+    const auto stage1 = optimizing.segment_relocation(configured.value());
+    ASSERT_TRUE(stage1.ok());
+    EXPECT_EQ(stage1.value().to_string(),
+              linear_scan_relocation(configured.value()).to_string())
+        << "seed " << GetParam() << " round " << round;
     EXPECT_LE(optimized.value().gpus_in_use(), relocated.value().gpus_in_use())
         << "seed " << GetParam() << " round " << round;
   }

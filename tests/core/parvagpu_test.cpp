@@ -2,9 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 
 #include "core/metrics.hpp"
+#include "scenarios/scenarios.hpp"
 #include "tests/core/test_support.hpp"
 
 namespace parva::core {
@@ -53,6 +55,24 @@ TEST(ParvaGpuSchedulerTest, MigUnitsHaveNoInterference) {
     ASSERT_TRUE(unit.placement.has_value());
     EXPECT_TRUE(gpu::is_legal_placement(*unit.placement));
     EXPECT_FALSE(unit.model.empty());
+  }
+}
+
+TEST(ParvaGpuSchedulerTest, UnitsCarryTheirServicesModel) {
+  // Reversed, so a service's position in the input differs from its id.
+  std::vector<ServiceSpec> services =
+      scenarios::scale_scenario(scenarios::scenario("S5"), 10).services;
+  std::reverse(services.begin(), services.end());
+  std::map<int, std::string> model_of;
+  for (const ServiceSpec& spec : services) model_of.emplace(spec.id, spec.model);
+  ASSERT_EQ(model_of.size(), services.size());
+
+  ParvaGpuScheduler scheduler(builtin_profiles());
+  const auto result = scheduler.schedule(services).value();
+  ASSERT_FALSE(result.deployment.units.empty());
+  for (const DeployedUnit& unit : result.deployment.units) {
+    ASSERT_TRUE(model_of.contains(unit.service_id)) << unit.service_id;
+    EXPECT_EQ(unit.model, model_of.at(unit.service_id)) << "service " << unit.service_id;
   }
 }
 

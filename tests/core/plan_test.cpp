@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/rng.hpp"
 #include "tests/core/test_support.hpp"
 
 namespace parva::core {
@@ -64,6 +65,55 @@ TEST(DeploymentPlanTest, FirstFitFillsEarlierGaps) {
   plan.place_first_fit(2, triplet(3, 100));  // back into GPU0 slot 4
   EXPECT_EQ(plan.gpu_count(), 2u);
   EXPECT_EQ(plan.gpu(0).allocated_gpcs(), 7);
+}
+
+TEST(DeploymentPlanTest, FirstFitFromSkipsEarlierGpus) {
+  DeploymentPlan plan;
+  plan.place_first_fit(0, triplet(4, 100));
+  plan.place_first_fit(1, triplet(4, 100));
+  EXPECT_EQ(plan.place_first_fit(2, triplet(2, 100), 1), 1u);  // GPU0 also fits
+  EXPECT_EQ(plan.place_first_fit(3, triplet(2, 100), 2), 2u);  // appends
+  EXPECT_THROW(plan.place_first_fit(4, triplet(1, 100), 4), std::logic_error);
+}
+
+// ALLOCATION resumes each size queue's search where the previous segment
+// of that size landed. Twin plans see the same seeded runs of same-size
+// placements, one resuming and one scanning from GPU 0, with segments
+// removed between runs as Reconfigurer::apply_update and Allocation
+// Optimization remove them; both must agree on every placement.
+TEST(DeploymentPlanTest, ResumedFirstFitMatchesScanFromZero) {
+  constexpr int kSizes[] = {1, 2, 3, 4, 7};
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    Rng rng(seed);
+    DeploymentPlan resumed;
+    DeploymentPlan scanned;
+    int next_id = 0;
+    for (int run = 0; run < 30; ++run) {
+      const int gpcs = kSizes[rng.uniform_int(0, 4)];
+      const std::uint64_t count = rng.uniform_int(1, 12);
+      std::size_t cursor = 0;
+      for (std::uint64_t i = 0; i < count; ++i) {
+        const int id = next_id++;
+        cursor = resumed.place_first_fit(id, triplet(gpcs, 100), cursor);
+        ASSERT_EQ(cursor, scanned.place_first_fit(id, triplet(gpcs, 100)))
+            << "seed " << seed << " run " << run << " size " << gpcs;
+      }
+      ASSERT_EQ(resumed.to_string(), scanned.to_string()) << "seed " << seed << " run " << run;
+
+      // Remove single segments, or dissolve a whole GPU.
+      const std::uint64_t removals = rng.uniform_int(0, 6);
+      for (std::uint64_t r = 0; r < removals; ++r) {
+        const std::size_t g = rng.uniform_int(0, resumed.gpu_count() - 1);
+        const bool dissolve = rng.uniform_int(0, 3) == 0;
+        while (!resumed.gpu(g).empty()) {
+          const std::size_t s = rng.uniform_int(0, resumed.gpu(g).segments().size() - 1);
+          resumed.gpu(g).remove_segment(s);
+          scanned.gpu(g).remove_segment(s);
+          if (!dissolve) break;
+        }
+      }
+    }
+  }
 }
 
 TEST(DeploymentPlanTest, CompactDropsEmptyAndRenumbers) {

@@ -19,6 +19,21 @@ TEST(ServiceTest, SizeIndexRoundTrip) {
   EXPECT_EQ(instance_size_from_index(-1), -1);
 }
 
+TEST(ServiceTest, IdIndexFindsFirstPositionOfEachId) {
+  using testing::service;
+  const std::vector<ServiceSpec> services = {
+      service(9, "a", 100, 1), service(-3, "b", 100, 1), service(9, "c", 100, 1),
+      service(4, "d", 100, 1), service(-3, "e", 100, 1),
+  };
+  const ServiceIdIndex index(services);
+  EXPECT_EQ(index.find(9), std::optional<std::size_t>(0));
+  EXPECT_EQ(index.find(-3), std::optional<std::size_t>(1));
+  EXPECT_EQ(index.find(4), std::optional<std::size_t>(3));
+  EXPECT_EQ(index.find(5), std::nullopt);
+  EXPECT_EQ(index.find(100), std::nullopt);
+  EXPECT_EQ(ServiceIdIndex({}).find(0), std::nullopt);
+}
+
 TEST(ServiceTest, IndicesAreOrderedBySize) {
   // LASTSEG iterates the array front-to-back expecting ascending sizes.
   int previous = 0;

@@ -120,11 +120,11 @@ TEST(EndToEndTest, ReconfigurationKeepsClusterServing) {
 }
 
 // === Paper claim: two-stage scheduling stays fast as services scale
-//     (Fig. 11): 10x the services must cost far less than 100x the time
-//     of the heavyweight baseline. ===
+//     (Fig. 11): 10x the services (110 -> 1,100) must cost well under
+//     the 100x a quadratic allocator pays. ===
 TEST(EndToEndTest, SchedulingScalesNearLinearly) {
-  const auto fold1 = scenarios::scale_scenario(scenarios::scenario("S5"), 1);
-  const auto fold6 = scenarios::scale_scenario(scenarios::scenario("S5"), 6);
+  const auto fold10 = scenarios::scale_scenario(scenarios::scenario("S5"), 10);
+  const auto fold100 = scenarios::scale_scenario(scenarios::scenario("S5"), 100);
   auto median = [&](const scenarios::Scenario& sc) {
     std::vector<double> delays;
     for (int i = 0; i < 7; ++i) {
@@ -134,10 +134,10 @@ TEST(EndToEndTest, SchedulingScalesNearLinearly) {
     std::sort(delays.begin(), delays.end());
     return delays[delays.size() / 2];
   };
-  const double d1 = median(fold1);
-  const double d6 = median(fold6);
-  EXPECT_LT(d6, 60.0 * std::max(d1, 0.005))
-      << "ParvaGPU's delay must not blow up with service count";
+  const double d10 = median(fold10);
+  const double d100 = median(fold100);
+  EXPECT_LT(d100, 30.0 * std::max(d10, 0.005))
+      << "ParvaGPU's delay must grow near-linearly with service count";
 }
 
 // === Deterministic serving capacity: the DES measured rate matches the
