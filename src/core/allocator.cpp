@@ -18,7 +18,8 @@ void SegmentAllocator::enqueue_service(SegmentQueues& queues, const ConfiguredSe
   }
 }
 
-void SegmentAllocator::run_allocation(SegmentQueues& queues, DeploymentPlan& plan) {
+void SegmentAllocator::run_allocation(SegmentQueues& queues, DeploymentPlan& plan,
+                                      std::vector<std::size_t>* placed_on) {
   // Largest-size queues first (std::greater key order), first-fit front to
   // back across GPUs; find_start_slot applies the slot-preference rules.
   // ALLOCATION only fills slots, and whether a size fits is monotone in the
@@ -30,6 +31,7 @@ void SegmentAllocator::run_allocation(SegmentQueues& queues, DeploymentPlan& pla
     std::size_t cursor = 0;
     for (const Segment& segment : queue) {
       cursor = plan.place_first_fit(segment.service_id, segment.triplet, cursor);
+      if (placed_on != nullptr) placed_on->push_back(cursor);
     }
   }
   queues.clear();
@@ -99,17 +101,29 @@ DeploymentPlan SegmentAllocator::allocation_optimization(
   };
 
   const std::size_t before = plan.gpus_in_use();
-  DeploymentPlan candidate = plan;
+
+  // Undo journal, replayed only when the optimized map would use more GPUs
+  // than the input: the GPU index of every small segment ALLOCATION placed,
+  // in order, and each dissolved GPU as it was before its strip, with the
+  // number of placements made before it.
+  struct Dissolved {
+    std::size_t gpu;
+    std::size_t placements_before;
+    GpuPlan saved;
+  };
+  std::vector<std::size_t> placed_on;
+  std::vector<Dissolved> dissolved;
 
   // freed_rate ledger, indexed by service id; surplus capacity from one
   // GPU's re-expression carries (as a negative balance) into the next.
   std::map<int, double> freed_rate;
 
-  for (std::size_t gi = candidate.gpu_count(); gi-- > 0;) {
-    GpuPlan& gpu = candidate.gpu(gi);
+  for (std::size_t gi = plan.gpu_count(); gi-- > 0;) {
+    GpuPlan& gpu = plan.gpu(gi);
     if (gpu.empty()) continue;
     if (gpu.allocated_gpcs() > options_.optimization_threshold_gpcs) continue;
 
+    dissolved.push_back(Dissolved{gi, placed_on.size(), gpu});
     SegmentQueues queues;
     // Free segments whose service can be re-expressed with small triplets;
     // segments of services lacking size-1/2 triplets stay in place.
@@ -129,11 +143,25 @@ DeploymentPlan SegmentAllocator::allocation_optimization(
     }
     // Reallocate the small segments; ALLOCATION scans from the front, so
     // they sink into earlier gaps when any exist.
-    run_allocation(queues, candidate);
+    run_allocation(queues, plan, &placed_on);
   }
 
-  candidate.compact();
-  if (candidate.gpus_in_use() <= before) return candidate;
+  if (plan.gpus_in_use() > before) {
+    // Roll back in reverse: pop each placement (always its GPU's last
+    // segment by then), restore each dissolved GPU. GPUs that ALLOCATION
+    // appended are left empty and dropped by compact().
+    const auto undo_placements_down_to = [&](std::size_t count) {
+      for (; placed_on.size() > count; placed_on.pop_back()) {
+        GpuPlan& gpu = plan.gpu(placed_on.back());
+        gpu.remove_segment(gpu.segments().size() - 1);
+      }
+    };
+    for (auto it = dissolved.rbegin(); it != dissolved.rend(); ++it) {
+      undo_placements_down_to(it->placements_before);
+      plan.gpu(it->gpu) = std::move(it->saved);
+    }
+    undo_placements_down_to(0);
+  }
   plan.compact();
   return plan;
 }

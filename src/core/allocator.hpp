@@ -13,9 +13,12 @@
 // freed throughput as size-1/2 segments from the service's optimal-triplet
 // array, and re-run ALLOCATION so the small segments sink into earlier
 // gaps. Surplus small-segment capacity carries to the next freed GPU
-// through the freed_rate ledger. The optimized map is kept only when it
-// does not use more GPUs than the relocation map (it cannot, but the guard
-// makes the invariant explicit).
+// through the freed_rate ledger. The pass edits the map in place and keeps
+// an undo journal (each dissolved GPU as it was, the GPU of each placed
+// small segment); when the result would use more GPUs than the input, the
+// journal is replayed backwards and the input map is returned. That does
+// happen: a lone 4g segment whose only small triplet is a 1g at a tenth of
+// its rate re-expresses as ten 1g segments, which need a second GPU.
 #pragma once
 
 #include <map>
@@ -48,7 +51,7 @@ class SegmentAllocator {
   /// Stage 1 only (exposed for tests and the unoptimized variant).
   [[nodiscard]] Result<DeploymentPlan> segment_relocation(std::span<const ConfiguredService> services) const;
 
-  /// Stage 2 only, applied to an existing map.
+  /// Stage 2 only, applied to an existing map; returns it compacted.
   DeploymentPlan allocation_optimization(DeploymentPlan plan,
                                          std::span<const ConfiguredService> services) const;
 
@@ -57,18 +60,20 @@ class SegmentAllocator {
   /// disturbing other services.
   [[nodiscard]] Status place_service(DeploymentPlan& plan, const ConfiguredService& service) const;
 
+  /// SMALLSEGMENTS: size-1/2 segments from the service's triplet array
+  /// covering `rate`; empty when the service has no small triplet.
+  static std::vector<Triplet> small_segments(const ConfiguredService& service, double rate);
+
  private:
   /// Size-indexed segment queues (key = gpcs, drained in descending order).
   using SegmentQueues = std::map<int, std::vector<Segment>, std::greater<int>>;
 
   static void enqueue(SegmentQueues& queues, int service_id, const Triplet& triplet);
   static void enqueue_service(SegmentQueues& queues, const ConfiguredService& service);
-  /// The ALLOCATION function: drains queues into the plan.
-  static void run_allocation(SegmentQueues& queues, DeploymentPlan& plan);
-
-  /// SMALLSEGMENTS: size-1/2 segments from the service's triplet array
-  /// covering `rate`; empty when the service has no small triplet.
-  static std::vector<Triplet> small_segments(const ConfiguredService& service, double rate);
+  /// The ALLOCATION function: drains queues into the plan, appending the
+  /// GPU index of every placed segment to `placed_on` when given.
+  static void run_allocation(SegmentQueues& queues, DeploymentPlan& plan,
+                             std::vector<std::size_t>* placed_on = nullptr);
 
   AllocatorOptions options_;
 };

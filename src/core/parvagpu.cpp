@@ -42,7 +42,9 @@ Deployment ParvaGpuScheduler::to_deployment(const DeploymentPlan& plan,
   deployment.framework = std::move(framework_name);
   deployment.uses_mig = true;
   deployment.gpu_count = static_cast<int>(plan.gpus_in_use());
-  for (const auto& [gpu_index, placed] : plan.all_segments()) {
+  const auto segments = plan.all_segments();
+  deployment.units.reserve(segments.size());
+  for (const auto& [gpu_index, placed] : segments) {
     DeployedUnit unit;
     unit.service_id = placed->service_id;
     unit.gpu_index = static_cast<int>(gpu_index);

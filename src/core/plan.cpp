@@ -79,13 +79,8 @@ std::size_t DeploymentPlan::place_first_fit(int service_id, const Triplet& tripl
 }
 
 void DeploymentPlan::compact() {
-  std::vector<GpuPlan> kept;
-  kept.reserve(gpus_.size());
-  for (auto& gpu : gpus_) {
-    if (!gpu.empty()) kept.push_back(std::move(gpu));
-  }
-  for (std::size_t i = 0; i < kept.size(); ++i) kept[i].set_id(static_cast<int>(i));
-  gpus_ = std::move(kept);
+  std::erase_if(gpus_, [](const GpuPlan& gpu) { return gpu.empty(); });
+  for (std::size_t i = 0; i < gpus_.size(); ++i) gpus_[i].set_id(static_cast<int>(i));
 }
 
 int DeploymentPlan::total_allocated_gpcs() const {

@@ -56,30 +56,28 @@ Result<ReconfigureStats> Reconfigurer::apply_update(DeploymentPlan& plan,
     stats.segments_untouched += static_cast<int>(gpu.segments().size());
   }
 
-  // Targeted relocation for this service into the existing map.
-  const std::size_t before_units = [&] {
-    std::size_t count = 0;
-    for (const auto& gpu : plan.gpus()) count += gpu.segments().size();
-    return count;
-  }();
+  // Targeted relocation for this service into the existing map; ALLOCATION
+  // places every segment it is given.
   const Status placed = allocator_.place_service(plan, service);
   if (!placed.ok()) return placed.error();
-  std::size_t after_units = 0;
-  for (const auto& gpu : plan.gpus()) after_units += gpu.segments().size();
-  stats.segments_added = static_cast<int>(after_units - before_units);
+  stats.segments_added = service.num_opt_seg + (service.last_seg.has_value() ? 1 : 0);
 
   // Update the configured set, then run the optimization stage to squeeze
-  // out fragmentation the update may have opened.
+  // out fragmentation the update may have opened (it returns the map
+  // compacted); the unoptimized variant only compacts.
   const auto it = std::find_if(configured.begin(), configured.end(), [&](const auto& c) {
     return c.spec.id == updated_spec.id;
   });
   if (it != configured.end()) {
-    *it = service;
+    *it = std::move(service);
   } else {
-    configured.push_back(service);
+    configured.push_back(std::move(service));
   }
-  plan = allocator_.allocation_optimization(std::move(plan), configured);
-  plan.compact();
+  if (allocator_.options().optimize) {
+    plan = allocator_.allocation_optimization(std::move(plan), configured);
+  } else {
+    plan.compact();
+  }
 
   if (telemetry_ != nullptr) {
     telemetry_->events().record(

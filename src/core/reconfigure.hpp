@@ -33,7 +33,8 @@ class Reconfigurer {
   /// Applies an updated spec for one service: re-runs the Segment
   /// Configurator for it alone, strips its old segments from the map,
   /// re-places the new ones into the existing map, then runs Allocation
-  /// Optimization. `plan` and `configured` are updated in place.
+  /// Optimization when the allocator's `optimize` option is set.
+  /// `plan` and `configured` are updated in place.
   [[nodiscard]] Result<ReconfigureStats> update_service(DeploymentPlan& plan,
                                           std::vector<ConfiguredService>& configured,
                                           const ServiceSpec& updated_spec,

@@ -6,7 +6,10 @@
 //   * every placed segment respects the internal latency bound,
 //   * Allocation Optimization never uses more GPUs than relocation alone,
 //   * Segment Relocation, whose first-fit search resumes per size queue,
-//     places exactly as a first-fit scan from GPU 0 for every segment.
+//     places exactly as a first-fit scan from GPU 0 for every segment,
+//   * in-place Allocation Optimization, with its undo journal, returns
+//     exactly what running it on a copy of the map and keeping the copy
+//     only when it uses no more GPUs returns, at several thresholds.
 #include <gtest/gtest.h>
 
 #include <functional>
@@ -16,6 +19,7 @@
 #include "core/allocator.hpp"
 #include "core/configurator.hpp"
 #include "scenarios/scenarios.hpp"
+#include "tests/core/allocator_oracle.hpp"
 #include "tests/core/test_support.hpp"
 
 namespace parva::core {
@@ -142,6 +146,15 @@ TEST_P(AllocatorFuzz, InvariantsHoldOnRandomMixes) {
         << "seed " << GetParam() << " round " << round;
     EXPECT_LE(optimized.value().gpus_in_use(), relocated.value().gpus_in_use())
         << "seed " << GetParam() << " round " << round;
+    for (const int threshold : {2, 4, 7}) {
+      AllocatorOptions options;
+      options.optimization_threshold_gpcs = threshold;
+      EXPECT_EQ(testing::dump(SegmentAllocator(options).allocation_optimization(
+                    stage1.value(), configured.value())),
+                testing::dump(testing::copy_then_optimize(stage1.value(), configured.value(),
+                                                          threshold)))
+          << "seed " << GetParam() << " round " << round << " threshold " << threshold;
+    }
   }
 }
 

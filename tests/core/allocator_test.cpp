@@ -5,12 +5,15 @@
 #include <map>
 
 #include "core/configurator.hpp"
+#include "tests/core/allocator_oracle.hpp"
 #include "tests/core/test_support.hpp"
 
 namespace parva::core {
 namespace {
 
 using testing::builtin_profiles;
+using testing::copy_then_optimize;
+using testing::dump;
 using testing::service;
 using testing::triplet;
 
@@ -167,6 +170,79 @@ TEST(AllocatorTest, SurplusCarriesAcrossGpus) {
   EXPECT_GE(capacity_a + 1e-9, 1500.0);
   EXPECT_EQ(small_count_a, 3);
   EXPECT_EQ(optimized.gpu_count(), 2u);  // one lone-3g GPU dissolved away
+}
+
+TEST(AllocatorTest, OptimizationRollsBackWhenItWouldUseMoreGpus) {
+  // A lone 4g segment at 1,000 req/s whose only small triplet is a 1g at
+  // 100 req/s re-expresses as ten 1g segments, which need a second GPU:
+  // stage 2 returns its input, compacted.
+  const std::vector<ConfiguredService> services = {
+      configured(0, 4, 1000, 1, std::nullopt, triplet(1, 100))};
+  EXPECT_EQ(SegmentAllocator::small_segments(services[0], 1000).size(), 10u);
+  DeploymentPlan plan;
+  plan.gpus().emplace_back(0);  // empty, so compaction drops it
+  plan.gpus().emplace_back(1);
+  ASSERT_TRUE(plan.gpu(1).try_place_at(0, triplet(4, 1000), 0));
+
+  const DeploymentPlan optimized = SegmentAllocator().allocation_optimization(plan, services);
+  EXPECT_EQ(optimized.to_string(), "GPU0{s0:4@0}");
+  EXPECT_EQ(dump(optimized), dump(copy_then_optimize(plan, services)));
+  EXPECT_EQ(SegmentAllocator().allocate(services).value().to_string(), "GPU0{s0:4@0}");
+}
+
+TEST(AllocatorTest, RollbackUndoesSmallSegmentsOnEarlierGpus) {
+  // A no-small-triplet anchor B (4g) on GPU0 leaves three free slots. GPU2's
+  // lone A (3g; 1g at 700 req/s) dissolves first and its two 1g segments
+  // land on GPU0; GPU1's C (4g at 1,000 req/s; 1g at 40) then needs 25 1g
+  // segments: one on GPU0, seven each on GPU1, GPU2 and the trailing empty
+  // GPU3, and three on an appended GPU4. Five GPUs in use against the
+  // input's three, so every step is undone and compaction drops GPU3-4.
+  const std::vector<ConfiguredService> services = {
+      configured(0, 3, 750, 1, std::nullopt, triplet(1, 700)),
+      configured(1, 4, 900, 1),
+      configured(2, 4, 1000, 1, std::nullopt, triplet(1, 40)),
+  };
+  DeploymentPlan plan;
+  for (int id = 0; id < 4; ++id) plan.gpus().emplace_back(id);
+  ASSERT_TRUE(plan.gpu(0).try_place_at(1, triplet(4, 900), 0));
+  ASSERT_TRUE(plan.gpu(1).try_place_at(2, triplet(4, 1000), 0));
+  ASSERT_TRUE(plan.gpu(2).try_place_at(0, triplet(3, 750), 4));
+
+  const DeploymentPlan optimized = SegmentAllocator().allocation_optimization(plan, services);
+  EXPECT_EQ(optimized.to_string(), "GPU0{s1:4@0} GPU1{s2:4@0} GPU2{s0:3@4}");
+  EXPECT_EQ(dump(optimized), dump(copy_then_optimize(plan, services)));
+  expect_valid(optimized);
+
+  // Without C the same first step stands: A's small segments join GPU0.
+  DeploymentPlan without_c = plan;
+  without_c.gpu(1).remove_segment(0);
+  const DeploymentPlan kept =
+      SegmentAllocator().allocation_optimization(without_c, services);
+  EXPECT_EQ(kept.gpu_count(), 1u);
+  EXPECT_EQ(dump(kept), dump(copy_then_optimize(without_c, services)));
+}
+
+TEST(AllocatorTest, RollbackRestoresAGpuThatTookSmallSegmentsBeforeDissolving) {
+  // GPU0 is full (7g anchor). GPU2's A (1g) re-expresses as one 1g, which
+  // lands on GPU1 beside C's 3g; GPU1 (4 GPCs) is then dissolved with A's
+  // new segment on it. C (3g at 200 req/s; 1g at 10) needs twenty 1g
+  // segments, so the map would grow to four GPUs and the rollback must
+  // restore GPU1 as it was when dissolved, then pop A's segment from it.
+  const std::vector<ConfiguredService> services = {
+      configured(0, 1, 100, 1),
+      configured(1, 7, 2000, 1),
+      configured(2, 3, 200, 1, std::nullopt, triplet(1, 10)),
+  };
+  DeploymentPlan plan;
+  for (int id = 0; id < 3; ++id) plan.gpus().emplace_back(id);
+  ASSERT_TRUE(plan.gpu(0).try_place_at(1, triplet(7, 2000), 0));
+  ASSERT_TRUE(plan.gpu(1).try_place_at(2, triplet(3, 200), 4));
+  ASSERT_TRUE(plan.gpu(2).try_place_at(0, triplet(1, 100), 6));
+
+  const DeploymentPlan optimized = SegmentAllocator().allocation_optimization(plan, services);
+  EXPECT_EQ(optimized.to_string(), plan.to_string());
+  EXPECT_EQ(dump(optimized), dump(plan));
+  EXPECT_EQ(dump(optimized), dump(copy_then_optimize(plan, services)));
 }
 
 TEST(AllocatorTest, ThresholdZeroDisablesDissolution) {

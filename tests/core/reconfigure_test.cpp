@@ -4,7 +4,10 @@
 
 #include <map>
 
+#include "common/rng.hpp"
 #include "core/parvagpu.hpp"
+#include "scenarios/scenarios.hpp"
+#include "tests/core/allocator_oracle.hpp"
 #include "tests/core/test_support.hpp"
 
 namespace parva::core {
@@ -113,6 +116,74 @@ TEST_F(ReconfigureTest, RateDecreaseShrinksFootprint) {
       reconfigurer_.update_service(plan_, configured_, updated, builtin_profiles()).ok());
   EXPECT_LT(plan_.total_allocated_gpcs(), before);
   EXPECT_GE(capacity_of(0) + 1e-6, 500.0);
+}
+
+TEST(ReconfigureStreamTest, MatchesCopyThenOptimizeOracleOverASeededStream) {
+  // 300 seeded SLO/rate updates on S5 x70 (770 services), each applied to
+  // the fleet's plan and to a twin plan through the copy-then-optimize
+  // oracle; plans and stats must agree after every update.
+  const auto fleet = scenarios::scale_scenario(scenarios::scenario("S5"), 70);
+  ParvaGpuScheduler scheduler(builtin_profiles());
+  ASSERT_TRUE(scheduler.schedule(fleet.services).ok());
+  DeploymentPlan plan = scheduler.last_plan();
+  std::vector<ConfiguredService> configured = scheduler.last_configured();
+  DeploymentPlan oracle_plan = plan;
+  std::vector<ConfiguredService> oracle_configured = configured;
+  const Reconfigurer reconfigurer{SegmentConfigurator(), SegmentAllocator()};
+
+  Rng rng(70);
+  int applied = 0;
+  for (int u = 0; u < 300; ++u) {
+    ServiceSpec spec =
+        fleet.services[static_cast<std::size_t>(rng.uniform_int(0, fleet.services.size() - 1))];
+    spec.request_rate *= rng.uniform(0.3, 3.0);
+    spec.slo_latency_ms *= rng.uniform(0.8, 1.5);
+    const auto stats = reconfigurer.update_service(plan, configured, spec, builtin_profiles());
+    const auto expected =
+        testing::reference_update(oracle_plan, oracle_configured, spec, builtin_profiles());
+    ASSERT_EQ(stats.ok(), expected.ok()) << "update " << u;
+    if (stats.ok()) {
+      ++applied;
+      EXPECT_EQ(stats.value().segments_removed, expected.value().segments_removed) << u;
+      EXPECT_EQ(stats.value().segments_added, expected.value().segments_added) << u;
+      EXPECT_EQ(stats.value().segments_untouched, expected.value().segments_untouched) << u;
+    }
+    ASSERT_EQ(plan.to_string(), oracle_plan.to_string()) << "update " << u;
+  }
+  EXPECT_GT(applied, 250);
+  EXPECT_EQ(testing::dump(plan), testing::dump(oracle_plan));
+}
+
+TEST(ReconfigureOptionsTest, UnoptimizedAllocatorKeepsLightGpusThroughAnUpdate) {
+  // Relocation alone leaves S4 with lone-3g GPUs (3 GPCs: under the
+  // Allocation Optimization threshold). An update of another service
+  // through a reconfigurer built on an unoptimized allocator must leave
+  // such a light GPU as it is.
+  ParvaGpuOptions options;
+  options.optimize_allocation = false;
+  ParvaGpuScheduler scheduler(builtin_profiles(), options);
+  const std::vector<ServiceSpec>& services = scenarios::scenario("S4").services;
+  ASSERT_TRUE(scheduler.schedule(services).ok());
+  const std::string light = "GPU1{s1:3@4}";
+  ASSERT_NE(scheduler.last_plan().to_string().find(light), std::string::npos);
+
+  ServiceSpec updated = services.back();
+  updated.request_rate *= 1.1;
+  AllocatorOptions unoptimized;
+  unoptimized.optimize = false;
+  const Reconfigurer reconfigurer{SegmentConfigurator(), SegmentAllocator(unoptimized)};
+  DeploymentPlan plan = scheduler.last_plan();
+  std::vector<ConfiguredService> configured = scheduler.last_configured();
+  ASSERT_TRUE(reconfigurer.update_service(plan, configured, updated, builtin_profiles()).ok());
+  EXPECT_NE(plan.to_string().find(light), std::string::npos) << plan.to_string();
+
+  // The default reconfigurer dissolves that GPU on the same update.
+  DeploymentPlan optimized = scheduler.last_plan();
+  std::vector<ConfiguredService> optimized_configured = scheduler.last_configured();
+  ASSERT_TRUE(Reconfigurer(SegmentConfigurator(), SegmentAllocator())
+                  .update_service(optimized, optimized_configured, updated, builtin_profiles())
+                  .ok());
+  EXPECT_EQ(optimized.to_string().find(light), std::string::npos) << optimized.to_string();
 }
 
 }  // namespace
