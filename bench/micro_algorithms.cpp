@@ -1,11 +1,16 @@
 // google-benchmark microbenchmarks of the building blocks: MIG geometry
 // enumeration, the Segment Configurator, the Segment Allocator stages, the
-// end-to-end schedulers, and the discrete-event simulator throughput.
+// end-to-end schedulers, deploying and repairing a fleet, and the
+// discrete-event simulator throughput.
 #include <benchmark/benchmark.h>
+
+#include <map>
+#include <memory>
 
 #include "core/allocator.hpp"
 #include "core/configurator.hpp"
 #include "core/parvagpu.hpp"
+#include "core/repair.hpp"
 #include "gpu/mig_geometry.hpp"
 #include "profiler/profiler.hpp"
 #include "scenarios/experiment.hpp"
@@ -92,6 +97,80 @@ BENCHMARK_CAPTURE(BM_Scheduler, parvagpu_s2, Framework::kParvaGpu, "S2");
 BENCHMARK_CAPTURE(BM_Scheduler, parvagpu_s6, Framework::kParvaGpu, "S6");
 BENCHMARK_CAPTURE(BM_Scheduler, gpulet_s6, Framework::kGpulet, "S6");
 BENCHMARK_CAPTURE(BM_Scheduler, migserving_s2, Framework::kMigServing, "S2");
+
+/// The ParvaGPU deployment of the S5 fleet folded `fold` times.
+const core::Deployment& s5_deployment(int fold) {
+  static std::map<int, core::Deployment> deployments;
+  auto it = deployments.find(fold);
+  if (it == deployments.end()) {
+    const Scenario fleet = scale_scenario(scenario("S5"), fold);
+    auto scheduler = context().make_scheduler(Framework::kParvaGpu);
+    it = deployments.emplace(fold, scheduler->schedule(fleet.services).value().deployment).first;
+  }
+  return it->second;
+}
+
+/// A fresh simulated cluster with its control plane, deployer and repair
+/// loop; rebuilt outside the timed region for every iteration.
+struct FleetControlPlane {
+  explicit FleetControlPlane(int gpus)
+      : cluster(static_cast<std::size_t>(gpus)),
+        nvml(cluster),
+        deployer(nvml, context().perf()),
+        updater(deployer),
+        repairer(deployer, updater) {}
+
+  gpu::GpuCluster cluster;
+  gpu::NvmlSim nvml;
+  core::Deployer deployer;
+  core::LiveUpdater updater;
+  core::RepairCoordinator repairer;
+};
+
+// The yardstick for a repair: Deployer::deploy of a whole S5 fold.
+void BM_DeployFleet(benchmark::State& state) {
+  const core::Deployment& fleet = s5_deployment(static_cast<int>(state.range(0)));
+  std::unique_ptr<FleetControlPlane> plane;
+  for (auto _ : state) {
+    state.PauseTiming();
+    plane = std::make_unique<FleetControlPlane>(fleet.gpu_count);
+    state.ResumeTiming();
+    benchmark::DoNotOptimize(plane->deployer.deploy(fleet));
+  }
+  state.counters["units"] = static_cast<double>(fleet.units.size());
+}
+BENCHMARK(BM_DeployFleet)->Arg(70)->Arg(300)->Unit(benchmark::kMillisecond);
+
+// RepairCoordinator::handle_gpu_loss after the loss of the GPU that holds
+// the fleet's first whole-GPU (7g) unit: one replacement on a standby GPU.
+void BM_RepairOneGpu(benchmark::State& state) {
+  const core::Deployment& fleet = s5_deployment(static_cast<int>(state.range(0)));
+  int victim = 0;
+  for (const core::DeployedUnit& unit : fleet.units) {
+    if (unit.placement->gpcs == gpu::kGpcSlots) {
+      victim = unit.gpu_index;
+      break;
+    }
+  }
+  std::unique_ptr<FleetControlPlane> plane;
+  core::Deployment current;
+  core::DeployedState deployed;
+  for (auto _ : state) {
+    state.PauseTiming();
+    plane = std::make_unique<FleetControlPlane>(fleet.gpu_count);
+    current = fleet;
+    deployed = plane->deployer.deploy(fleet).value();
+    const gpu::NvmlReturn lost = plane->nvml.fail_device(static_cast<unsigned>(victim));
+    state.ResumeTiming();
+    if (lost != gpu::NvmlReturn::kSuccess) {
+      state.SkipWithError("fail_device refused the victim GPU");
+      break;
+    }
+    benchmark::DoNotOptimize(plane->repairer.handle_gpu_loss(current, deployed, victim));
+  }
+  state.counters["units"] = static_cast<double>(fleet.units.size());
+}
+BENCHMARK(BM_RepairOneGpu)->Arg(70)->Arg(300)->Unit(benchmark::kMillisecond);
 
 void BM_ClusterSimulationS2(benchmark::State& state) {
   const Scenario& sc = scenario("S2");

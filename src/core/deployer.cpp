@@ -1,6 +1,7 @@
 #include "core/deployer.hpp"
 
 #include <algorithm>
+#include <string>
 
 #include "common/logging.hpp"
 
@@ -55,6 +56,27 @@ gpu::NvmlReturn Deployer::create_instance_with_retry(const DeployedUnit& unit,
 }
 
 Result<DeployedState> Deployer::deploy(const Deployment& deployment) {
+  DeployStats stats;
+  Result<DeployedState> state = deploy_units(deployment, stats);
+  last_stats_ = stats;
+  total_stats_.merge(stats);
+  if (state.ok() && telemetry_ != nullptr) {
+    telemetry::MetricsRegistry& m = telemetry_->metrics();
+    m.counter("parva_deploy_instances_total", "GPU instances created by the Deployer")
+        .inc(static_cast<double>(state.value().unit_instances.size()));
+    m.counter("parva_deploy_transient_retries_total",
+              "Instance creates repeated after a transient NVML failure")
+        .inc(static_cast<double>(stats.transient_retries));
+    m.counter("parva_deploy_backoff_ms_total", "Simulated wall-clock spent backing off")
+        .inc(stats.backoff_ms);
+    m.counter("parva_deploy_fallback_placements_total",
+              "Units placed at a non-planned slot after retry exhaustion")
+        .inc(static_cast<double>(stats.fallback_placements));
+  }
+  return state;
+}
+
+Result<DeployedState> Deployer::deploy_units(const Deployment& deployment, DeployStats& stats) {
   if (!deployment.uses_mig) {
     return Error(ErrorCode::kUnsupported,
                  "Deployer materialises MIG-backed deployments; MPS-share baselines manage "
@@ -62,7 +84,6 @@ Result<DeployedState> Deployer::deploy(const Deployment& deployment) {
   }
   DeployedState state;
   state.unit_instances.reserve(deployment.units.size());
-  DeployStats stats;
 
   // Grow the cluster up front so placements land on the intended devices.
   while (nvml_->cluster().size() < static_cast<std::size_t>(deployment.gpu_count)) {
@@ -70,26 +91,35 @@ Result<DeployedState> Deployer::deploy(const Deployment& deployment) {
     if (!grown.ok()) return grown.error();
   }
 
+  // A unit whose bring-up fails after its instance exists gives the slice
+  // back before the error is returned.
+  const auto release = [this](gpu::GlobalInstanceId id, const std::string& step,
+                              gpu::NvmlReturn ret) {
+    const auto kill_ret = nvml_->kill_processes(id);
+    const auto destroy_ret = nvml_->destroy_gpu_instance(id);
+    if (kill_ret != gpu::NvmlReturn::kSuccess || destroy_ret != gpu::NvmlReturn::kSuccess) {
+      PARVA_LOG_WARN << "deploy: releasing gpu " << id.gpu << " handle " << id.handle
+                     << " failed (kill=" << gpu::nvml_error_string(kill_ret)
+                     << ", destroy=" << gpu::nvml_error_string(destroy_ret) << ")";
+    }
+    return Error(ErrorCode::kInternal, step + " failed: " + gpu::nvml_error_string(ret));
+  };
+
   for (const DeployedUnit& unit : deployment.units) {
     PARVA_REQUIRE(unit.placement.has_value(), "MIG unit requires a placement");
+    const perfmodel::WorkloadTraits* traits = perf_->catalog().find(unit.model);
+    if (traits == nullptr) {
+      return Error(ErrorCode::kNotFound, "unknown model " + unit.model);
+    }
     gpu::GlobalInstanceId id;
     auto ret = create_instance_with_retry(unit, &id, stats);
     if (ret != gpu::NvmlReturn::kSuccess) {
-      last_stats_ = stats;
-      total_stats_.merge(stats);
       return Error(ErrorCode::kInternal, std::string("create_gpu_instance failed: ") +
                                              gpu::nvml_error_string(ret));
     }
     if (unit.procs > 1) {
       ret = nvml_->start_mps_daemon(id);
-      if (ret != gpu::NvmlReturn::kSuccess) {
-        return Error(ErrorCode::kInternal,
-                     std::string("start_mps_daemon failed: ") + gpu::nvml_error_string(ret));
-      }
-    }
-    const perfmodel::WorkloadTraits* traits = perf_->catalog().find(unit.model);
-    if (traits == nullptr) {
-      return Error(ErrorCode::kNotFound, "unknown model " + unit.model);
+      if (ret != gpu::NvmlReturn::kSuccess) return release(id, "start_mps_daemon", ret);
     }
     const double per_process_mem =
         perfmodel::AnalyticalPerfModel::process_memory_gib(*traits, unit.batch);
@@ -99,10 +129,7 @@ Result<DeployedState> Deployer::deploy(const Deployment& deployment) {
       process.batch_size = unit.batch;
       process.memory_gib = per_process_mem;
       ret = nvml_->launch_process(id, process);
-      if (ret != gpu::NvmlReturn::kSuccess) {
-        return Error(ErrorCode::kInternal,
-                     std::string("launch_process failed: ") + gpu::nvml_error_string(ret));
-      }
+      if (ret != gpu::NvmlReturn::kSuccess) return release(id, "launch_process", ret);
     }
     state.unit_instances.push_back(id);
     if (telemetry_ != nullptr) {
@@ -110,21 +137,6 @@ Result<DeployedState> Deployer::deploy(const Deployment& deployment) {
                                   id.gpu, unit.service_id,
                                   static_cast<double>(unit.placement->gpcs));
     }
-  }
-  last_stats_ = stats;
-  total_stats_.merge(stats);
-  if (telemetry_ != nullptr) {
-    telemetry::MetricsRegistry& m = telemetry_->metrics();
-    m.counter("parva_deploy_instances_total", "GPU instances created by the Deployer")
-        .inc(static_cast<double>(state.unit_instances.size()));
-    m.counter("parva_deploy_transient_retries_total",
-              "Instance creates repeated after a transient NVML failure")
-        .inc(static_cast<double>(stats.transient_retries));
-    m.counter("parva_deploy_backoff_ms_total", "Simulated wall-clock spent backing off")
-        .inc(stats.backoff_ms);
-    m.counter("parva_deploy_fallback_placements_total",
-              "Units placed at a non-planned slot after retry exhaustion")
-        .inc(static_cast<double>(stats.fallback_placements));
   }
   return state;
 }

@@ -57,7 +57,10 @@ class Deployer {
       : nvml_(&nvml), perf_(&perf), retry_(retry) {}
 
   /// Applies a MIG-backed deployment to the cluster. The cluster must have
-  /// enough devices (elastic clusters grow automatically).
+  /// enough devices (elastic clusters grow automatically). Every call,
+  /// failed or not, updates the fault accounting; a unit that fails part
+  /// way through its bring-up releases its instance, while the units
+  /// created before it stay live.
   [[nodiscard]] Result<DeployedState> deploy(const Deployment& deployment);
 
   /// Tears down the instances recorded in `state`. Instances on lost
@@ -79,6 +82,11 @@ class Deployer {
   gpu::NvmlSim& nvml() { return *nvml_; }
 
  private:
+  /// deploy() without the accounting: creates, configures and launches each
+  /// unit in order, adding its retries to `stats`.
+  [[nodiscard]] Result<DeployedState> deploy_units(const Deployment& deployment,
+                                                   DeployStats& stats);
+
   /// Creates one unit's instance, retrying transient failures with
   /// exponential backoff and falling back to alternate legal slots.
   [[nodiscard]] gpu::NvmlReturn create_instance_with_retry(const DeployedUnit& unit,

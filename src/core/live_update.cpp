@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <set>
+#include <utility>
+#include <vector>
 
 #include "common/logging.hpp"
 
@@ -43,46 +45,51 @@ Result<LiveUpdateReport> LiveUpdater::apply(const Deployment& current, DeployedS
 
   LiveUpdateReport report;
 
-  // Diff: units present in both maps stay untouched; the rest are
-  // removed/added. Duplicate keys are matched one-to-one.
-  std::multiset<UnitKey> target_keys;
-  for (const DeployedUnit& unit : target.units) target_keys.insert(key_of(unit));
-
-  std::vector<std::size_t> to_remove;          // indices into current.units
-  std::multiset<UnitKey> kept_keys;
-  std::vector<gpu::GlobalInstanceId> kept_instances;
-  std::vector<const DeployedUnit*> kept_units;
-  for (std::size_t i = 0; i < current.units.size(); ++i) {
-    const UnitKey key = key_of(current.units[i]);
-    const auto it = target_keys.find(key);
-    if (it != target_keys.end()) {
-      target_keys.erase(it);
-      kept_keys.insert(key);
-      kept_instances.push_back(state.unit_instances[i]);
-      kept_units.push_back(&current.units[i]);
-      ++report.untouched_units;
+  // Diff: the i-th current unit with a key keeps the i-th target slot with
+  // that key; surplus current units are removed and the target slots no
+  // kept unit took are added. The common prefix pairs up position by
+  // position; the rest of each side is sorted as (key, index) and merged,
+  // so the pass costs O(n log n) in the units past the prefix.
+  DeployedState next;
+  next.unit_instances.resize(target.units.size());
+  const std::size_t shared = std::min(current.units.size(), target.units.size());
+  std::size_t prefix = 0;
+  while (prefix < shared && key_of(current.units[prefix]) == key_of(target.units[prefix])) {
+    next.unit_instances[prefix] = state.unit_instances[prefix];
+    ++prefix;
+  }
+  const auto sorted_suffix = [prefix](const Deployment& deployment) {
+    std::vector<std::pair<UnitKey, std::size_t>> keyed;
+    keyed.reserve(deployment.units.size() - prefix);
+    for (std::size_t i = prefix; i < deployment.units.size(); ++i) {
+      keyed.emplace_back(key_of(deployment.units[i]), i);
+    }
+    std::sort(keyed.begin(), keyed.end());
+    return keyed;
+  };
+  const auto from = sorted_suffix(current);
+  const auto to = sorted_suffix(target);
+  std::vector<std::size_t> to_remove;  // indices into current.units
+  std::vector<std::size_t> to_add;     // indices into target.units
+  for (std::size_t c = 0, t = 0; c < from.size() || t < to.size();) {
+    if (t == to.size() || (c < from.size() && from[c].first < to[t].first)) {
+      to_remove.push_back(from[c++].second);
+    } else if (c == from.size() || to[t].first < from[c].first) {
+      to_add.push_back(to[t++].second);
     } else {
-      to_remove.push_back(i);
+      next.unit_instances[to[t++].second] = state.unit_instances[from[c++].second];
     }
   }
-  std::vector<const DeployedUnit*> to_add;  // units of target not yet live
-  {
-    std::multiset<UnitKey> remaining = target_keys;
-    for (const DeployedUnit& unit : target.units) {
-      const auto it = remaining.find(key_of(unit));
-      if (it != remaining.end()) {
-        remaining.erase(it);
-        to_add.push_back(&unit);
-      }
-    }
-  }
+  std::sort(to_remove.begin(), to_remove.end());
+  std::sort(to_add.begin(), to_add.end());
+  report.untouched_units = static_cast<int>(target.units.size() - to_add.size());
   report.removed_units = static_cast<int>(to_remove.size());
   report.added_units = static_cast<int>(to_add.size());
 
   // Services whose serving set changes.
   std::set<int> affected;
   for (std::size_t i : to_remove) affected.insert(current.units[i].service_id);
-  for (const DeployedUnit* unit : to_add) affected.insert(unit->service_id);
+  for (std::size_t i : to_add) affected.insert(target.units[i].service_id);
 
   // Phase 0 (shadowed only): clone one serving segment per affected
   // service onto the spare pool (GPUs beyond the target's footprint).
@@ -91,14 +98,16 @@ Result<LiveUpdateReport> LiveUpdater::apply(const Deployment& current, DeployedS
   std::map<int, gpu::GlobalInstanceId> shadows;
   int spare_gpu = std::max(current.gpu_count, target.gpu_count);
   if (strategy == UpdateStrategy::kShadowed) {
-    for (int service_id : affected) {
-      // Template: any current unit of the service (prefer the smallest so
-      // the shadow is cheap); new services have nothing to shadow.
-      const DeployedUnit* tmpl = nullptr;
-      for (const DeployedUnit& unit : current.units) {
-        if (unit.service_id != service_id) continue;
-        if (tmpl == nullptr || unit.gpc_grant < tmpl->gpc_grant) tmpl = &unit;
-      }
+    // Template per affected service: its first current unit with the
+    // smallest grant, so the shadow is cheap; new services have none.
+    std::map<int, const DeployedUnit*> templates;
+    for (int service_id : affected) templates.emplace(service_id, nullptr);
+    for (const DeployedUnit& unit : current.units) {
+      const auto it = templates.find(unit.service_id);
+      if (it == templates.end()) continue;
+      if (it->second == nullptr || unit.gpc_grant < it->second->gpc_grant) it->second = &unit;
+    }
+    for (const auto& [service_id, tmpl] : templates) {
       if (tmpl == nullptr) continue;
 
       Deployment shadow;
@@ -143,12 +152,11 @@ Result<LiveUpdateReport> LiveUpdater::apply(const Deployment& current, DeployedS
   Deployment additions;
   additions.uses_mig = true;
   additions.gpu_count = target.gpu_count;
-  for (const DeployedUnit* unit : to_add) additions.units.push_back(*unit);
+  additions.units.reserve(to_add.size());
+  for (std::size_t i : to_add) additions.units.push_back(target.units[i]);
   auto added = deployer_->deploy(additions);
   if (!added.ok()) return added.error();
-  for (const DeployedUnit* unit : to_add) {
-    window_ms[unit->service_id] += per_unit_create;
-  }
+  for (std::size_t i : to_add) window_ms[target.units[i].service_id] += per_unit_create;
 
   // Phase 3: drop the shadows (their teardown happens after traffic has
   // shifted back; it adds makespan but no downtime).
@@ -174,31 +182,11 @@ Result<LiveUpdateReport> LiveUpdater::apply(const Deployment& current, DeployedS
     report.makespan_ms += window_ms[service_id];
   }
 
-  // New state: kept instances plus the additions, ordered as target.units.
-  DeployedState next;
-  next.unit_instances.resize(target.units.size());
-  std::vector<bool> filled(target.units.size(), false);
-  // Match kept units to target slots.
-  for (std::size_t k = 0; k < kept_units.size(); ++k) {
-    const UnitKey key = key_of(*kept_units[k]);
-    for (std::size_t t = 0; t < target.units.size(); ++t) {
-      if (filled[t]) continue;
-      if (key_of(target.units[t]) == key) {
-        next.unit_instances[t] = kept_instances[k];
-        filled[t] = true;
-        break;
-      }
-    }
-  }
-  // Match added units in order.
-  std::size_t add_cursor = 0;
-  for (std::size_t t = 0; t < target.units.size(); ++t) {
-    if (filled[t]) continue;
-    PARVA_CHECK(add_cursor < added.value().unit_instances.size(),
-                "added instance bookkeeping mismatch");
-    next.unit_instances[t] = added.value().unit_instances[add_cursor++];
-    filled[t] = true;
-  }
+  // New state: the kept instances already sit in their target slots; each
+  // added slot takes the instance created for it.
+  const std::vector<gpu::GlobalInstanceId>& created = added.value().unit_instances;
+  PARVA_CHECK(created.size() == to_add.size(), "added instance bookkeeping mismatch");
+  for (std::size_t a = 0; a < to_add.size(); ++a) next.unit_instances[to_add[a]] = created[a];
   state = std::move(next);
   return report;
 }

@@ -65,6 +65,10 @@ class LiveUpdater {
 
   /// Transitions the cluster from (current, state) to `target`.
   /// On success `state` describes the target deployment's instances.
+  /// Units match by (service, GPU, placement, batch, procs): the i-th
+  /// current unit with a key keeps the i-th target slot with that key,
+  /// surplus current units are torn down in current order, and unmatched
+  /// target slots are deployed in target order, each with its own instance.
   /// kShadowed places one shadow segment per affected service on GPUs
   /// beyond the target's count (the spare pool); if no shadow placement is
   /// possible for a service it falls back to in-place for that service.

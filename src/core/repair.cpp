@@ -1,7 +1,7 @@
 #include "core/repair.hpp"
 
 #include <algorithm>
-#include <map>
+#include <cstdint>
 #include <set>
 #include <string>
 
@@ -35,9 +35,13 @@ Result<RepairReport> RepairCoordinator::handle_gpu_loss(Deployment& current,
   // Partition the deployment into survivors and the units the failure took
   // down. The lost instances no longer exist on the hardware (the device
   // reset destroyed them), so the survivor state simply drops their ids.
-  Deployment survivors = current;
-  survivors.units.clear();
+  Deployment survivors{.framework = current.framework,
+                       .uses_mig = current.uses_mig,
+                       .gpu_count = current.gpu_count,
+                       .units = {}};
+  survivors.units.reserve(current.units.size());
   DeployedState survivor_state;
+  survivor_state.unit_instances.reserve(current.units.size());
   std::vector<DeployedUnit> lost_units;
   for (std::size_t i = 0; i < current.units.size(); ++i) {
     if (current.units[i].gpu_index == lost_gpu) {
@@ -71,14 +75,17 @@ Result<RepairReport> RepairCoordinator::handle_gpu_loss(Deployment& current,
         .inc(static_cast<double>(report.lost_units));
   }
 
-  // Free-slot geometry of the surviving fleet.
-  std::map<int, std::uint8_t> occupied;
-  int max_gpu = lost_gpu;
+  // Free-slot geometry of the surviving fleet, one mask per GPU index.
+  std::vector<std::uint8_t> occupied;
   for (const DeployedUnit& unit : survivors.units) {
-    PARVA_REQUIRE(unit.placement.has_value(), "MIG unit requires a placement");
-    occupied[unit.gpu_index] |= unit.placement->slot_mask();
-    max_gpu = std::max(max_gpu, unit.gpu_index);
+    PARVA_REQUIRE(unit.placement.has_value() && unit.gpu_index >= 0,
+                  "MIG unit requires a placement on a GPU");
+    const auto index = static_cast<std::size_t>(unit.gpu_index);
+    if (index >= occupied.size()) occupied.resize(index + 1, 0);
+    occupied[index] |= unit.placement->slot_mask();
   }
+  int max_gpu = std::max(lost_gpu, static_cast<int>(occupied.size()) - 1);
+  occupied.resize(static_cast<std::size_t>(max_gpu + 1), 0);
 
   // Re-place the displaced units, largest first so big profiles grab the
   // remaining contiguous gaps before 1-GPC segments fragment them. Each
@@ -96,27 +103,32 @@ Result<RepairReport> RepairCoordinator::handle_gpu_loss(Deployment& current,
     bool placed = false;
     for (int g = 0; g <= max_gpu && !placed; ++g) {
       if (g == lost_gpu) continue;
-      const auto slot = gpu::find_start_slot(occupied[g], gpcs);
+      std::uint8_t& mask = occupied[static_cast<std::size_t>(g)];
+      const auto slot = gpu::find_start_slot(mask, gpcs);
       if (!slot.has_value()) continue;
       unit.gpu_index = g;
       unit.placement = gpu::Placement{gpcs, *slot};
-      occupied[g] |= unit.placement->slot_mask();
+      mask |= unit.placement->slot_mask();
       placed = true;
     }
     if (!placed) {
       ++max_gpu;  // standby device; an empty GPU fits any single profile
       unit.gpu_index = max_gpu;
       unit.placement = gpu::Placement{gpcs, gpu::preferred_start_slots(gpcs).front()};
-      occupied[max_gpu] |= unit.placement->slot_mask();
+      occupied.push_back(unit.placement->slot_mask());
     }
     report.replacements.push_back(std::move(unit));
   }
   report.replaced_units = static_cast<int>(report.replacements.size());
 
-  Deployment target = survivors;
+  Deployment target{.framework = survivors.framework,
+                    .uses_mig = survivors.uses_mig,
+                    .gpu_count = std::max(current.gpu_count, max_gpu + 1),
+                    .units = {}};
+  target.units.reserve(survivors.units.size() + report.replacements.size());
+  target.units.insert(target.units.end(), survivors.units.begin(), survivors.units.end());
   target.units.insert(target.units.end(), report.replacements.begin(),
                       report.replacements.end());
-  target.gpu_count = std::max(current.gpu_count, max_gpu + 1);
 
   // Drive the transition through the live updater: survivors stay
   // untouched, only the replacements are created.

@@ -9,6 +9,7 @@ namespace parva::core {
 namespace {
 
 using testing::builtin_profiles;
+using testing::mig_unit;
 using testing::service;
 
 class DeployerTest : public ::testing::Test {
@@ -87,6 +88,56 @@ TEST_F(DeployerTest, UnknownModelFails) {
   const auto state = deployer_.deploy(deployment);
   ASSERT_FALSE(state.ok());
   EXPECT_EQ(state.error().code(), ErrorCode::kNotFound);
+}
+
+TEST(DeployerFailureTest, FailedDeployKeepsItsAccountingAndReleasesTheFailedUnit) {
+  // Four 7g units under p=0.6 transient create faults; the last one names a
+  // model the catalog lacks. The deploy fails, yet the retries it spent on
+  // the first three units still show in both stat views, and the unknown
+  // unit never gets an instance.
+  perfmodel::AnalyticalPerfModel perf(perfmodel::ModelCatalog::builtin());
+  gpu::FaultPlan plan;
+  plan.seed = 1;
+  plan.transient_create_failure_prob = 0.6;
+  gpu::FaultInjector injector(plan);
+  gpu::GpuCluster cluster(4);
+  gpu::NvmlSim nvml(cluster);
+  nvml.set_fault_injector(&injector);
+  Deployer deployer(nvml, perf);
+
+  Deployment deployment;
+  deployment.uses_mig = true;
+  deployment.gpu_count = 4;
+  for (int g = 0; g < 3; ++g) deployment.units.push_back(mig_unit(g, "resnet-50", g, 7, 0));
+  deployment.units.push_back(mig_unit(3, "not-a-model", 3, 7, 0));
+  const auto state = deployer.deploy(deployment);
+  ASSERT_FALSE(state.ok());
+  EXPECT_EQ(state.error().code(), ErrorCode::kNotFound);
+  ASSERT_GT(injector.transient_failures_injected(), 0);
+  EXPECT_EQ(deployer.last_deploy_stats().transient_retries,
+            injector.transient_failures_injected());
+  EXPECT_EQ(deployer.total_stats().transient_retries, injector.transient_failures_injected());
+  EXPECT_GT(deployer.total_stats().backoff_ms, 0.0);
+  EXPECT_EQ(cluster.total_allocated_gpcs(), 21);
+  EXPECT_EQ(cluster.gpu(3).occupied_mask(), 0);
+
+  // A unit whose process cannot fit its instance's memory fails at launch
+  // and gives the instance back; the stats of that call are recorded too.
+  Deployment oversized;
+  oversized.uses_mig = true;
+  oversized.gpu_count = 4;
+  oversized.units.push_back(mig_unit(4, "resnet-50", 3, 7, 0));
+  oversized.units.back().batch = 1'000'000;
+  const int faults_before = injector.transient_failures_injected();
+  const auto launched = deployer.deploy(oversized);
+  ASSERT_FALSE(launched.ok());
+  EXPECT_EQ(launched.error().code(), ErrorCode::kInternal);
+  EXPECT_NE(launched.error().to_string().find("launch_process"), std::string::npos);
+  EXPECT_EQ(cluster.gpu(3).occupied_mask(), 0);
+  EXPECT_EQ(cluster.total_allocated_gpcs(), 21);
+  EXPECT_EQ(deployer.last_deploy_stats().transient_retries,
+            injector.transient_failures_injected() - faults_before);
+  EXPECT_EQ(deployer.total_stats().transient_retries, injector.transient_failures_injected());
 }
 
 TEST_F(DeployerTest, OperationLogShowsControlPlaneTraffic) {

@@ -2,6 +2,9 @@
 // once per process) and helpers to build services/triplets.
 #pragma once
 
+#include <string>
+
+#include "core/deployment.hpp"
 #include "core/service.hpp"
 #include "profiler/profiler.hpp"
 
@@ -31,6 +34,19 @@ inline Triplet triplet(int gpcs, double throughput, int batch = 8, int procs = 1
   t.sm_occupancy = 0.9;
   t.memory_gib = 1.0;
   return t;
+}
+
+/// A hand-built MIG unit at `gpcs`@`start_slot` on `gpu_index`, batch 1,
+/// one process.
+inline DeployedUnit mig_unit(int service_id, const std::string& model, int gpu_index, int gpcs,
+                             int start_slot) {
+  DeployedUnit unit;
+  unit.service_id = service_id;
+  unit.model = model;
+  unit.gpu_index = gpu_index;
+  unit.gpc_grant = gpcs;
+  unit.placement = gpu::Placement{gpcs, start_slot};
+  return unit;
 }
 
 }  // namespace parva::core::testing
