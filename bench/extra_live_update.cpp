@@ -41,7 +41,9 @@ int main() {
       core::ServiceSpec updated = scenario.services[static_cast<std::size_t>(target_service)];
       updated.request_rate *= 3.0;
       core::Reconfigurer reconfigurer{core::SegmentConfigurator(), core::SegmentAllocator()};
-      if (!reconfigurer.update_service(plan, configured, updated, profiles).ok()) continue;
+      if (!reconfigurer.update_service(plan, configured, updated, scheduler.surfaces()).ok()) {
+        continue;
+      }
       core::Deployment target = core::ParvaGpuScheduler::to_deployment(plan, "ParvaGPU");
       for (auto& unit : target.units) {
         for (const auto& spec : scenario.services) {

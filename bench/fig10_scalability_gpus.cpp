@@ -124,7 +124,8 @@ int main() {
 
   // Shard scaling on the ~1k-GPU fleet: critical-path throughput (total
   // events over the busiest shard's span; shards timed sequentially so the
-  // number is scheduler-contention-free — see bench/perf_regression.cpp).
+  // number is scheduler-contention-free — parvabench reports the same ratio
+  // as `shards.critical_path_speedup` on fleet_replay).
   bench::banner("Figure 10c", "Sharded DES replay of the ~1k-GPU fleet (250 ms)");
   serving::SimulationOptions sim_options;
   sim_options.duration_ms = 250.0;

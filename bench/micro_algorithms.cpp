@@ -42,8 +42,8 @@ void BM_ProfileOneModel(benchmark::State& state) {
 }
 BENCHMARK(BM_ProfileOneModel);
 
-// The production path: Optimal Triplet Decision against the indexed
-// surfaces (one prefix-argmax lookup per instance size).
+// Optimal Triplet Decision against the indexed surfaces (one
+// prefix-argmax lookup per instance size).
 void BM_SegmentConfigurator(benchmark::State& state) {
   const auto& services = scenario("S6").services;
   core::SegmentConfigurator configurator;
@@ -53,32 +53,10 @@ void BM_SegmentConfigurator(benchmark::State& state) {
 }
 BENCHMARK(BM_SegmentConfigurator);
 
-// The reference path the surfaces replaced: full profile-table scans.
-// Kept as the before/after yardstick for the fast-path speedup.
-void BM_SegmentConfiguratorScan(benchmark::State& state) {
-  const auto& services = scenario("S6").services;
-  core::SegmentConfigurator configurator;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(configurator.configure(services, context().profiles()));
-  }
-}
-BENCHMARK(BM_SegmentConfiguratorScan);
-
-// Parallel per-service configuration on the shared pool (same output).
-void BM_SegmentConfiguratorParallel(benchmark::State& state) {
-  const auto& services = scenario("S6").services;
-  core::SegmentConfigurator configurator;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        configurator.configure(services, context().surfaces(), context().pool()));
-  }
-}
-BENCHMARK(BM_SegmentConfiguratorParallel);
-
 void BM_SegmentAllocator(benchmark::State& state) {
   const auto& services = scenario("S6").services;
   core::SegmentConfigurator configurator;
-  auto configured = configurator.configure(services, context().profiles()).value();
+  auto configured = configurator.configure(services, context().surfaces()).value();
   core::SegmentAllocator allocator;
   for (auto _ : state) {
     benchmark::DoNotOptimize(allocator.allocate(configured));

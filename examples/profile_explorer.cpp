@@ -44,7 +44,7 @@ int main(int argc, char** argv) {
             << " req/s ===\n";
   core::SegmentConfigurator configurator;
   const core::ServiceSpec spec{0, model, slo_ms, rate};
-  auto configured = configurator.triplet_decision(spec, table);
+  auto configured = configurator.triplet_decision(spec, profiler::ProfileSurface(table));
   if (!configured.ok()) {
     std::cout << "no instance size meets the internal latency bound of " << slo_ms * 0.5
               << " ms\n";

@@ -37,7 +37,7 @@ int main() {
   updated.slo_latency_ms = 150.0;
 
   core::Reconfigurer reconfigurer{core::SegmentConfigurator(), core::SegmentAllocator()};
-  const auto stats = reconfigurer.update_service(plan, configured, updated, profiles);
+  const auto stats = reconfigurer.update_service(plan, configured, updated, scheduler.surfaces());
   if (!stats.ok()) {
     std::cerr << "reconfiguration failed: " << stats.error().to_string() << "\n";
     return 1;

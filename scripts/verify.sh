@@ -57,7 +57,7 @@ cmake --build --preset asan-ubsan -j "$(nproc)"
 echo "== ctest (asan-ubsan preset) =="
 ctest --preset asan-ubsan
 
-echo "== perf smoke (release preset) =="
-./scripts/bench_perf.sh --smoke
+echo "== benchmark self-tests (parvabench, Release) =="
+python3 parvabench/test_bench.py
 
 echo "verify: OK"

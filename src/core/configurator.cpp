@@ -1,45 +1,11 @@
 #include "core/configurator.hpp"
 
-#include <algorithm>
 #include <cmath>
-#include <optional>
+#include <limits>
+#include <string>
+#include <utility>
 
 namespace parva::core {
-
-Result<ConfiguredService> SegmentConfigurator::triplet_decision(
-    const ServiceSpec& spec, const profiler::ProfileTable& profile) const {
-  PARVA_REQUIRE(spec.slo_latency_ms > 0.0, "service SLO latency must be positive");
-  PARVA_REQUIRE(spec.request_rate >= 0.0, "service request rate must be non-negative");
-
-  const double latency_bound = spec.slo_latency_ms * options_.internal_latency_factor;
-
-  ConfiguredService configured;
-  configured.spec = spec;
-
-  // UPDATEMAXTRIPLETS: keep the maximum-throughput point per instance size
-  // among points whose latency is below the internal bound.
-  for (const profiler::ProfilePoint& point : profile.points()) {
-    if (point.oom) continue;
-    if (point.procs > options_.max_processes) continue;
-    if (point.latency_ms >= latency_bound) continue;
-    const int index = instance_size_index(point.gpcs);
-    if (index < 0) continue;
-    auto& slot = configured.opt_tri_array[static_cast<std::size_t>(index)];
-    if (!slot.has_value() || point.throughput > slot->throughput) {
-      slot = to_triplet(point);
-    }
-  }
-
-  const bool any = std::any_of(configured.opt_tri_array.begin(), configured.opt_tri_array.end(),
-                               [](const auto& t) { return t.has_value(); });
-  if (!any) {
-    return Error(ErrorCode::kCapacityExceeded,
-                 "service " + std::to_string(spec.id) + " (" + spec.model +
-                     "): no instance size meets the internal latency bound of " +
-                     std::to_string(latency_bound) + " ms");
-  }
-  return configured;
-}
 
 Result<ConfiguredService> SegmentConfigurator::triplet_decision(
     const ServiceSpec& spec, const profiler::ProfileSurface& surface) const {
@@ -90,13 +56,27 @@ Status SegmentConfigurator::demand_matching(ConfiguredService& service) const {
   service.opt_seg = *best;
 
   const double rate = service.spec.request_rate;
+  if (!std::isfinite(rate)) {
+    return Status(ErrorCode::kInvalidArgument,
+                  "service " + std::to_string(service.spec.id) + " (" + service.spec.model +
+                      "): request rate is not finite");
+  }
   if (rate <= 0.0) {
     service.num_opt_seg = 0;
     service.last_seg.reset();
     return Status::Ok();
   }
 
-  service.num_opt_seg = static_cast<int>(std::floor(rate / service.opt_seg.throughput));
+  // Checked before the cast, which is undefined beyond `int` (negated so a
+  // NaN quotient fails too).
+  const double whole = std::floor(rate / service.opt_seg.throughput);
+  if (!(whole <= static_cast<double>(std::numeric_limits<int>::max()))) {
+    return Status(ErrorCode::kCapacityExceeded,
+                  "service " + std::to_string(service.spec.id) + " (" + service.spec.model +
+                      "): request rate " + std::to_string(rate) +
+                      " req/s needs more whole segments than an int can count");
+  }
+  service.num_opt_seg = static_cast<int>(whole);
 
   // GETLEFTREQRATE: remainder after the whole optimal segments.
   const double left =
@@ -127,66 +107,20 @@ Status SegmentConfigurator::demand_matching(ConfiguredService& service) const {
 }
 
 Result<std::vector<ConfiguredService>> SegmentConfigurator::configure(
-    std::span<const ServiceSpec> services, const profiler::ProfileSet& profiles) const {
+    std::span<const ServiceSpec> services, const profiler::ProfileSurfaceSet& surfaces) const {
   std::vector<ConfiguredService> configured;
   configured.reserve(services.size());
   for (const ServiceSpec& spec : services) {
-    const profiler::ProfileTable* table = profiles.find(spec.model);
-    if (table == nullptr) {
+    const profiler::ProfileSurface* surface = surfaces.find(spec.model);
+    if (surface == nullptr) {
       return Error(ErrorCode::kNotFound, "no profile for model " + spec.model);
     }
-    auto result = triplet_decision(spec, *table);
+    auto result = triplet_decision(spec, *surface);
     if (!result.ok()) return result.error();
     ConfiguredService service = std::move(result).value();
     const Status matched = demand_matching(service);
     if (!matched.ok()) return matched.error();
     configured.push_back(std::move(service));
-  }
-  return configured;
-}
-
-Result<ConfiguredService> SegmentConfigurator::configure_one(
-    const ServiceSpec& spec, const profiler::ProfileSurfaceSet& surfaces) const {
-  const profiler::ProfileSurface* surface = surfaces.find(spec.model);
-  if (surface == nullptr) {
-    return Error(ErrorCode::kNotFound, "no profile for model " + spec.model);
-  }
-  auto result = triplet_decision(spec, *surface);
-  if (!result.ok()) return result.error();
-  ConfiguredService service = std::move(result).value();
-  const Status matched = demand_matching(service);
-  if (!matched.ok()) return matched.error();
-  return service;
-}
-
-Result<std::vector<ConfiguredService>> SegmentConfigurator::configure(
-    std::span<const ServiceSpec> services, const profiler::ProfileSurfaceSet& surfaces) const {
-  std::vector<ConfiguredService> configured;
-  configured.reserve(services.size());
-  for (const ServiceSpec& spec : services) {
-    auto result = configure_one(spec, surfaces);
-    if (!result.ok()) return result.error();
-    configured.push_back(std::move(result).value());
-  }
-  return configured;
-}
-
-Result<std::vector<ConfiguredService>> SegmentConfigurator::configure(
-    std::span<const ServiceSpec> services, const profiler::ProfileSurfaceSet& surfaces,
-    ThreadPool& pool) const {
-  // Each task writes only its own slot; the merge below walks the slots in
-  // service order, so the returned vector — and the returned error, when
-  // any service fails — match the serial loop exactly.
-  std::vector<std::optional<Result<ConfiguredService>>> slots(services.size());
-  pool.parallel_for(services.size(),
-                    [&](std::size_t i) { slots[i] = configure_one(services[i], surfaces); });
-
-  std::vector<ConfiguredService> configured;
-  configured.reserve(services.size());
-  for (auto& slot : slots) {
-    PARVA_CHECK(slot.has_value(), "parallel configure left a slot unfilled");
-    if (!slot->ok()) return slot->error();
-    configured.push_back(std::move(*slot).value());
   }
   return configured;
 }

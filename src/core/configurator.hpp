@@ -7,10 +7,8 @@
 #include <vector>
 
 #include "common/error.hpp"
-#include "common/thread_pool.hpp"
 #include "core/service.hpp"
 #include "profiler/profile_surface.hpp"
-#include "profiler/profile_types.hpp"
 
 namespace parva::core {
 
@@ -29,47 +27,30 @@ class SegmentConfigurator {
 
   const ConfiguratorOptions& options() const { return options_; }
 
-  /// Runs TripletDecision for one service: scans the profile grid and keeps
-  /// the maximum-throughput point per instance size whose latency fits the
-  /// internal bound. Fails with kCapacityExceeded when no instance size can
-  /// meet the SLO at all.
-  [[nodiscard]] Result<ConfiguredService> triplet_decision(const ServiceSpec& spec,
-                                             const profiler::ProfileTable& profile) const;
-
-  /// Fast-path TripletDecision over an indexed surface: one prefix-argmax
-  /// lookup per instance size instead of a full table scan. Produces
-  /// bit-identical ConfiguredServices to the table overload (differential
-  /// coverage in tests/core/configurator_test.cpp).
+  /// Runs TripletDecision for one service: per instance size, one
+  /// prefix-argmax lookup on the indexed surface finds the
+  /// maximum-throughput point whose latency fits the internal bound (ties
+  /// resolve as a first-wins scan of the profile table would; differential
+  /// coverage in tests/core/configurator_test.cpp). Fails with
+  /// kCapacityExceeded when no instance size can meet the SLO at all.
   [[nodiscard]] Result<ConfiguredService> triplet_decision(const ServiceSpec& spec,
                                              const profiler::ProfileSurface& surface) const;
 
   /// Runs DemandMatching on a triplet-decided service: selects the
   /// GPC-efficiency-optimal segment (the O(1) argument of Eq. 1-2), counts
   /// whole optimal segments with the floor rule, and picks the smallest
-  /// last segment covering the remainder.
+  /// last segment covering the remainder. A non-finite rate fails with
+  /// kInvalidArgument, and a whole-segment count beyond `int` with
+  /// kCapacityExceeded.
   [[nodiscard]] Status demand_matching(ConfiguredService& service) const;
 
-  /// Full Algorithm 1 over a service set (reference scan path).
-  [[nodiscard]] Result<std::vector<ConfiguredService>> configure(std::span<const ServiceSpec> services,
-                                                   const profiler::ProfileSet& profiles) const;
-
-  /// Full Algorithm 1 over indexed surfaces (the production fast path).
+  /// Full Algorithm 1 over a service set, in input order; the first
+  /// failing service's error is returned.
   [[nodiscard]] Result<std::vector<ConfiguredService>> configure(
       std::span<const ServiceSpec> services,
       const profiler::ProfileSurfaceSet& surfaces) const;
 
-  /// Parallel Algorithm 1: services configure independently on the pool,
-  /// per-task state merges at the join (no locks; results land in service
-  /// order, and the first-in-order error wins exactly as the serial loop's
-  /// early return does).
-  [[nodiscard]] Result<std::vector<ConfiguredService>> configure(std::span<const ServiceSpec> services,
-                                                   const profiler::ProfileSurfaceSet& surfaces,
-                                                   ThreadPool& pool) const;
-
  private:
-  [[nodiscard]] Result<ConfiguredService> configure_one(const ServiceSpec& spec,
-                                          const profiler::ProfileSurfaceSet& surfaces) const;
-
   ConfiguratorOptions options_;
 };
 

@@ -24,8 +24,7 @@ AllocatorOptions make_allocator_options(const ParvaGpuOptions& options) {
 
 ParvaGpuScheduler::ParvaGpuScheduler(const profiler::ProfileSet& profiles,
                                      ParvaGpuOptions options)
-    : profiles_(&profiles),
-      surfaces_(profiles),
+    : surfaces_(profiles),
       options_(options),
       configurator_(make_configurator_options(options)),
       allocator_(make_allocator_options(options)) {}
@@ -66,10 +65,7 @@ Deployment ParvaGpuScheduler::to_deployment(const DeploymentPlan& plan,
 Result<ScheduleResult> ParvaGpuScheduler::schedule(std::span<const ServiceSpec> services) {
   const auto start = std::chrono::steady_clock::now();
 
-  const bool parallel =
-      options_.pool != nullptr && services.size() >= options_.parallel_threshold;
-  auto configured = parallel ? configurator_.configure(services, surfaces_, *options_.pool)
-                             : configurator_.configure(services, surfaces_);
+  auto configured = configurator_.configure(services, surfaces_);
   if (!configured.ok()) return configured.error();
   auto plan = allocator_.allocate(configured.value());
   if (!plan.ok()) return plan.error();

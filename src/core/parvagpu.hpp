@@ -25,11 +25,6 @@ struct ParvaGpuOptions {
   bool optimize_allocation = true;
   double internal_latency_factor = 0.5;
   int optimization_threshold_gpcs = 4;
-  /// When set, per-service configuration fans out across this pool once the
-  /// service count reaches `parallel_threshold` (small sets stay serial —
-  /// the dispatch overhead would dominate). Output is identical either way.
-  ThreadPool* pool = nullptr;
-  std::size_t parallel_threshold = 64;
   /// Observability sink (nullptr = disabled, the default). schedule() emits
   /// a completion event plus run counters; plans are identical either way.
   telemetry::Telemetry* telemetry = nullptr;
@@ -40,7 +35,8 @@ class ParvaGpuScheduler final : public Scheduler {
   /// `profiles` must contain a table for every model that will be
   /// scheduled; profiling is the one-time cost of Section III-C and is
   /// deliberately outside the scheduling-delay measurement. The profile
-  /// surfaces are indexed here, in the same one-time registration phase.
+  /// surfaces are indexed here, in the same one-time registration phase,
+  /// and copy the points, so `profiles` may go away afterwards.
   ParvaGpuScheduler(const profiler::ProfileSet& profiles, ParvaGpuOptions options = {});
 
   std::string name() const override;
@@ -59,7 +55,6 @@ class ParvaGpuScheduler final : public Scheduler {
   const profiler::ProfileSurfaceSet& surfaces() const { return surfaces_; }
 
  private:
-  const profiler::ProfileSet* profiles_;
   profiler::ProfileSurfaceSet surfaces_;
   ParvaGpuOptions options_;
   SegmentConfigurator configurator_;

@@ -7,42 +7,20 @@ namespace parva::core {
 
 Result<ReconfigureStats> Reconfigurer::update_service(
     DeploymentPlan& plan, std::vector<ConfiguredService>& configured,
-    const ServiceSpec& updated_spec, const profiler::ProfileSet& profiles) const {
-  const profiler::ProfileTable* table = profiles.find(updated_spec.model);
-  if (table == nullptr) {
-    return Error(ErrorCode::kNotFound, "no profile for model " + updated_spec.model);
-  }
-
-  // Re-profiling is unnecessary (Section III-F): the Configurator
-  // reconstructs the optimal segments from the existing profile data.
-  auto reconfigured = configurator_.triplet_decision(updated_spec, *table);
-  if (!reconfigured.ok()) return reconfigured.error();
-  ConfiguredService service = std::move(reconfigured).value();
-  const Status matched = configurator_.demand_matching(service);
-  if (!matched.ok()) return matched.error();
-  return apply_update(plan, configured, updated_spec, std::move(service));
-}
-
-Result<ReconfigureStats> Reconfigurer::update_service(
-    DeploymentPlan& plan, std::vector<ConfiguredService>& configured,
     const ServiceSpec& updated_spec, const profiler::ProfileSurfaceSet& surfaces) const {
   const profiler::ProfileSurface* surface = surfaces.find(updated_spec.model);
   if (surface == nullptr) {
     return Error(ErrorCode::kNotFound, "no profile for model " + updated_spec.model);
   }
 
+  // Re-profiling is unnecessary (Section III-F): the Configurator
+  // reconstructs the optimal segments from the existing profile data.
   auto reconfigured = configurator_.triplet_decision(updated_spec, *surface);
   if (!reconfigured.ok()) return reconfigured.error();
   ConfiguredService service = std::move(reconfigured).value();
   const Status matched = configurator_.demand_matching(service);
   if (!matched.ok()) return matched.error();
-  return apply_update(plan, configured, updated_spec, std::move(service));
-}
 
-Result<ReconfigureStats> Reconfigurer::apply_update(DeploymentPlan& plan,
-                                                    std::vector<ConfiguredService>& configured,
-                                                    const ServiceSpec& updated_spec,
-                                                    ConfiguredService service) const {
   ReconfigureStats stats;
 
   // Strip the service's old segments; everything else stays put.

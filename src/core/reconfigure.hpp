@@ -10,7 +10,7 @@
 #include "core/allocator.hpp"
 #include "core/configurator.hpp"
 #include "core/plan.hpp"
-#include "profiler/profile_types.hpp"
+#include "profiler/profile_surface.hpp"
 #include "telemetry/telemetry.hpp"
 
 namespace parva::core {
@@ -31,29 +31,17 @@ class Reconfigurer {
         telemetry_(telemetry) {}
 
   /// Applies an updated spec for one service: re-runs the Segment
-  /// Configurator for it alone, strips its old segments from the map,
-  /// re-places the new ones into the existing map, then runs Allocation
-  /// Optimization when the allocator's `optimize` option is set.
-  /// `plan` and `configured` are updated in place.
-  [[nodiscard]] Result<ReconfigureStats> update_service(DeploymentPlan& plan,
-                                          std::vector<ConfiguredService>& configured,
-                                          const ServiceSpec& updated_spec,
-                                          const profiler::ProfileSet& profiles) const;
-
-  /// Fast-path variant over indexed surfaces: repeated SLO/rate updates hit
-  /// the surface's memoized grid instead of re-scanning the profile table.
-  /// Produces the same plan as the ProfileSet overload.
+  /// Configurator for it alone against the indexed surfaces (no
+  /// re-profiling), strips its old segments from the map, re-places the new
+  /// ones into the existing map, then runs Allocation Optimization when the
+  /// allocator's `optimize` option is set. `plan` and `configured` are
+  /// updated in place; a configuration failure leaves both untouched.
   [[nodiscard]] Result<ReconfigureStats> update_service(DeploymentPlan& plan,
                                           std::vector<ConfiguredService>& configured,
                                           const ServiceSpec& updated_spec,
                                           const profiler::ProfileSurfaceSet& surfaces) const;
 
  private:
-  [[nodiscard]] Result<ReconfigureStats> apply_update(DeploymentPlan& plan,
-                                        std::vector<ConfiguredService>& configured,
-                                        const ServiceSpec& updated_spec,
-                                        ConfiguredService service) const;
-
   SegmentConfigurator configurator_;
   SegmentAllocator allocator_;
   telemetry::Telemetry* telemetry_ = nullptr;

@@ -1,9 +1,9 @@
 // Memoizing wrapper around AnalyticalPerfModel: the baselines' partition
-// searches (gpulet, iGniter, gslice) sweep the same (model, fraction,
-// batch) grid once per service, so scenarios with repeated models
-// re-evaluate identical operating points many times over. The model is a
-// pure function of its arguments, so caching returns bit-identical results
-// and only changes wall-clock time.
+// searches (gpulet, iGniter) sweep the same (model, fraction, batch) grid
+// once per service, so scenarios with repeated models re-evaluate
+// identical operating points many times over. The model is a pure function
+// of its arguments, so caching returns bit-identical results and only
+// changes wall-clock time.
 //
 // The cache is per-instance and NOT thread safe: create one per scheduling
 // run (the baselines build one at the top of schedule()).

@@ -122,16 +122,6 @@ const ProfilePoint* ProfileSurface::best_below(int gpcs, int procs_cap,
   return best_with_end(shelf, end);
 }
 
-const ProfilePoint* ProfileSurface::best_at_most(int gpcs, int procs_cap,
-                                                 double latency_cap_ms) const {
-  const Shelf* shelf = shelf_for(gpcs, procs_cap);
-  if (shelf == nullptr) return nullptr;
-  const auto end = static_cast<std::size_t>(
-      std::upper_bound(shelf->latencies.begin(), shelf->latencies.end(), latency_cap_ms) -
-      shelf->latencies.begin());
-  return best_with_end(shelf, end);
-}
-
 ProfileSurfaceSet::ProfileSurfaceSet(const ProfileSet& profiles) {
   surfaces_.reserve(profiles.size());
   for (const ProfileTable& table : profiles.tables()) add(ProfileSurface(table));

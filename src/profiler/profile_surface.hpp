@@ -50,10 +50,6 @@ class ProfileSurface {
   /// Decision requires). nullptr when nothing qualifies. O(log points).
   const ProfilePoint* best_below(int gpcs, int procs_cap, double latency_bound_ms) const;
 
-  /// Same with an inclusive latency cap (`latency_ms <= cap`), mirroring
-  /// ProfileTable::best_for_size.
-  const ProfilePoint* best_at_most(int gpcs, int procs_cap, double latency_cap_ms) const;
-
   /// The distinct instance sizes present on the surface, ascending.
   const std::vector<int>& instance_sizes() const { return sizes_; }
   /// The distinct process counts present, ascending.

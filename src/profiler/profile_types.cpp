@@ -2,25 +2,6 @@
 
 namespace parva::profiler {
 
-std::optional<ProfilePoint> ProfileTable::best_for_size(int gpcs, double latency_cap_ms) const {
-  std::optional<ProfilePoint> best;
-  for (const ProfilePoint& point : points_) {
-    if (point.oom || point.gpcs != gpcs) continue;
-    if (point.latency_ms > latency_cap_ms) continue;
-    if (!best.has_value() || point.throughput > best->throughput) best = point;
-  }
-  return best;
-}
-
-std::optional<ProfilePoint> ProfileTable::best_overall(double latency_cap_ms) const {
-  std::optional<ProfilePoint> best;
-  for (const ProfilePoint& point : points_) {
-    if (point.oom || point.latency_ms > latency_cap_ms) continue;
-    if (!best.has_value() || point.throughput > best->throughput) best = point;
-  }
-  return best;
-}
-
 const ProfilePoint* ProfileTable::find(int gpcs, int batch, int procs) const {
   for (const ProfilePoint& point : points_) {
     if (point.gpcs == gpcs && point.batch == batch && point.procs == procs) return &point;

@@ -2,7 +2,6 @@
 // grid recorded per model, consumed by every scheduler.
 #pragma once
 
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -21,7 +20,7 @@ struct ProfilePoint {
   double memory_gib = 0.0;    ///< device memory used by all processes
 };
 
-/// All profiled points for one model, with common queries.
+/// All profiled points for one model.
 class ProfileTable {
  public:
   ProfileTable() = default;
@@ -31,13 +30,6 @@ class ProfileTable {
   void add(ProfilePoint point) { points_.push_back(std::move(point)); }
   const std::vector<ProfilePoint>& points() const { return points_; }
   std::size_t size() const { return points_.size(); }
-
-  /// Highest-throughput feasible point for `gpcs` with latency <= cap;
-  /// nullopt when no point qualifies.
-  std::optional<ProfilePoint> best_for_size(int gpcs, double latency_cap_ms) const;
-
-  /// Highest-throughput feasible point overall with latency <= cap.
-  std::optional<ProfilePoint> best_overall(double latency_cap_ms) const;
 
   /// Feasible point lookup (exact grid coordinates).
   const ProfilePoint* find(int gpcs, int batch, int procs) const;

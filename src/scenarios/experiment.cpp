@@ -56,21 +56,16 @@ std::unique_ptr<core::Scheduler> ExperimentContext::make_scheduler(Framework fra
       return std::make_unique<baselines::IgniterScheduler>(*perf_);
     case Framework::kMigServing:
       return std::make_unique<baselines::MigServingScheduler>(profiles_);
-    case Framework::kParvaGpu: {
-      core::ParvaGpuOptions options;
-      options.pool = pool_.get();
-      return std::make_unique<core::ParvaGpuScheduler>(profiles_, options);
-    }
+    case Framework::kParvaGpu:
+      return std::make_unique<core::ParvaGpuScheduler>(profiles_);
     case Framework::kParvaGpuSingle: {
       core::ParvaGpuOptions options;
       options.use_mps = false;
-      options.pool = pool_.get();
       return std::make_unique<core::ParvaGpuScheduler>(profiles_, options);
     }
     case Framework::kParvaGpuUnoptimized: {
       core::ParvaGpuOptions options;
       options.optimize_allocation = false;
-      options.pool = pool_.get();
       return std::make_unique<core::ParvaGpuScheduler>(profiles_, options);
     }
   }

@@ -37,9 +37,8 @@ std::vector<Framework> headline_frameworks();
 std::vector<Framework> all_frameworks();
 
 /// Heavy shared state: the performance model, the one-time profile grid,
-/// its indexed query surface, and a thread pool shared by every component
-/// that fans out (parallel per-service configuration, seed-sweep
-/// simulations).
+/// its indexed query surface, and the thread pool that runs seed-sweep
+/// simulations concurrently.
 class ExperimentContext {
  public:
   /// Builds the context for the built-in 11-model catalog.
@@ -51,8 +50,7 @@ class ExperimentContext {
   const profiler::ProfileSurfaceSet& surfaces() const { return surfaces_; }
   ThreadPool& pool() const { return *pool_; }
 
-  /// Fresh scheduler instance for a framework. ParvaGPU variants share the
-  /// context's thread pool for parallel configuration.
+  /// Fresh scheduler instance for a framework.
   std::unique_ptr<core::Scheduler> make_scheduler(Framework framework) const;
 
  private:

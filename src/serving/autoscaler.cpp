@@ -79,7 +79,7 @@ Result<AutoscaleReport> Autoscaler::run_day(std::span<const core::ServiceSpec> b
       const bool starving = capacity < spec.request_rate * options_.band_low;
       const bool bloated = capacity > spec.request_rate * options_.band_high;
       if (!starving && !bloated) continue;
-      auto stats = reconfigurer.update_service(plan, configured, spec, *profiles_);
+      auto stats = reconfigurer.update_service(plan, configured, spec, scheduler.surfaces());
       if (!stats.ok()) return stats.error();
       ++record.services_reconfigured;
     }

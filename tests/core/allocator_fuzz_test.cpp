@@ -25,7 +25,7 @@
 namespace parva::core {
 namespace {
 
-using testing::builtin_profiles;
+using testing::builtin_surfaces;
 
 struct FuzzDraw {
   std::vector<ServiceSpec> services;
@@ -108,7 +108,7 @@ TEST(AllocatorCursorTest, RelocationMatchesLinearScanOracleAtFleetScale) {
   SegmentAllocator allocator;
   for (const int fold : {70, 150}) {
     const auto fleet = scenarios::scale_scenario(scenarios::scenario("S5"), fold);
-    auto configured = configurator.configure(fleet.services, builtin_profiles());
+    auto configured = configurator.configure(fleet.services, builtin_surfaces());
     ASSERT_TRUE(configured.ok()) << "fold " << fold;
     const auto relocated = allocator.segment_relocation(configured.value());
     ASSERT_TRUE(relocated.ok());
@@ -130,7 +130,7 @@ TEST_P(AllocatorFuzz, InvariantsHoldOnRandomMixes) {
 
   for (int round = 0; round < 12; ++round) {
     const FuzzDraw draw = draw_services(rng);
-    auto configured = configurator.configure(draw.services, builtin_profiles());
+    auto configured = configurator.configure(draw.services, builtin_surfaces());
     if (!configured.ok()) continue;  // infeasible SLO drawn: fine
 
     const auto optimized = optimizing.allocate(configured.value());

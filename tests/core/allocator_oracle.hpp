@@ -12,6 +12,7 @@
 #include "core/allocator.hpp"
 #include "core/configurator.hpp"
 #include "core/reconfigure.hpp"
+#include "tests/core/configurator_oracle.hpp"
 
 namespace parva::core::testing {
 
@@ -73,22 +74,18 @@ inline std::string dump(const DeploymentPlan& plan) {
   return out;
 }
 
-/// Single-service update oracle (Section III-F) as first written: strip the
-/// service, re-place its new segments, count segments before and after, then
-/// copy-then-optimize and compact.
+/// Single-service update oracle (Section III-F) as first written: configure
+/// the service by the profile-table scan, strip it, re-place its new
+/// segments, count segments before and after, then copy-then-optimize and
+/// compact.
 inline Result<ReconfigureStats> reference_update(DeploymentPlan& plan,
                                                  std::vector<ConfiguredService>& configured,
                                                  const ServiceSpec& updated_spec,
                                                  const profiler::ProfileSet& profiles) {
-  const SegmentConfigurator configurator;
   const SegmentAllocator allocator;
-  const profiler::ProfileTable* table = profiles.find(updated_spec.model);
-  if (table == nullptr) return Error(ErrorCode::kNotFound, "no profile");
-  auto decided = configurator.triplet_decision(updated_spec, *table);
-  if (!decided.ok()) return decided.error();
-  ConfiguredService service = std::move(decided).value();
-  const Status matched = configurator.demand_matching(service);
-  if (!matched.ok()) return matched.error();
+  auto configured_one = scan_configure_one(SegmentConfigurator(), updated_spec, profiles);
+  if (!configured_one.ok()) return configured_one.error();
+  const ConfiguredService service = std::move(configured_one).value();
 
   ReconfigureStats stats;
   for (GpuPlan& gpu : plan.gpus()) {

@@ -11,7 +11,7 @@
 namespace parva::core {
 namespace {
 
-using testing::builtin_profiles;
+using testing::builtin_surfaces;
 using testing::copy_then_optimize;
 using testing::dump;
 using testing::service;
@@ -275,7 +275,7 @@ TEST(AllocatorTest, EndToEndWithRealProfiles) {
       service(2, "mobilenetv2", 167, 7513),  service(3, "bert-large", 6434, 1264),
       service(4, "inceptionv3", 419, 5722),
   };
-  const auto configured_set = configurator.configure(specs, builtin_profiles()).value();
+  const auto configured_set = configurator.configure(specs, builtin_surfaces()).value();
   const auto plan = SegmentAllocator().allocate(configured_set).value();
   expect_valid(plan);
   // Every configured segment is placed.

@@ -3,14 +3,18 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
+#include "core/parvagpu.hpp"
 #include "scenarios/scenarios.hpp"
+#include "tests/core/configurator_oracle.hpp"
 #include "tests/core/test_support.hpp"
 
 namespace parva::core {
 namespace {
 
 using testing::builtin_profiles;
+using testing::builtin_surfaces;
 using testing::service;
 
 class ConfiguratorTest : public ::testing::Test {
@@ -20,8 +24,8 @@ class ConfiguratorTest : public ::testing::Test {
 
 TEST_F(ConfiguratorTest, TripletDecisionPicksMaxThroughputPerSize) {
   const auto spec = service(0, "resnet-50", 205, 829);
-  const auto table = builtin_profiles().find("resnet-50");
-  const auto configured = configurator_.triplet_decision(spec, *table);
+  const auto surface = builtin_surfaces().find("resnet-50");
+  const auto configured = configurator_.triplet_decision(spec, *surface);
   ASSERT_TRUE(configured.ok());
   const double bound = 205.0 * 0.5;
   for (int idx = 0; idx < kInstanceSizeCount; ++idx) {
@@ -31,7 +35,7 @@ TEST_F(ConfiguratorTest, TripletDecisionPicksMaxThroughputPerSize) {
     EXPECT_EQ(slot->gpcs, gpcs);
     EXPECT_LT(slot->latency_ms, bound);
     // No profiled point of this size beats it under the bound.
-    for (const auto& point : table->points()) {
+    for (const auto& point : surface->points()) {
       if (point.oom || point.gpcs != gpcs || point.latency_ms >= bound) continue;
       EXPECT_LE(point.throughput, slot->throughput + 1e-9);
     }
@@ -41,8 +45,8 @@ TEST_F(ConfiguratorTest, TripletDecisionPicksMaxThroughputPerSize) {
 TEST_F(ConfiguratorTest, InternalLatencyIsHalfTheSlo) {
   // A point at 0.6x SLO must be excluded (bound is 0.5x).
   const auto spec = service(0, "resnet-50", 205, 100);
-  const auto table = builtin_profiles().find("resnet-50");
-  const auto configured = configurator_.triplet_decision(spec, *table).value();
+  const auto surface = builtin_surfaces().find("resnet-50");
+  const auto configured = configurator_.triplet_decision(spec, *surface).value();
   for (const auto& slot : configured.opt_tri_array) {
     if (slot.has_value()) {
       EXPECT_LT(slot->latency_ms, 102.5);
@@ -52,16 +56,16 @@ TEST_F(ConfiguratorTest, InternalLatencyIsHalfTheSlo) {
 
 TEST_F(ConfiguratorTest, InfeasibleSloRejected) {
   const auto spec = service(0, "vgg-19", 1.0, 10);  // 0.5 ms internal bound
-  const auto table = builtin_profiles().find("vgg-19");
-  const auto configured = configurator_.triplet_decision(spec, *table);
+  const auto surface = builtin_surfaces().find("vgg-19");
+  const auto configured = configurator_.triplet_decision(spec, *surface);
   ASSERT_FALSE(configured.ok());
   EXPECT_EQ(configured.error().code(), ErrorCode::kCapacityExceeded);
 }
 
 TEST_F(ConfiguratorTest, DemandMatchingPicksGpcEfficiencyOptimum) {
   const auto spec = service(0, "inceptionv3", 419, 5722);
-  const auto table = builtin_profiles().find("inceptionv3");
-  auto configured = configurator_.triplet_decision(spec, *table).value();
+  const auto surface = builtin_surfaces().find("inceptionv3");
+  auto configured = configurator_.triplet_decision(spec, *surface).value();
   ASSERT_TRUE(configurator_.demand_matching(configured).ok());
   for (const auto& slot : configured.opt_tri_array) {
     if (!slot.has_value()) continue;
@@ -71,8 +75,8 @@ TEST_F(ConfiguratorTest, DemandMatchingPicksGpcEfficiencyOptimum) {
 
 TEST_F(ConfiguratorTest, FloorRuleAndLastSegment) {
   const auto spec = service(0, "inceptionv3", 419, 5722);
-  const auto table = builtin_profiles().find("inceptionv3");
-  auto configured = configurator_.triplet_decision(spec, *table).value();
+  const auto surface = builtin_surfaces().find("inceptionv3");
+  auto configured = configurator_.triplet_decision(spec, *surface).value();
   ASSERT_TRUE(configurator_.demand_matching(configured).ok());
   EXPECT_EQ(configured.num_opt_seg,
             static_cast<int>(std::floor(5722.0 / configured.opt_seg.throughput)));
@@ -95,8 +99,8 @@ TEST_F(ConfiguratorTest, SmallRateUsesSingleSegment) {
   // Section III-D2: small request rates yield num_opt_seg = 0 and a single
   // right-sized last segment.
   const auto spec = service(0, "mobilenetv2", 167, 50);
-  const auto table = builtin_profiles().find("mobilenetv2");
-  auto configured = configurator_.triplet_decision(spec, *table).value();
+  const auto surface = builtin_surfaces().find("mobilenetv2");
+  auto configured = configurator_.triplet_decision(spec, *surface).value();
   ASSERT_TRUE(configurator_.demand_matching(configured).ok());
   EXPECT_EQ(configured.num_opt_seg, 0);
   ASSERT_TRUE(configured.last_seg.has_value());
@@ -105,8 +109,8 @@ TEST_F(ConfiguratorTest, SmallRateUsesSingleSegment) {
 
 TEST_F(ConfiguratorTest, ZeroRateNeedsNothing) {
   const auto spec = service(0, "resnet-50", 205, 0);
-  const auto table = builtin_profiles().find("resnet-50");
-  auto configured = configurator_.triplet_decision(spec, *table).value();
+  const auto surface = builtin_surfaces().find("resnet-50");
+  auto configured = configurator_.triplet_decision(spec, *surface).value();
   ASSERT_TRUE(configurator_.demand_matching(configured).ok());
   EXPECT_EQ(configured.num_opt_seg, 0);
   EXPECT_FALSE(configured.last_seg.has_value());
@@ -118,15 +122,15 @@ TEST_F(ConfiguratorTest, SingleProcessVariantRestrictsTriplets) {
   options.max_processes = 1;
   SegmentConfigurator single(options);
   const auto spec = service(0, "densenet-121", 69, 2228);  // S5's tight SLO
-  const auto table = builtin_profiles().find("densenet-121");
-  const auto configured = single.triplet_decision(spec, *table).value();
+  const auto surface = builtin_surfaces().find("densenet-121");
+  const auto configured = single.triplet_decision(spec, *surface).value();
   for (const auto& slot : configured.opt_tri_array) {
     if (slot.has_value()) {
       EXPECT_EQ(slot->procs, 1);
     }
   }
   // With MPS allowed, some size uses more processes and beats it.
-  const auto mps = configurator_.triplet_decision(spec, *table).value();
+  const auto mps = configurator_.triplet_decision(spec, *surface).value();
   bool used_mps = false;
   double mps_best = 0.0;
   double single_best = 0.0;
@@ -149,7 +153,7 @@ TEST_F(ConfiguratorTest, ConfigureWholeServiceSet) {
       service(1, "vgg-16", 400, 410),
       service(2, "bert-large", 6434, 19),
   };
-  const auto configured = configurator_.configure(services, builtin_profiles());
+  const auto configured = configurator_.configure(services, builtin_surfaces());
   ASSERT_TRUE(configured.ok());
   ASSERT_EQ(configured.value().size(), 3u);
   for (const auto& c : configured.value()) {
@@ -159,16 +163,16 @@ TEST_F(ConfiguratorTest, ConfigureWholeServiceSet) {
 
 TEST_F(ConfiguratorTest, UnknownModelFailsCleanly) {
   const std::vector<ServiceSpec> services = {service(0, "not-a-model", 100, 10)};
-  const auto configured = configurator_.configure(services, builtin_profiles());
+  const auto configured = configurator_.configure(services, builtin_surfaces());
   ASSERT_FALSE(configured.ok());
   EXPECT_EQ(configured.error().code(), ErrorCode::kNotFound);
 }
 
 TEST_F(ConfiguratorTest, PreconditionsThrow) {
-  const auto table = builtin_profiles().find("resnet-50");
-  EXPECT_THROW((void)configurator_.triplet_decision(service(0, "resnet-50", 0, 10), *table),
+  const auto surface = builtin_surfaces().find("resnet-50");
+  EXPECT_THROW((void)configurator_.triplet_decision(service(0, "resnet-50", 0, 10), *surface),
                std::logic_error);
-  EXPECT_THROW((void)configurator_.triplet_decision(service(0, "resnet-50", 100, -1), *table),
+  EXPECT_THROW((void)configurator_.triplet_decision(service(0, "resnet-50", 100, -1), *surface),
                std::logic_error);
 }
 
@@ -187,12 +191,12 @@ class ConfiguratorProperty : public ::testing::TestWithParam<const char*> {};
 
 TEST_P(ConfiguratorProperty, CapacityCoversEveryRate) {
   SegmentConfigurator configurator;
-  const auto table = builtin_profiles().find(GetParam());
-  ASSERT_NE(table, nullptr);
+  const auto surface = builtin_surfaces().find(GetParam());
+  ASSERT_NE(surface, nullptr);
   for (double slo : {100.0, 200.0, 400.0, 1000.0}) {
     for (double rate : {1.0, 50.0, 500.0, 5000.0, 20000.0}) {
       const auto spec = service(0, GetParam(), slo, rate);
-      auto configured = configurator.triplet_decision(spec, *table);
+      auto configured = configurator.triplet_decision(spec, *surface);
       if (!configured.ok()) continue;  // SLO infeasible for this model: fine
       ASSERT_TRUE(configurator.demand_matching(configured.value()).ok());
       const auto& c = configured.value();
@@ -212,13 +216,68 @@ INSTANTIATE_TEST_SUITE_P(AllModels, ConfiguratorProperty,
                                            "resnet-101", "resnet-152", "resnet-50", "vgg-16",
                                            "vgg-19"));
 
+// A rate whose whole-segment count leaves the `int` range, or that is not
+// finite, is refused rather than planned with fewer segments than it needs.
+TEST_F(ConfiguratorTest, HugeOrInfiniteRateIsRefusedNotUnderProvisioned) {
+  const ServiceSpec huge = service(0, "resnet-50", 205, 1e13);
+  const ServiceSpec infinite =
+      service(0, "resnet-50", 205, std::numeric_limits<double>::infinity());
+  const auto surface = builtin_surfaces().find("resnet-50");
+
+  auto decided = configurator_.triplet_decision(huge, *surface).value();
+  const Status too_many = configurator_.demand_matching(decided);
+  ASSERT_FALSE(too_many.ok());
+  EXPECT_EQ(too_many.error().code(), ErrorCode::kCapacityExceeded);
+
+  decided = configurator_.triplet_decision(infinite, *surface).value();
+  const Status not_finite = configurator_.demand_matching(decided);
+  ASSERT_FALSE(not_finite.ok());
+  EXPECT_EQ(not_finite.error().code(), ErrorCode::kInvalidArgument);
+
+  // The scheduler returns the error instead of a one-segment plan.
+  ParvaGpuScheduler scheduler(builtin_profiles());
+  const std::vector<ServiceSpec> huge_set = {huge};
+  const auto huge_plan = scheduler.schedule(huge_set);
+  ASSERT_FALSE(huge_plan.ok());
+  EXPECT_EQ(huge_plan.error().code(), ErrorCode::kCapacityExceeded);
+  const std::vector<ServiceSpec> infinite_set = {infinite};
+  const auto infinite_plan = scheduler.schedule(infinite_set);
+  ASSERT_FALSE(infinite_plan.ok());
+  EXPECT_EQ(infinite_plan.error().code(), ErrorCode::kInvalidArgument);
+
+  // The boundary: 2^31 whole segments is one more than an int holds, 2^30
+  // is not (both quotients are exact, the factors being powers of two).
+  decided = configurator_.triplet_decision(service(0, "resnet-50", 205, 1000), *surface).value();
+  ASSERT_TRUE(configurator_.demand_matching(decided).ok());
+  const double throughput = decided.opt_seg.throughput;
+  decided.spec.request_rate = throughput * 2147483648.0;
+  const Status over = configurator_.demand_matching(decided);
+  ASSERT_FALSE(over.ok());
+  EXPECT_EQ(over.error().code(), ErrorCode::kCapacityExceeded);
+  decided.spec.request_rate = throughput * 1073741824.0;
+  ASSERT_TRUE(configurator_.demand_matching(decided).ok());
+  EXPECT_EQ(decided.num_opt_seg, 1073741824);
+  EXPECT_FALSE(decided.last_seg.has_value());
+}
+
 // ---------------------------------------------------------------------------
-// Differential coverage of the fast paths: the indexed-surface overloads and
-// the parallel configure must be bit-identical to the reference table scan.
+// Differential coverage of the indexed-surface path: it must be
+// bit-identical to the reference table scan (tests/core/configurator_oracle.hpp).
 // ---------------------------------------------------------------------------
 
-const profiler::ProfileSurfaceSet& builtin_surfaces() {
-  static const profiler::ProfileSurfaceSet surfaces{builtin_profiles()};
+/// Profiles of the LLM-extended catalog: the built-in models plus the llama
+/// rows that S7 serves.
+const profiler::ProfileSet& llm_profiles() {
+  static const profiler::ProfileSet profiles = [] {
+    perfmodel::AnalyticalPerfModel perf(perfmodel::ModelCatalog::with_llm());
+    profiler::Profiler profiler(perf);
+    return profiler.profile_all(perfmodel::ModelCatalog::with_llm().names());
+  }();
+  return profiles;
+}
+
+const profiler::ProfileSurfaceSet& llm_surfaces() {
+  static const profiler::ProfileSurfaceSet surfaces{llm_profiles()};
   return surfaces;
 }
 
@@ -251,61 +310,51 @@ void expect_same_configured(const ConfiguredService& got, const ConfiguredServic
 }
 
 TEST_F(ConfiguratorTest, SurfaceTripletDecisionMatchesTableScan) {
-  for (const auto& table : builtin_profiles().tables()) {
-    const profiler::ProfileSurface* surface = builtin_surfaces().find(table.model());
-    ASSERT_NE(surface, nullptr);
-    for (double slo : {20.0, 69.0, 100.0, 205.0, 419.0, 1000.0}) {
-      for (double rate : {1.0, 50.0, 829.0, 5722.0, 20000.0}) {
-        const auto spec = service(0, table.model(), slo, rate);
-        const auto scan = configurator_.triplet_decision(spec, table);
-        const auto fast = configurator_.triplet_decision(spec, *surface);
-        ASSERT_EQ(scan.ok(), fast.ok()) << table.model() << " slo=" << slo;
-        if (!scan.ok()) {
-          EXPECT_EQ(scan.error().code(), fast.error().code());
-          continue;
+  const std::pair<const profiler::ProfileSet*, const profiler::ProfileSurfaceSet*> inputs[] = {
+      {&builtin_profiles(), &builtin_surfaces()}, {&llm_profiles(), &llm_surfaces()}};
+  for (const auto& [profiles, surfaces] : inputs) {
+    for (const auto& table : profiles->tables()) {
+      const profiler::ProfileSurface* surface = surfaces->find(table.model());
+      ASSERT_NE(surface, nullptr);
+      for (double slo : {20.0, 69.0, 100.0, 205.0, 419.0, 1000.0, 4000.0, 10000.0, 20000.0}) {
+        for (double rate : {1.0, 50.0, 829.0, 5722.0, 20000.0}) {
+          const auto spec = service(0, table.model(), slo, rate);
+          const auto scan = testing::scan_triplet_decision(configurator_, spec, table);
+          const auto fast = configurator_.triplet_decision(spec, *surface);
+          ASSERT_EQ(scan.ok(), fast.ok()) << table.model() << " slo=" << slo;
+          if (!scan.ok()) {
+            EXPECT_EQ(scan.error().code(), fast.error().code());
+            continue;
+          }
+          expect_same_configured(fast.value(), scan.value());
         }
-        expect_same_configured(fast.value(), scan.value());
       }
     }
   }
 }
 
 TEST_F(ConfiguratorTest, SurfaceConfigureMatchesScanOnEveryScenario) {
-  ThreadPool pool(4);
+  struct Input {
+    const scenarios::Scenario* scenario;
+    const profiler::ProfileSet* profiles;
+    const profiler::ProfileSurfaceSet* surfaces;
+  };
+  std::vector<Input> inputs;
   for (const auto& sc : scenarios::all_scenarios()) {
-    const auto scan = configurator_.configure(sc.services, builtin_profiles());
-    const auto fast = configurator_.configure(sc.services, builtin_surfaces());
-    const auto parallel = configurator_.configure(sc.services, builtin_surfaces(), pool);
-    ASSERT_TRUE(scan.ok()) << sc.name;
-    ASSERT_TRUE(fast.ok()) << sc.name;
-    ASSERT_TRUE(parallel.ok()) << sc.name;
+    inputs.push_back({&sc, &builtin_profiles(), &builtin_surfaces()});
+  }
+  inputs.push_back({&scenarios::llm_scenario(), &llm_profiles(), &llm_surfaces()});
+  for (const Input& input : inputs) {
+    const auto& services = input.scenario->services;
+    const auto scan = testing::scan_configure(configurator_, services, *input.profiles);
+    const auto fast = configurator_.configure(services, *input.surfaces);
+    ASSERT_TRUE(scan.ok()) << input.scenario->name;
+    ASSERT_TRUE(fast.ok()) << input.scenario->name;
     ASSERT_EQ(fast.value().size(), scan.value().size());
-    ASSERT_EQ(parallel.value().size(), scan.value().size());
     for (std::size_t i = 0; i < scan.value().size(); ++i) {
       expect_same_configured(fast.value()[i], scan.value()[i]);
-      expect_same_configured(parallel.value()[i], scan.value()[i]);
     }
   }
-}
-
-TEST_F(ConfiguratorTest, ParallelReportsFirstInOrderError) {
-  // Two failing services: the infeasible SLO at index 1 must win over the
-  // unknown model at index 3, exactly as the serial loop's early return
-  // picks it — regardless of which task finishes first.
-  const std::vector<ServiceSpec> services = {
-      service(0, "resnet-50", 205, 829),
-      service(1, "vgg-19", 1.0, 10),       // SLO infeasible
-      service(2, "mobilenetv2", 167, 50),
-      service(3, "not-a-model", 100, 10),  // unknown model
-  };
-  ThreadPool pool(4);
-  const auto serial = configurator_.configure(services, builtin_surfaces());
-  const auto parallel = configurator_.configure(services, builtin_surfaces(), pool);
-  ASSERT_FALSE(serial.ok());
-  ASSERT_FALSE(parallel.ok());
-  EXPECT_EQ(serial.error().code(), ErrorCode::kCapacityExceeded);
-  EXPECT_EQ(parallel.error().code(), serial.error().code());
-  EXPECT_EQ(parallel.error().to_string(), serial.error().to_string());
 }
 
 }  // namespace

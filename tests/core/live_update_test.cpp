@@ -17,6 +17,7 @@ namespace parva::core {
 namespace {
 
 using testing::builtin_profiles;
+using testing::builtin_surfaces;
 using testing::mig_unit;
 using testing::service;
 
@@ -93,7 +94,7 @@ TEST_F(LiveUpdateTest, UntouchedServicesKeepInstances) {
   Reconfigurer reconfigurer{SegmentConfigurator(), SegmentAllocator()};
   ASSERT_TRUE(reconfigurer
                   .update_service(plan, configured, service(0, "resnet-50", 205, 2500),
-                                  builtin_profiles())
+                                  builtin_surfaces())
                   .ok());
   Deployment target = ParvaGpuScheduler::to_deployment(plan, "ParvaGPU");
   for (auto& unit : target.units) {

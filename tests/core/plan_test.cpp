@@ -79,7 +79,7 @@ TEST(DeploymentPlanTest, FirstFitFromSkipsEarlierGpus) {
 // ALLOCATION resumes each size queue's search where the previous segment
 // of that size landed. Twin plans see the same seeded runs of same-size
 // placements, one resuming and one scanning from GPU 0, with segments
-// removed between runs as Reconfigurer::apply_update and Allocation
+// removed between runs as Reconfigurer::update_service and Allocation
 // Optimization remove them; both must agree on every placement.
 TEST(DeploymentPlanTest, ResumedFirstFitMatchesScanFromZero) {
   constexpr int kSizes[] = {1, 2, 3, 4, 7};

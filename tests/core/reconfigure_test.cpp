@@ -14,6 +14,7 @@ namespace parva::core {
 namespace {
 
 using testing::builtin_profiles;
+using testing::builtin_surfaces;
 using testing::service;
 
 class ReconfigureTest : public ::testing::Test {
@@ -45,7 +46,7 @@ TEST_F(ReconfigureTest, RateIncreaseAddsCapacity) {
   schedule({service(0, "resnet-50", 205, 829), service(1, "vgg-19", 397, 354)});
   const ServiceSpec updated = service(0, "resnet-50", 205, 3000);
   const auto stats =
-      reconfigurer_.update_service(plan_, configured_, updated, builtin_profiles());
+      reconfigurer_.update_service(plan_, configured_, updated, builtin_surfaces());
   ASSERT_TRUE(stats.ok());
   EXPECT_GE(capacity_of(0) + 1e-6, 3000.0);
   EXPECT_GE(capacity_of(1) + 1e-6, 354.0);  // the other service is untouched
@@ -59,7 +60,7 @@ TEST_F(ReconfigureTest, SloTighteningReconfigures) {
   // latency below the new internal bound.
   const ServiceSpec updated = service(0, "inceptionv3", 146, 460);
   ASSERT_TRUE(
-      reconfigurer_.update_service(plan_, configured_, updated, builtin_profiles()).ok());
+      reconfigurer_.update_service(plan_, configured_, updated, builtin_surfaces()).ok());
   for (const auto& [gpu, segment] : plan_.all_segments()) {
     if (segment->service_id == 0) {
       EXPECT_LT(segment->triplet.latency_ms, 73.0);
@@ -77,7 +78,7 @@ TEST_F(ReconfigureTest, OtherServicesKeepTheirOperatingPoints) {
   }
   const ServiceSpec updated = service(0, "resnet-50", 205, 1500);
   ASSERT_TRUE(
-      reconfigurer_.update_service(plan_, configured_, updated, builtin_profiles()).ok());
+      reconfigurer_.update_service(plan_, configured_, updated, builtin_surfaces()).ok());
   std::map<int, std::vector<int>> after;
   for (const auto& [gpu, segment] : plan_.all_segments()) {
     if (segment->service_id != 0) after[segment->service_id].push_back(segment->triplet.batch);
@@ -89,7 +90,7 @@ TEST_F(ReconfigureTest, AddBrandNewService) {
   schedule({service(0, "resnet-50", 205, 829)});
   const ServiceSpec fresh = service(7, "densenet-121", 183, 353);
   const auto stats =
-      reconfigurer_.update_service(plan_, configured_, fresh, builtin_profiles());
+      reconfigurer_.update_service(plan_, configured_, fresh, builtin_surfaces());
   ASSERT_TRUE(stats.ok());
   EXPECT_EQ(stats.value().segments_removed, 0);
   EXPECT_GT(stats.value().segments_added, 0);
@@ -101,7 +102,7 @@ TEST_F(ReconfigureTest, InfeasibleUpdateLeavesPlanUsable) {
   schedule({service(0, "resnet-50", 205, 829)});
   const ServiceSpec impossible = service(0, "resnet-50", 0.5, 829);
   const auto stats =
-      reconfigurer_.update_service(plan_, configured_, impossible, builtin_profiles());
+      reconfigurer_.update_service(plan_, configured_, impossible, builtin_surfaces());
   ASSERT_FALSE(stats.ok());
   EXPECT_EQ(stats.error().code(), ErrorCode::kCapacityExceeded);
   // The failure happened before any mutation: the old placement survives.
@@ -113,15 +114,16 @@ TEST_F(ReconfigureTest, RateDecreaseShrinksFootprint) {
   const int before = plan_.total_allocated_gpcs();
   const ServiceSpec updated = service(0, "mobilenetv2", 167, 500);
   ASSERT_TRUE(
-      reconfigurer_.update_service(plan_, configured_, updated, builtin_profiles()).ok());
+      reconfigurer_.update_service(plan_, configured_, updated, builtin_surfaces()).ok());
   EXPECT_LT(plan_.total_allocated_gpcs(), before);
   EXPECT_GE(capacity_of(0) + 1e-6, 500.0);
 }
 
 TEST(ReconfigureStreamTest, MatchesCopyThenOptimizeOracleOverASeededStream) {
   // 300 seeded SLO/rate updates on S5 x70 (770 services), each applied to
-  // the fleet's plan and to a twin plan through the copy-then-optimize
-  // oracle; plans and stats must agree after every update.
+  // the fleet's plan through the indexed surfaces and to a twin plan through
+  // the table-scan, copy-then-optimize oracle; plans and stats must agree
+  // after every update.
   const auto fleet = scenarios::scale_scenario(scenarios::scenario("S5"), 70);
   ParvaGpuScheduler scheduler(builtin_profiles());
   ASSERT_TRUE(scheduler.schedule(fleet.services).ok());
@@ -138,7 +140,7 @@ TEST(ReconfigureStreamTest, MatchesCopyThenOptimizeOracleOverASeededStream) {
         fleet.services[static_cast<std::size_t>(rng.uniform_int(0, fleet.services.size() - 1))];
     spec.request_rate *= rng.uniform(0.3, 3.0);
     spec.slo_latency_ms *= rng.uniform(0.8, 1.5);
-    const auto stats = reconfigurer.update_service(plan, configured, spec, builtin_profiles());
+    const auto stats = reconfigurer.update_service(plan, configured, spec, builtin_surfaces());
     const auto expected =
         testing::reference_update(oracle_plan, oracle_configured, spec, builtin_profiles());
     ASSERT_EQ(stats.ok(), expected.ok()) << "update " << u;
@@ -174,14 +176,14 @@ TEST(ReconfigureOptionsTest, UnoptimizedAllocatorKeepsLightGpusThroughAnUpdate) 
   const Reconfigurer reconfigurer{SegmentConfigurator(), SegmentAllocator(unoptimized)};
   DeploymentPlan plan = scheduler.last_plan();
   std::vector<ConfiguredService> configured = scheduler.last_configured();
-  ASSERT_TRUE(reconfigurer.update_service(plan, configured, updated, builtin_profiles()).ok());
+  ASSERT_TRUE(reconfigurer.update_service(plan, configured, updated, builtin_surfaces()).ok());
   EXPECT_NE(plan.to_string().find(light), std::string::npos) << plan.to_string();
 
   // The default reconfigurer dissolves that GPU on the same update.
   DeploymentPlan optimized = scheduler.last_plan();
   std::vector<ConfiguredService> optimized_configured = scheduler.last_configured();
   ASSERT_TRUE(Reconfigurer(SegmentConfigurator(), SegmentAllocator())
-                  .update_service(optimized, optimized_configured, updated, builtin_profiles())
+                  .update_service(optimized, optimized_configured, updated, builtin_surfaces())
                   .ok());
   EXPECT_EQ(optimized.to_string().find(light), std::string::npos) << optimized.to_string();
 }

@@ -1,11 +1,13 @@
-// Shared fixtures for the core tests: the built-in profile set (computed
-// once per process) and helpers to build services/triplets.
+// Shared fixtures for the core tests: the built-in profile set and its
+// indexed surfaces (each computed once per process), and helpers to build
+// services/triplets.
 #pragma once
 
 #include <string>
 
 #include "core/deployment.hpp"
 #include "core/service.hpp"
+#include "profiler/profile_surface.hpp"
 #include "profiler/profiler.hpp"
 
 namespace parva::core::testing {
@@ -17,6 +19,11 @@ inline const profiler::ProfileSet& builtin_profiles() {
     return profiler.profile_all(perfmodel::ModelCatalog::builtin().names());
   }();
   return profiles;
+}
+
+inline const profiler::ProfileSurfaceSet& builtin_surfaces() {
+  static const profiler::ProfileSurfaceSet surfaces{builtin_profiles()};
+  return surfaces;
 }
 
 inline ServiceSpec service(int id, const std::string& model, double slo_ms, double rate) {

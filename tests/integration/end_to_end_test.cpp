@@ -101,7 +101,7 @@ TEST(EndToEndTest, ReconfigurationKeepsClusterServing) {
   updated.slo_latency_ms = 282;
   core::Reconfigurer reconfigurer{core::SegmentConfigurator(), core::SegmentAllocator()};
   ASSERT_TRUE(
-      reconfigurer.update_service(plan, configured, updated, builtin_profiles()).ok());
+      reconfigurer.update_service(plan, configured, updated, scheduler.surfaces()).ok());
 
   std::vector<core::ServiceSpec> services = sc.services;
   services[4] = updated;

@@ -43,14 +43,14 @@ void expect_same_point(const ProfilePoint* got, const ProfilePoint* want) {
 }
 
 /// Reference scan: first-wins max-throughput over feasible points of one
-/// instance size, with a process cap and a strict or inclusive latency
-/// bound. This is the loop the surface's prefix-argmax replaces.
+/// instance size, with a process cap and a strict latency bound. This is
+/// the loop the surface's prefix-argmax replaces.
 const ProfilePoint* reference_best(const ProfileTable& table, int gpcs, int procs_cap,
-                                   double bound_ms, bool strict) {
+                                   double bound_ms) {
   const ProfilePoint* best = nullptr;
   for (const ProfilePoint& point : table.points()) {
     if (point.oom || point.gpcs != gpcs || point.procs > procs_cap) continue;
-    if (strict ? point.latency_ms >= bound_ms : point.latency_ms > bound_ms) continue;
+    if (point.latency_ms >= bound_ms) continue;
     if (best == nullptr || point.throughput > best->throughput) best = &point;
   }
   return best;
@@ -124,27 +124,8 @@ TEST(ProfileSurfaceTest, BestBelowMatchesReferenceScan) {
         }
         for (double bound : bounds) {
           expect_same_point(surface->best_below(gpcs, cap, bound),
-                            reference_best(table, gpcs, cap, bound, /*strict=*/true));
+                            reference_best(table, gpcs, cap, bound));
         }
-      }
-    }
-  }
-}
-
-TEST(ProfileSurfaceTest, BestAtMostMatchesTableBestForSize) {
-  for (const ProfileTable& table : builtin_profiles().tables()) {
-    const ProfileSurface* surface = builtin_surfaces().find(table.model());
-    ASSERT_NE(surface, nullptr);
-    for (int gpcs : surface->instance_sizes()) {
-      std::vector<double> caps = {0.0, 1e9};
-      for (const ProfilePoint& point : table.points()) caps.push_back(point.latency_ms);
-      for (double cap : caps) {
-        // best_for_size has no process cap, so compare at the full cap.
-        const auto want = table.best_for_size(gpcs, cap);
-        const ProfilePoint* got = surface->best_at_most(gpcs, 3, cap);
-        ASSERT_EQ(got == nullptr, !want.has_value());
-        if (got == nullptr) continue;
-        expect_same_point(got, &*want);
       }
     }
   }
@@ -172,7 +153,7 @@ TEST(ProfileSurfaceTest, ThroughputTiesResolveToEarliestTableEntry) {
 
   for (double bound : {2.0, 4.5, 5.5, 10.0}) {
     expect_same_point(surface.best_below(2, 1, bound),
-                      reference_best(table, 2, 1, bound, /*strict=*/true));
+                      reference_best(table, 2, 1, bound));
   }
   // The tie at bound 10 must pick batch=1 (earliest), not batch=2 or 4.
   const ProfilePoint* best = surface.best_below(2, 1, 10.0);

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "profiler/profile_surface.hpp"
+
 namespace parva::profiler {
 namespace {
 
@@ -36,29 +40,37 @@ TEST_F(ProfilerTest, FeasiblePointsMatchModel) {
   EXPECT_DOUBLE_EQ(point->latency_ms, expected.latency_ms);
 }
 
-TEST_F(ProfilerTest, BestForSizeRespectsLatencyCap) {
-  const ProfileTable table = profiler_.profile("vgg-19");
-  const auto strict = table.best_for_size(1, 50.0);
-  const auto loose = table.best_for_size(1, 500.0);
-  ASSERT_TRUE(loose.has_value());
-  if (strict.has_value()) {
-    EXPECT_LE(strict->latency_ms, 50.0);
+TEST_F(ProfilerTest, BestBelowRespectsLatencyBound) {
+  const ProfileSurface surface(profiler_.profile("vgg-19"));
+  const ProfilePoint* strict = surface.best_below(1, 3, 50.0);
+  const ProfilePoint* loose = surface.best_below(1, 3, 500.0);
+  ASSERT_NE(loose, nullptr);
+  if (strict != nullptr) {
+    EXPECT_LT(strict->latency_ms, 50.0);
     EXPECT_LE(strict->throughput, loose->throughput);
   }
-  const auto impossible = table.best_for_size(1, 0.001);
-  EXPECT_FALSE(impossible.has_value());
+  EXPECT_EQ(surface.best_below(1, 3, 0.001), nullptr);
 }
 
 TEST_F(ProfilerTest, BestOverallDominatesPerSize) {
+  // The best feasible point under the bound, over the whole grid, is the
+  // best of some instance size: the per-size answers cover every point.
   const ProfileTable table = profiler_.profile("mobilenetv2");
-  const auto overall = table.best_overall(100.0);
-  ASSERT_TRUE(overall.has_value());
-  for (int g : {1, 2, 3, 4, 7}) {
-    const auto per_size = table.best_for_size(g, 100.0);
-    if (per_size.has_value()) {
-      EXPECT_LE(per_size->throughput, overall->throughput + 1e-9);
-    }
+  const ProfilePoint* overall = nullptr;
+  for (const ProfilePoint& point : table.points()) {
+    if (point.oom || point.latency_ms >= 100.0) continue;
+    if (overall == nullptr || point.throughput > overall->throughput) overall = &point;
   }
+  ASSERT_NE(overall, nullptr);
+  const ProfileSurface surface(table);
+  double best_per_size = 0.0;
+  for (int g : {1, 2, 3, 4, 7}) {
+    const ProfilePoint* per_size = surface.best_below(g, 3, 100.0);
+    if (per_size == nullptr) continue;
+    EXPECT_LE(per_size->throughput, overall->throughput);
+    best_per_size = std::max(best_per_size, per_size->throughput);
+  }
+  EXPECT_EQ(best_per_size, overall->throughput);
 }
 
 TEST_F(ProfilerTest, ProfileAllCoversCatalog) {
