@@ -97,39 +97,9 @@ bool parse_fault_spec(const std::string& spec, gpu::GpuFailureEvent* out) {
 [[nodiscard]] Result<std::vector<core::ServiceSpec>> load_services(const std::string& path) {
   std::ifstream file(path);
   if (!file) return Error(ErrorCode::kNotFound, "cannot open " + path);
-  std::vector<core::ServiceSpec> services;
-  std::string line;
-  bool first = true;
-  while (std::getline(file, line)) {
-    const auto trimmed = trim(line);
-    if (trimmed.empty()) continue;
-    if (first) {  // header
-      first = false;
-      continue;
-    }
-    const auto fields = split(trimmed, ',');
-    if (fields.size() != 4) {
-      return Error(ErrorCode::kInvalidArgument, "bad row: " + std::string(trimmed));
-    }
-    core::ServiceSpec spec;
-    unsigned long long id = 0;
-    double value = 0.0;
-    if (!parse_uint(trim(fields[0]), id)) {
-      return Error(ErrorCode::kInvalidArgument, "bad id: " + fields[0]);
-    }
-    spec.id = static_cast<int>(id);
-    spec.model = std::string(trim(fields[1]));
-    if (!parse_double(trim(fields[2]), value)) {
-      return Error(ErrorCode::kInvalidArgument, "bad slo: " + fields[2]);
-    }
-    spec.slo_latency_ms = value;
-    if (!parse_double(trim(fields[3]), value)) {
-      return Error(ErrorCode::kInvalidArgument, "bad rate: " + fields[3]);
-    }
-    spec.request_rate = value;
-    services.push_back(std::move(spec));
-  }
-  return services;
+  std::ostringstream buffer;
+  buffer << file.rdbuf();
+  return core::services_from_csv(buffer.str());
 }
 
 int cmd_profile(const CliArgs& args) {

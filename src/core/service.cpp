@@ -1,10 +1,53 @@
 #include "core/service.hpp"
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
+#include <set>
 
 #include "common/error.hpp"
+#include "common/strings.hpp"
 
 namespace parva::core {
+
+Result<std::vector<ServiceSpec>> services_from_csv(std::string_view csv) {
+  std::vector<ServiceSpec> services;
+  std::set<int> ids;
+  bool first = true;
+  for (const std::string& line : split(csv, '\n')) {
+    const std::string_view row = trim(line);
+    if (row.empty()) continue;
+    if (first) {  // header
+      first = false;
+      continue;
+    }
+    const auto refuse = [&](const char* why) {
+      return Error(ErrorCode::kInvalidArgument,
+                   std::string(why) + " in services row: " + std::string(row));
+    };
+    const auto fields = split(row, ',');
+    if (fields.size() != 4) return refuse("expected id,model,slo_latency_ms,request_rate");
+    unsigned long long id = 0;
+    if (!parse_uint(trim(fields[0]), id)) return refuse("bad id");
+    if (id > static_cast<unsigned long long>(std::numeric_limits<int>::max())) {
+      return refuse("id above INT_MAX");
+    }
+    ServiceSpec spec;
+    spec.id = static_cast<int>(id);
+    spec.model = std::string(trim(fields[1]));
+    if (!parse_double(trim(fields[2]), spec.slo_latency_ms)) return refuse("bad slo");
+    if (!std::isfinite(spec.slo_latency_ms) || spec.slo_latency_ms <= 0.0) {
+      return refuse("slo must be finite and positive");
+    }
+    if (!parse_double(trim(fields[3]), spec.request_rate)) return refuse("bad rate");
+    if (!std::isfinite(spec.request_rate) || spec.request_rate < 0.0) {
+      return refuse("rate must be finite and non-negative");
+    }
+    if (!ids.insert(spec.id).second) return refuse("repeated id");
+    services.push_back(std::move(spec));
+  }
+  return services;
+}
 
 Triplet to_triplet(const profiler::ProfilePoint& point) {
   PARVA_REQUIRE(!point.oom, "cannot build a triplet from an OOM point");

@@ -6,9 +6,11 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
+#include "common/error.hpp"
 #include "profiler/profile_types.hpp"
 
 namespace parva::core {
@@ -41,6 +43,13 @@ struct ServiceSpec {
   /// uses the profiled WorkloadTraits surface).
   std::optional<LlmWorkload> llm;
 };
+
+/// Parses a services CSV: a header line, then one
+/// `id,model,slo_latency_ms,request_rate` row per service. Returns
+/// kInvalidArgument, naming the row, for a malformed row, an id above
+/// INT_MAX, a non-finite or non-positive SLO, a non-finite or negative
+/// rate, or a repeated id.
+[[nodiscard]] Result<std::vector<ServiceSpec>> services_from_csv(std::string_view csv);
 
 /// An operating triplet (instance size, batch size, process count) together
 /// with its profiled performance. A triplet materialised on a GPU becomes a

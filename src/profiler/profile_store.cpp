@@ -1,6 +1,8 @@
 #include "profiler/profile_store.hpp"
 
+#include <cmath>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "common/strings.hpp"
@@ -9,7 +11,23 @@ namespace parva::profiler {
 
 namespace {
 constexpr const char* kHeader = "model,gpcs,batch,procs,oom,throughput,latency_ms,sm_occupancy,memory_gib";
+
+/// A GPC, batch or process count: a positive int. Zero never occurs in a
+/// valid grid, and a value above INT_MAX would wrap when narrowed.
+bool parse_count(std::string_view text, int& out) {
+  unsigned long long u = 0;
+  if (!parse_uint(text, u) || u == 0 ||
+      u > static_cast<unsigned long long>(std::numeric_limits<int>::max())) {
+    return false;
+  }
+  out = static_cast<int>(u);
+  return true;
 }
+
+bool parse_finite(std::string_view text, double& out) {
+  return parse_double(text, out) && std::isfinite(out);
+}
+}  // namespace
 
 std::string to_csv(const ProfileSet& set) {
   std::string out = kHeader;
@@ -57,23 +75,23 @@ Result<ProfileSet> from_csv(const std::string& csv) {
     ProfilePoint point;
     point.model = fields[0];
     unsigned long long u = 0;
-    double d = 0.0;
-    if (!parse_uint(fields[1], u)) return Error(ErrorCode::kInvalidArgument, "bad gpcs");
-    point.gpcs = static_cast<int>(u);
-    if (!parse_uint(fields[2], u)) return Error(ErrorCode::kInvalidArgument, "bad batch");
-    point.batch = static_cast<int>(u);
-    if (!parse_uint(fields[3], u)) return Error(ErrorCode::kInvalidArgument, "bad procs");
-    point.procs = static_cast<int>(u);
+    if (!parse_count(fields[1], point.gpcs)) return Error(ErrorCode::kInvalidArgument, "bad gpcs");
+    if (!parse_count(fields[2], point.batch)) return Error(ErrorCode::kInvalidArgument, "bad batch");
+    if (!parse_count(fields[3], point.procs)) return Error(ErrorCode::kInvalidArgument, "bad procs");
     if (!parse_uint(fields[4], u)) return Error(ErrorCode::kInvalidArgument, "bad oom flag");
     point.oom = u != 0;
-    if (!parse_double(fields[5], d)) return Error(ErrorCode::kInvalidArgument, "bad throughput");
-    point.throughput = d;
-    if (!parse_double(fields[6], d)) return Error(ErrorCode::kInvalidArgument, "bad latency");
-    point.latency_ms = d;
-    if (!parse_double(fields[7], d)) return Error(ErrorCode::kInvalidArgument, "bad occupancy");
-    point.sm_occupancy = d;
-    if (!parse_double(fields[8], d)) return Error(ErrorCode::kInvalidArgument, "bad memory");
-    point.memory_gib = d;
+    if (!parse_finite(fields[5], point.throughput)) {
+      return Error(ErrorCode::kInvalidArgument, "bad throughput");
+    }
+    if (!parse_finite(fields[6], point.latency_ms)) {
+      return Error(ErrorCode::kInvalidArgument, "bad latency");
+    }
+    if (!parse_finite(fields[7], point.sm_occupancy)) {
+      return Error(ErrorCode::kInvalidArgument, "bad occupancy");
+    }
+    if (!parse_finite(fields[8], point.memory_gib)) {
+      return Error(ErrorCode::kInvalidArgument, "bad memory");
+    }
 
     if (current == nullptr || current_model != point.model) {
       tables.emplace_back(point.model);

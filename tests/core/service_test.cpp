@@ -75,6 +75,62 @@ TEST(ServiceTest, DefaultTripletInvalid) {
   EXPECT_DOUBLE_EQ(triplet.throughput_per_gpc(), 0.0);
 }
 
+TEST(ServiceTest, ServicesFromCsvParsesRows) {
+  const auto parsed = services_from_csv(
+      "id,model,slo_latency_ms,request_rate\n"
+      "3, resnet-50, 120.5, 400\n"
+      "\n"
+      "2147483647,bert-base,50,0\r\n");
+  ASSERT_TRUE(parsed.ok()) << parsed.error().to_string();
+  const std::vector<ServiceSpec>& services = parsed.value();
+  ASSERT_EQ(services.size(), 2u);
+  EXPECT_EQ(services[0].id, 3);
+  EXPECT_EQ(services[0].model, "resnet-50");
+  EXPECT_DOUBLE_EQ(services[0].slo_latency_ms, 120.5);
+  EXPECT_DOUBLE_EQ(services[0].request_rate, 400.0);
+  EXPECT_FALSE(services[0].llm.has_value());
+  EXPECT_EQ(services[1].id, 2147483647);
+  EXPECT_EQ(services[1].model, "bert-base");
+  EXPECT_DOUBLE_EQ(services[1].request_rate, 0.0);
+
+  const auto header_only = services_from_csv("id,model,slo_latency_ms,request_rate\n");
+  ASSERT_TRUE(header_only.ok());
+  EXPECT_TRUE(header_only.value().empty());
+}
+
+TEST(ServiceTest, ServicesFromCsvRefusesBadRows) {
+  const std::string header = "id,model,slo_latency_ms,request_rate\n";
+  for (const char* row : {
+           "99999999999,resnet-50,100,10",  // id above INT_MAX, not truncated
+           "2147483648,resnet-50,100,10",
+           "-1,resnet-50,100,10",
+           "1,resnet-50,inf,10",             // non-finite SLO
+           "1,resnet-50,nan,10",
+           "1,resnet-50,-5,10",              // non-positive SLO
+           "1,resnet-50,0,10",
+           "1,resnet-50,100,nan",            // non-finite rate
+           "1,resnet-50,100,inf",
+           "1,resnet-50,100,-1",             // negative rate
+           "1,resnet-50,100",                // too few fields
+           "1,resnet-50,fast,10",
+       }) {
+    const auto parsed = services_from_csv(header + row + "\n");
+    ASSERT_FALSE(parsed.ok()) << row;
+    EXPECT_EQ(parsed.error().code(), ErrorCode::kInvalidArgument) << row;
+    EXPECT_NE(parsed.error().message().find(row), std::string::npos)
+        << "the error names the row: " << parsed.error().to_string();
+  }
+
+  // A repeated id is refused, naming the second row; it is never planned
+  // as two services sharing one id.
+  const auto repeated = services_from_csv(header +
+                                          "7,resnet-50,100,10\n"
+                                          "7,vgg-19,200,20\n");
+  ASSERT_FALSE(repeated.ok());
+  EXPECT_EQ(repeated.error().code(), ErrorCode::kInvalidArgument);
+  EXPECT_NE(repeated.error().message().find("7,vgg-19,200,20"), std::string::npos);
+}
+
 TEST(ServiceTest, ConfiguredServiceTotals) {
   ConfiguredService service;
   service.spec = testing::service(0, "m", 100, 1000);

@@ -46,14 +46,29 @@ TEST(ProfileStoreTest, BadHeaderRejected) {
 }
 
 TEST(ProfileStoreTest, MalformedRowRejected) {
-  std::string csv =
-      "model,gpcs,batch,procs,oom,throughput,latency_ms,sm_occupancy,memory_gib\n"
-      "resnet-50,1,2\n";
-  EXPECT_FALSE(from_csv(csv).ok());
-  csv =
-      "model,gpcs,batch,procs,oom,throughput,latency_ms,sm_occupancy,memory_gib\n"
-      "resnet-50,x,2,1,0,1.0,1.0,0.5,1.0\n";
-  EXPECT_FALSE(from_csv(csv).ok());
+  const std::string header =
+      "model,gpcs,batch,procs,oom,throughput,latency_ms,sm_occupancy,memory_gib\n";
+  for (const char* row : {
+           "resnet-50,1,2",
+           "resnet-50,x,2,1,0,1.0,1.0,0.5,1.0",
+           // Sizes are positive ints: 2^32 + 1 must not narrow to 1.
+           "resnet-50,4294967297,2,1,0,1.0,1.0,0.5,1.0",
+           "resnet-50,2147483648,2,1,0,1.0,1.0,0.5,1.0",
+           "resnet-50,1,4294967297,1,0,1.0,1.0,0.5,1.0",
+           "resnet-50,1,2,4294967297,0,1.0,1.0,0.5,1.0",
+           "resnet-50,0,2,1,0,1.0,1.0,0.5,1.0",
+           "resnet-50,1,0,1,0,1.0,1.0,0.5,1.0",
+           "resnet-50,1,2,0,0,1.0,1.0,0.5,1.0",
+           // Every measured double is finite.
+           "resnet-50,1,2,1,0,inf,1.0,0.5,1.0",
+           "resnet-50,1,2,1,0,1.0,nan,0.5,1.0",
+           "resnet-50,1,2,1,0,1.0,1.0,-inf,1.0",
+           "resnet-50,1,2,1,0,1.0,1.0,0.5,nan",
+       }) {
+    const auto result = from_csv(header + row + "\n");
+    ASSERT_FALSE(result.ok()) << row;
+    EXPECT_EQ(result.error().code(), ErrorCode::kInvalidArgument) << row;
+  }
 }
 
 TEST(ProfileStoreTest, EmptyBodyIsEmptySet) {

@@ -34,9 +34,9 @@
 //       are pairwise distinct; literal tags, unregistered constants and
 //       duplicate values are findings
 //   R11 no blocking operation (mutex acquisition, ThreadPool submit/wait,
-//       iostream/file I/O, opt-in std::{map,set} inserts) is transitively
+//       iostream/file I/O, std::{map,set} inserts) is transitively
 //       reachable from a hot-path root (shard window advance, event-engine
-//       push/pop, arrival-tournament replay; see --hotpath-roots)
+//       push/pop, arrival-tournament replay; see default_hotpath_roots())
 //   R12 R2 upgraded to reachability: unordered-container iteration anywhere
 //       transitively reachable from a function defined in an export/
 //       fingerprint manifest file is flagged, closing the helper-in-a-
@@ -68,33 +68,18 @@
 
 namespace parva::audit {
 
-/// One machine-applicable replacement of a fix-it (fixits.hpp): replace
-/// `length` bytes starting at 1-based (line, column) with `text`. Inserts
-/// have length 0.
-struct FixEdit {
-  int line = 0;
-  int column = 0;  ///< 1-based byte offset within the line
-  int length = 0;  ///< bytes replaced
-  std::string text;
-};
-
 struct Finding {
   std::string file;  ///< Path as given on the command line / to audit_file().
   int line = 0;
   std::string rule;  ///< "R1".."R15".
   std::string message;
-  /// Optional machine-applicable fix (fixits.hpp): a human description plus
-  /// byte-exact edits. Emitted into SARIF `fixes` and applied by `--fix`.
-  /// Excluded from ordering/equality -- fixes are derived, not identity.
-  std::string fix_description;
-  std::vector<FixEdit> fix_edits;
 
   bool operator<(const Finding& other) const {
     if (file != other.file) return file < other.file;
     if (line != other.line) return line < other.line;
     if (rule != other.rule) return rule < other.rule;
     // Total order: two findings on one line from one rule (distinct
-    // messages) must sort identically on cold and warm cache runs.
+    // messages) sort the same whatever order the rules emitted them in.
     return message < other.message;
   }
   bool operator==(const Finding& other) const {
@@ -111,15 +96,6 @@ struct AuditConfig {
   /// R11 reachability roots as qualified function names ("Shard::advance");
   /// empty means default_hotpath_roots().
   std::vector<std::string> hotpath_roots;
-  /// R11: also flag node-based std::{map,set} insert/emplace on the hot
-  /// path (allocation per insert). Off by default.
-  bool r11_allocations = false;
-  /// Incremental-cache directory (cache.hpp). Empty disables the cache.
-  std::string cache_dir;
-  /// Worker threads for lexing + per-file rules (common/thread_pool). 1 =
-  /// serial (default); 0 = hardware concurrency. Finding order is
-  /// independent of the job count.
-  std::size_t jobs = 1;
 };
 
 /// One catalog row per rule; drives --list-rules and the SARIF rules array.
@@ -187,22 +163,6 @@ std::vector<Finding> audit_files(const std::vector<std::pair<std::string, std::s
 std::vector<Finding> audit_paths(const std::vector<std::string>& paths,
                                  const AuditConfig& config,
                                  std::vector<std::string>& errors);
-
-/// What the incremental cache (cache.hpp) did for one audit_paths run.
-struct CacheStats {
-  bool enabled = false;   ///< config.cache_dir was set and usable
-  bool cold = false;      ///< no manifest, config/context change, or IO error
-  std::size_t analyzed = 0;  ///< files lexed + per-file-ruled this run
-  std::size_t reused = 0;    ///< files served from the cache
-};
-
-/// audit_paths with cache telemetry: when config.cache_dir is set, per-file
-/// results are keyed by content hash and a cross-file context hash so an
-/// unchanged tree re-analyzes nothing yet produces byte-identical findings.
-std::vector<Finding> audit_paths(const std::vector<std::string>& paths,
-                                 const AuditConfig& config,
-                                 std::vector<std::string>& errors,
-                                 CacheStats* stats);
 
 /// `file:line: [R#] message` -- one line per finding.
 std::string format_findings(const std::vector<Finding>& findings);

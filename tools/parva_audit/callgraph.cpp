@@ -316,6 +316,14 @@ struct LockScope {
   int depth = 0;
 };
 
+/// A function body recorded by pass 1, before its tokens are scanned.
+struct BodySpan {
+  std::size_t fn_index = 0;   ///< into CallGraph.functions
+  std::vector<Token> params;  ///< tokens between the signature's parens
+  std::size_t begin = 0;      ///< first token index inside the body brace
+  std::size_t end = 0;        ///< index of the body's closing brace
+};
+
 /// Pass 2 over one function body: local-type map first (parameters, then
 /// declarations as they appear), then calls / locks / blocking ops /
 /// Rng::stream uses in token order.
@@ -602,167 +610,170 @@ std::vector<UnorderedIteration> collect_unordered_iterations(const LexedFile& le
   return out;
 }
 
-FileFacts scan_file_facts(const std::string& path, const LexedFile& lexed,
-                          std::vector<BodySpan>& spans) {
-  FileFacts facts;
-  facts.path = path;
-  {
-    const auto& toks = lexed.tokens;
-    collect_rng_registry(toks, path, facts.rng_tags);
+namespace {
 
-    enum class ScopeKind { kNamespace, kClass, kFunction, kOther };
-    struct Scope {
-      ScopeKind kind;
-      std::string class_name;     // kClass only
-      std::size_t span_index;     // kFunction only; npos otherwise
-      std::vector<Token> saved_stmt;
-      bool continues_stmt;
-    };
-    constexpr std::size_t kNone = static_cast<std::size_t>(-1);
-    std::vector<Scope> stack;
-    std::vector<Token> stmt;
-    int function_depth = 0;
+/// Pass 1 over one file: the scope machine. Appends the file's function
+/// skeletons (name/class/file/line) and RngStreamTag registry enumerators
+/// to `graph`, their body spans to `spans`, and the file's data-member
+/// types to `members` (the last declaration in scan order wins).
+void scan_file(const std::string& path, const LexedFile& lexed, CallGraph& graph,
+               ClassMembers& members, std::vector<BodySpan>& spans) {
+  const auto& toks = lexed.tokens;
+  collect_rng_registry(toks, path, graph.rng_tags);
 
-    auto contains_ident = [](const std::vector<Token>& s,
-                             std::initializer_list<const char*> names) {
-      for (const Token& t : s) {
-        if (t.kind != Token::Kind::kIdent) continue;
-        for (const char* name : names) {
-          if (t.text == name) return true;
-        }
-      }
-      return false;
-    };
+  enum class ScopeKind { kNamespace, kClass, kFunction, kOther };
+  struct Scope {
+    ScopeKind kind;
+    std::string class_name;     // kClass only
+    std::size_t span_index;     // kFunction only; npos otherwise
+    std::vector<Token> saved_stmt;
+    bool continues_stmt;
+  };
+  constexpr std::size_t kNone = static_cast<std::size_t>(-1);
+  std::vector<Scope> stack;
+  std::vector<Token> stmt;
+  int function_depth = 0;
 
-    auto enclosing_class = [&]() -> std::string {
-      for (auto it = stack.rbegin(); it != stack.rend(); ++it) {
-        if (it->kind == ScopeKind::kClass) return it->class_name;
-      }
-      return "";
-    };
-
-    for (std::size_t i = 0; i < toks.size(); ++i) {
-      const Token& t = toks[i];
-      if (is_punct(t, "{")) {
-        ScopeKind kind = ScopeKind::kOther;
-        bool continues = false;
-        std::size_t span_index = kNone;
-        if (function_depth > 0) {
-          // Inside a function body every brace is opaque to the machine;
-          // scan_body re-walks the span with its own depth tracking.
-          kind = ScopeKind::kOther;
-        } else {
-          int paren_depth = 0;
-          std::size_t depth0_assign = stmt.size();
-          std::size_t depth0_paren = stmt.size();
-          bool has_parens = false;
-          for (std::size_t k = 0; k < stmt.size(); ++k) {
-            if (is_punct(stmt[k], "(")) {
-              if (paren_depth == 0 && depth0_paren == stmt.size()) depth0_paren = k;
-              ++paren_depth;
-              has_parens = true;
-            } else if (is_punct(stmt[k], ")")) {
-              --paren_depth;
-            } else if (paren_depth == 0 && depth0_assign == stmt.size() &&
-                       is_punct(stmt[k], "=")) {
-              depth0_assign = k;
-            }
-          }
-          if (contains_ident(stmt, {"namespace"})) {
-            kind = ScopeKind::kNamespace;
-          } else if (contains_ident(stmt, {"class", "struct", "union", "enum"})) {
-            kind = ScopeKind::kClass;
-            continues = true;
-          } else if (stmt.empty()) {
-            kind = ScopeKind::kOther;
-          } else if (depth0_assign != stmt.size()) {
-            kind = ScopeKind::kOther;  // brace initializer after '='
-            continues = true;
-          } else if (has_parens || is_punct(stmt.back(), ")")) {
-            kind = ScopeKind::kFunction;
-            // Extract the declarator around the first top-level '('.
-            if (depth0_paren != stmt.size() && depth0_paren > 0 &&
-                stmt[depth0_paren - 1].kind == Token::Kind::kIdent &&
-                !is_keyword(stmt[depth0_paren - 1].text) &&
-                !contains_ident(stmt, {"operator"})) {
-              FunctionDef fn;
-              fn.name = stmt[depth0_paren - 1].text;
-              fn.line = stmt[depth0_paren - 1].line;
-              fn.file = path;
-              if (depth0_paren >= 4 && is_punct(stmt[depth0_paren - 2], ":") &&
-                  is_punct(stmt[depth0_paren - 3], ":") &&
-                  stmt[depth0_paren - 4].kind == Token::Kind::kIdent) {
-                fn.class_name = stmt[depth0_paren - 4].text;  // out-of-line method
-              } else {
-                fn.class_name = enclosing_class();
-              }
-              BodySpan span;
-              span.fn_index = facts.functions.size();
-              const std::size_t close =
-                  [&] {  // matching ')' of the parameter list within stmt
-                    int d = 0;
-                    for (std::size_t k = depth0_paren; k < stmt.size(); ++k) {
-                      if (is_punct(stmt[k], "(")) ++d;
-                      if (is_punct(stmt[k], ")") && --d == 0) return k;
-                    }
-                    return stmt.size();
-                  }();
-              span.params.assign(stmt.begin() + depth0_paren + 1,
-                                 stmt.begin() + std::min(close, stmt.size()));
-              span.begin = i + 1;  // body tokens; end patched at the close brace
-              facts.functions.push_back(std::move(fn));
-              span_index = spans.size();
-              spans.push_back(std::move(span));
-            }
-          } else if (stmt.back().kind == Token::Kind::kIdent ||
-                     is_punct(stmt.back(), ">") || is_punct(stmt.back(), "]")) {
-            kind = ScopeKind::kOther;  // direct brace init: Type name{...}
-            continues = true;
-          }
-        }
-        std::string cls;
-        if (kind == ScopeKind::kClass && !contains_ident(stmt, {"enum"})) {
-          cls = class_name_from_stmt(stmt);
-        }
-        if (kind == ScopeKind::kFunction) ++function_depth;
-        stack.push_back({kind, cls, span_index,
-                         continues ? stmt : std::vector<Token>{}, continues});
-        stmt.clear();
-      } else if (is_punct(t, "}")) {
-        if (!stack.empty()) {
-          Scope top = std::move(stack.back());
-          stack.pop_back();
-          if (top.kind == ScopeKind::kFunction) {
-            --function_depth;
-            if (top.span_index != kNone) spans[top.span_index].end = i;
-          }
-          stmt.clear();
-          if (top.continues_stmt) {
-            stmt = std::move(top.saved_stmt);
-            stmt.push_back({Token::Kind::kPunct, "@body", 0});
-          }
-        }
-      } else if (is_punct(t, ";")) {
-        if (!stack.empty() && stack.back().kind == ScopeKind::kClass &&
-            !stack.back().class_name.empty() && function_depth == 0) {
-          record_member(stmt, facts.class_members[stack.back().class_name]);
-        }
-        stmt.clear();
-      } else {
-        stmt.push_back(t);
+  auto contains_ident = [](const std::vector<Token>& s,
+                           std::initializer_list<const char*> names) {
+    for (const Token& t : s) {
+      if (t.kind != Token::Kind::kIdent) continue;
+      for (const char* name : names) {
+        if (t.text == name) return true;
       }
     }
+    return false;
+  };
+
+  auto enclosing_class = [&]() -> std::string {
+    for (auto it = stack.rbegin(); it != stack.rend(); ++it) {
+      if (it->kind == ScopeKind::kClass) return it->class_name;
+    }
+    return "";
+  };
+
+  for (std::size_t i = 0; i < toks.size(); ++i) {
+    const Token& t = toks[i];
+    if (is_punct(t, "{")) {
+      ScopeKind kind = ScopeKind::kOther;
+      bool continues = false;
+      std::size_t span_index = kNone;
+      if (function_depth > 0) {
+        // Inside a function body every brace is opaque to the machine;
+        // scan_body re-walks the span with its own depth tracking.
+        kind = ScopeKind::kOther;
+      } else {
+        int paren_depth = 0;
+        std::size_t depth0_assign = stmt.size();
+        std::size_t depth0_paren = stmt.size();
+        bool has_parens = false;
+        for (std::size_t k = 0; k < stmt.size(); ++k) {
+          if (is_punct(stmt[k], "(")) {
+            if (paren_depth == 0 && depth0_paren == stmt.size()) depth0_paren = k;
+            ++paren_depth;
+            has_parens = true;
+          } else if (is_punct(stmt[k], ")")) {
+            --paren_depth;
+          } else if (paren_depth == 0 && depth0_assign == stmt.size() &&
+                     is_punct(stmt[k], "=")) {
+            depth0_assign = k;
+          }
+        }
+        if (contains_ident(stmt, {"namespace"})) {
+          kind = ScopeKind::kNamespace;
+        } else if (contains_ident(stmt, {"class", "struct", "union", "enum"})) {
+          kind = ScopeKind::kClass;
+          continues = true;
+        } else if (stmt.empty()) {
+          kind = ScopeKind::kOther;
+        } else if (depth0_assign != stmt.size()) {
+          kind = ScopeKind::kOther;  // brace initializer after '='
+          continues = true;
+        } else if (has_parens || is_punct(stmt.back(), ")")) {
+          kind = ScopeKind::kFunction;
+          // Extract the declarator around the first top-level '('.
+          if (depth0_paren != stmt.size() && depth0_paren > 0 &&
+              stmt[depth0_paren - 1].kind == Token::Kind::kIdent &&
+              !is_keyword(stmt[depth0_paren - 1].text) &&
+              !contains_ident(stmt, {"operator"})) {
+            FunctionDef fn;
+            fn.name = stmt[depth0_paren - 1].text;
+            fn.line = stmt[depth0_paren - 1].line;
+            fn.file = path;
+            if (depth0_paren >= 4 && is_punct(stmt[depth0_paren - 2], ":") &&
+                is_punct(stmt[depth0_paren - 3], ":") &&
+                stmt[depth0_paren - 4].kind == Token::Kind::kIdent) {
+              fn.class_name = stmt[depth0_paren - 4].text;  // out-of-line method
+            } else {
+              fn.class_name = enclosing_class();
+            }
+            BodySpan span;
+            span.fn_index = graph.functions.size();
+            const std::size_t close =
+                [&] {  // matching ')' of the parameter list within stmt
+                  int d = 0;
+                  for (std::size_t k = depth0_paren; k < stmt.size(); ++k) {
+                    if (is_punct(stmt[k], "(")) ++d;
+                    if (is_punct(stmt[k], ")") && --d == 0) return k;
+                  }
+                  return stmt.size();
+                }();
+            span.params.assign(stmt.begin() + depth0_paren + 1,
+                               stmt.begin() + std::min(close, stmt.size()));
+            span.begin = i + 1;  // body tokens; end patched at the close brace
+            graph.functions.push_back(std::move(fn));
+            span_index = spans.size();
+            spans.push_back(std::move(span));
+          }
+        } else if (stmt.back().kind == Token::Kind::kIdent ||
+                   is_punct(stmt.back(), ">") || is_punct(stmt.back(), "]")) {
+          kind = ScopeKind::kOther;  // direct brace init: Type name{...}
+          continues = true;
+        }
+      }
+      std::string cls;
+      if (kind == ScopeKind::kClass && !contains_ident(stmt, {"enum"})) {
+        cls = class_name_from_stmt(stmt);
+      }
+      if (kind == ScopeKind::kFunction) ++function_depth;
+      stack.push_back({kind, cls, span_index,
+                       continues ? stmt : std::vector<Token>{}, continues});
+      stmt.clear();
+    } else if (is_punct(t, "}")) {
+      if (!stack.empty()) {
+        Scope top = std::move(stack.back());
+        stack.pop_back();
+        if (top.kind == ScopeKind::kFunction) {
+          --function_depth;
+          if (top.span_index != kNone) spans[top.span_index].end = i;
+        }
+        stmt.clear();
+        if (top.continues_stmt) {
+          stmt = std::move(top.saved_stmt);
+          stmt.push_back({Token::Kind::kPunct, "@body", 0});
+        }
+      }
+    } else if (is_punct(t, ";")) {
+      if (!stack.empty() && stack.back().kind == ScopeKind::kClass &&
+          !stack.back().class_name.empty() && function_depth == 0) {
+        record_member(stmt, members[stack.back().class_name]);
+      }
+      stmt.clear();
+    } else {
+      stmt.push_back(t);
+    }
   }
-  return facts;
 }
 
-void finish_file_facts(FileFacts& facts, const LexedFile& lexed,
-                       const std::vector<BodySpan>& spans,
-                       const ClassMembers& class_members) {
+/// Pass 2 over one file: scans each body span against the merged
+/// class-member map (so out-of-line methods resolve receivers declared in
+/// another file's class body) and attributes the file's unordered
+/// iterations and floating-point accumulations to the enclosing function.
+void scan_bodies(const LexedFile& lexed, const std::vector<BodySpan>& spans,
+                 const ClassMembers& members, CallGraph& graph) {
   for (const BodySpan& span : spans) {
     if (span.end <= span.begin) continue;  // unterminated body (lex anomaly)
-    FunctionDef& fn = facts.functions[span.fn_index];
-    scan_body(fn, lexed, span, class_members, facts.rng_uses);
+    scan_body(graph.functions[span.fn_index], lexed, span, members, graph.rng_uses);
   }
 
   // Attribute the file's unordered-container iterations (the shared R2
@@ -771,28 +782,33 @@ void finish_file_facts(FileFacts& facts, const LexedFile& lexed,
   for (const UnorderedIteration& it : collect_unordered_iterations(lexed)) {
     for (const BodySpan& span : spans) {
       if (it.token_index < span.begin || it.token_index >= span.end) continue;
-      facts.functions[span.fn_index].unordered.push_back(it);
+      graph.functions[span.fn_index].unordered.push_back(it);
       break;
     }
   }
   for (const FpAccumulation& acc : collect_fp_accumulations(lexed)) {
     for (const BodySpan& span : spans) {
       if (acc.token_index < span.begin || acc.token_index >= span.end) continue;
-      facts.functions[span.fn_index].fp_accums.push_back(acc);
+      graph.functions[span.fn_index].fp_accums.push_back(acc);
       break;
     }
   }
 }
 
-CallGraph assemble_call_graph(const std::vector<const FileFacts*>& facts) {
+}  // namespace
+
+CallGraph build_call_graph(
+    const std::vector<std::pair<std::string, const LexedFile*>>& files) {
+  // Pass 1 over every file, then pass 2 over every file against the
+  // class-member map pass 1 merged in file order.
   CallGraph graph;
-  for (const FileFacts* file : facts) {
-    graph.functions.insert(graph.functions.end(), file->functions.begin(),
-                           file->functions.end());
-    graph.rng_tags.insert(graph.rng_tags.end(), file->rng_tags.begin(),
-                          file->rng_tags.end());
-    graph.rng_uses.insert(graph.rng_uses.end(), file->rng_uses.begin(),
-                          file->rng_uses.end());
+  ClassMembers members;
+  std::vector<std::vector<BodySpan>> spans(files.size());
+  for (std::size_t f = 0; f < files.size(); ++f) {
+    scan_file(files[f].first, *files[f].second, graph, members, spans[f]);
+  }
+  for (std::size_t f = 0; f < files.size(); ++f) {
+    scan_bodies(*files[f].second, spans[f], members, graph);
   }
   for (std::size_t i = 0; i < graph.functions.size(); ++i) {
     const FunctionDef& fn = graph.functions[i];
@@ -801,32 +817,6 @@ CallGraph assemble_call_graph(const std::vector<const FileFacts*>& facts) {
     if (!fn.class_name.empty()) graph.classes.insert(fn.class_name);
   }
   return graph;
-}
-
-CallGraph build_call_graph(
-    const std::vector<std::pair<std::string, const LexedFile*>>& files) {
-  // Pass 1 per file, then a merged class-member map (last declaration in
-  // file order wins, matching the historical single-map behavior), then
-  // pass 2 per file against the merged map.
-  std::vector<FileFacts> facts;
-  std::vector<std::vector<BodySpan>> spans(files.size());
-  facts.reserve(files.size());
-  for (std::size_t f = 0; f < files.size(); ++f) {
-    facts.push_back(scan_file_facts(files[f].first, *files[f].second, spans[f]));
-  }
-  ClassMembers merged;
-  for (const FileFacts& file : facts) {
-    for (const auto& [cls, members] : file.class_members) {
-      for (const auto& [name, type] : members) merged[cls][name] = type;
-    }
-  }
-  std::vector<const FileFacts*> finished;
-  finished.reserve(facts.size());
-  for (std::size_t f = 0; f < files.size(); ++f) {
-    finish_file_facts(facts[f], *files[f].second, spans[f], merged);
-    finished.push_back(&facts[f]);
-  }
-  return assemble_call_graph(finished);
 }
 
 std::vector<std::size_t> CallGraph::resolve(const CallSite& call,

@@ -10,8 +10,8 @@
 //        registry values must be pairwise distinct.
 //   R11  hot-path blocking reachability. From a manifest of hot-path roots,
 //        any transitively reachable blocking operation (lock acquisition,
-//        pool submit/wait, iostream/file I/O, opt-in node-container
-//        inserts) is flagged with the call chain as witness.
+//        pool submit/wait, iostream/file I/O, node-container inserts) is
+//        flagged with the call chain as witness.
 //   R12  export-path reachability for unordered iteration. R2 only sees
 //        manifest-matched files; R12 walks the graph from every function
 //        defined in a manifest file and flags unordered-container
@@ -244,7 +244,6 @@ void check_r11(const CallGraph& graph, const AuditConfig& config,
     for (const std::size_t idx : r.order) {
       const FunctionDef& fn = graph.functions[idx];
       for (const BlockingOp& op : fn.blocking) {
-        if (op.kind == BlockKind::kAlloc && !config.r11_allocations) continue;
         if (!seen.insert({fn.file, op.line, op.what}).second) continue;
         const std::vector<std::string> chain = witness_chain(graph, r, idx);
         std::string message = "blocking operation " + op.what +
@@ -297,7 +296,7 @@ void check_r12(const CallGraph& graph, const AuditConfig& config,
 std::vector<std::string> default_hotpath_roots() {
   // The three hot loops of the sharded DES (DESIGN.md §4.5-§4.7): the
   // shard window advance, the event-engine heap, and the arrival
-  // tournament's replay. Override with --hotpath-roots.
+  // tournament's replay. AuditConfig::hotpath_roots overrides them.
   return {
       "Shard::advance",
       "EventQueue::push",

@@ -2,22 +2,17 @@
 //
 //   parva_audit src/                        # full scan with built-in manifest
 //   parva_audit --rules R1-R5 src/ tests/   # subset of rules (ranges ok)
-//   parva_audit --manifest paths.txt src/   # replace the R2 manifest
 //   parva_audit --format sarif src/         # SARIF 2.1.0 for CI upload
 //   parva_audit --baseline accepted.txt src/  # only NEW findings fail
-//   parva_audit --fix src/                  # apply machine-applicable fixes
-//   parva_audit --cache-dir build/audit_cache --jobs 0 src/  # fast CI scan
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
-#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "audit.hpp"
-#include "fixits.hpp"
 
 namespace {
 
@@ -34,27 +29,11 @@ determinism, iterator/reference invalidation).
 
 options:
   --rules R1,R2,...    run only the named rules; ranges expand (R1-R15)
-  --manifest FILE      replace the built-in R2/R12/R14 export-path manifest
-                       with the newline-separated path substrings in FILE
-                       ('#' comments)
-  --hotpath-roots FILE replace the built-in R11 hot-path roots with the
-                       newline-separated qualified function names in FILE
-  --r11-alloc          R11 also flags std::{map,set} insert/emplace on the
-                       hot path (an allocation per insert)
   --format FMT         output format: text (default), json, sarif
   --baseline FILE      suppress findings listed in FILE (file|rule|message
                        lines); exit 1 only on findings NOT in the baseline
   --update-baseline    with --baseline: rewrite FILE from current findings
                        and exit 0
-  --fix                apply machine-applicable fixes (R4 #pragma once,
-                       R6 [[nodiscard]], R10 literal->enumerator RNG tags)
-                       to the files in place; exit 0 when every remaining
-                       finding was fixed, 1 when unfixable findings remain
-  --cache-dir DIR      incremental cache: per-file results keyed by content
-                       hash; unchanged files are not re-analyzed (stats on
-                       stderr; findings are byte-identical either way)
-  --jobs N             lex/analyze files on N worker threads (0 = hardware
-                       concurrency, default 1); output order is unaffected
   --list-rules         print the rule catalog and exit
   -h, --help           this message
 
@@ -102,12 +81,10 @@ std::vector<std::string> split_rules(const std::string& text) {
 int main(int argc, char** argv) {
   parva::audit::AuditConfig config;
   config.export_manifest = parva::audit::default_export_manifest();
-  config.hotpath_roots = parva::audit::default_hotpath_roots();
   std::vector<std::string> paths;
   std::string format = "text";
   std::string baseline_path;
   bool update_baseline = false;
-  bool apply_fixes = false;
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -167,58 +144,6 @@ int main(int argc, char** argv) {
       update_baseline = true;
       continue;
     }
-    if (arg == "--manifest" || arg == "--hotpath-roots") {
-      if (++i >= argc) {
-        std::cerr << "parva_audit: " << arg << " needs an argument\n";
-        return 2;
-      }
-      std::ifstream in(argv[i]);
-      if (!in) {
-        std::cerr << "parva_audit: cannot open " << arg.substr(2) << " file "
-                  << argv[i] << "\n";
-        return 2;
-      }
-      std::vector<std::string>& target =
-          arg == "--manifest" ? config.export_manifest : config.hotpath_roots;
-      target.clear();
-      std::string line;
-      while (std::getline(in, line)) {
-        const std::size_t start = line.find_first_not_of(" \t");
-        if (start == std::string::npos || line[start] == '#') continue;
-        const std::size_t end = line.find_last_not_of(" \t\r");
-        target.push_back(line.substr(start, end - start + 1));
-      }
-      continue;
-    }
-    if (arg == "--r11-alloc") {
-      config.r11_allocations = true;
-      continue;
-    }
-    if (arg == "--fix") {
-      apply_fixes = true;
-      continue;
-    }
-    if (arg == "--cache-dir") {
-      if (++i >= argc) {
-        std::cerr << "parva_audit: --cache-dir needs an argument\n";
-        return 2;
-      }
-      config.cache_dir = argv[i];
-      continue;
-    }
-    if (arg == "--jobs") {
-      if (++i >= argc) {
-        std::cerr << "parva_audit: --jobs needs an argument\n";
-        return 2;
-      }
-      const int jobs = std::atoi(argv[i]);
-      if (jobs < 0 || (jobs == 0 && std::string(argv[i]) != "0")) {
-        std::cerr << "parva_audit: --jobs needs a non-negative integer\n";
-        return 2;
-      }
-      config.jobs = static_cast<std::size_t>(jobs);
-      continue;
-    }
     if (!arg.empty() && arg[0] == '-') {
       std::cerr << "parva_audit: unknown option " << arg << "\n" << kUsage;
       return 2;
@@ -235,16 +160,10 @@ int main(int argc, char** argv) {
   }
 
   std::vector<std::string> errors;
-  parva::audit::CacheStats cache_stats;
   std::vector<parva::audit::Finding> findings =
-      parva::audit::audit_paths(paths, config, errors, &cache_stats);
+      parva::audit::audit_paths(paths, config, errors);
   for (const std::string& error : errors) {
     std::cerr << "parva_audit: " << error << "\n";
-  }
-  if (cache_stats.enabled) {
-    std::cerr << "parva_audit: cache " << (cache_stats.cold ? "cold" : "warm")
-              << ": analyzed " << cache_stats.analyzed << ", reused "
-              << cache_stats.reused << "\n";
   }
 
   if (update_baseline) {
@@ -277,45 +196,6 @@ int main(int argc, char** argv) {
                 << " (fixed findings; regenerate with --update-baseline)\n";
     }
     findings = std::move(result.fresh);
-  }
-
-  if (apply_fixes) {
-    // Applies to post-baseline findings only: accepted legacy findings are
-    // not silently rewritten out from under their baseline entries.
-    std::set<std::string> fix_files;
-    for (const parva::audit::Finding& f : findings) {
-      if (!f.fix_edits.empty()) fix_files.insert(f.file);
-    }
-    std::size_t fixed = 0;
-    std::size_t files_changed = 0;
-    for (const std::string& file : fix_files) {
-      std::ifstream in(file, std::ios::binary);
-      if (!in) {
-        std::cerr << "parva_audit: cannot open " << file << " for fixing\n";
-        continue;
-      }
-      std::ostringstream buffer;
-      buffer << in.rdbuf();
-      std::string content = buffer.str();
-      in.close();
-      const std::size_t n = parva::audit::apply_fix_edits(file, findings, content);
-      if (n == 0) continue;
-      std::ofstream out(file, std::ios::binary | std::ios::trunc);
-      if (!out) {
-        std::cerr << "parva_audit: cannot write " << file << "\n";
-        continue;
-      }
-      out << content;
-      fixed += n;
-      ++files_changed;
-    }
-    const std::size_t remaining = findings.size() - fixed;
-    std::cout << "parva_audit: fixed " << fixed << " finding"
-              << (fixed == 1 ? "" : "s") << " in " << files_changed << " file"
-              << (files_changed == 1 ? "" : "s") << "; " << remaining
-              << " not auto-fixable\n";
-    if (remaining != 0) return 1;
-    return errors.empty() ? 0 : 2;
   }
 
   if (format == "json") {

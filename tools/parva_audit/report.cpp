@@ -92,27 +92,7 @@ std::string format_findings_sarif(const std::vector<Finding>& findings) {
            "\", \"level\": \"error\", \"message\": {\"text\": \"" + json_escape(f.message) +
            "\"}, \"locations\": [{\"physicalLocation\": {\"artifactLocation\": {\"uri\": \"" +
            json_escape(f.file) + "\"}, \"region\": {\"startLine\": " +
-           std::to_string(f.line) + "}}}]";
-    if (!f.fix_edits.empty()) {
-      // SARIF `fixes`: one fix, one artifact change, N replacements. A
-      // zero-length deletedRegion (endColumn == startColumn) is an insert.
-      out += ", \"fixes\": [{\"description\": {\"text\": \"" +
-             json_escape(f.fix_description) +
-             "\"}, \"artifactChanges\": [{\"artifactLocation\": {\"uri\": \"" +
-             json_escape(f.file) + "\"}, \"replacements\": [";
-      for (std::size_t e = 0; e < f.fix_edits.size(); ++e) {
-        const FixEdit& edit = f.fix_edits[e];
-        if (e != 0) out += ", ";
-        out += "{\"deletedRegion\": {\"startLine\": " + std::to_string(edit.line) +
-               ", \"startColumn\": " + std::to_string(edit.column) +
-               ", \"endLine\": " + std::to_string(edit.line) +
-               ", \"endColumn\": " + std::to_string(edit.column + edit.length) +
-               "}, \"insertedContent\": {\"text\": \"" + json_escape(edit.text) +
-               "\"}}";
-      }
-      out += "]}]}]";
-    }
-    out += "}";
+           std::to_string(f.line) + "}}}]}";
     out += (i + 1 < findings.size()) ? ",\n" : "\n";
   }
   out +=

@@ -5,13 +5,9 @@
 #include <set>
 #include <sstream>
 
-#include "common/thread_pool.hpp"
-
 #include "audit.hpp"
-#include "cache.hpp"
 #include "callgraph.hpp"
 #include "dataflow.hpp"
-#include "fixits.hpp"
 #include "internal.hpp"
 #include "lexer.hpp"
 
@@ -280,6 +276,23 @@ void check_r5(const LexedFile& lexed, const std::string& path,
 
 using internal::rule_enabled;
 
+// Phase 2 over one already-lexed file: every per-file rule (R1-R8, R13,
+// R15), findings appended unsorted.
+void run_per_file_rules(const std::string& path, const std::string& content,
+                        const LexedFile& lexed, const AuditConfig& config,
+                        const SymbolIndex& index, std::vector<Finding>& findings) {
+  if (rule_enabled(config, "R1")) check_r1(lexed, path, findings);
+  if (rule_enabled(config, "R2")) check_r2(lexed, path, config, findings);
+  if (rule_enabled(config, "R3")) check_r3(lexed, path, findings);
+  if (rule_enabled(config, "R4")) check_r4(lexed, path, content, findings);
+  if (rule_enabled(config, "R5")) check_r5(lexed, path, findings);
+  if (rule_enabled(config, "R6")) internal::check_r6(lexed, path, index, findings);
+  if (rule_enabled(config, "R7")) internal::check_r7(lexed, path, findings);
+  if (rule_enabled(config, "R8")) internal::check_r8(lexed, path, findings);
+  if (rule_enabled(config, "R13")) internal::check_r13(lexed, path, index, findings);
+  if (rule_enabled(config, "R15")) internal::check_r15(lexed, path, findings);
+}
+
 }  // namespace
 
 namespace internal {
@@ -296,7 +309,7 @@ const std::vector<RuleInfo>& rule_catalog() {
       {"R1", "banned nondeterminism sources (rand, srand, std::random_device, "
              "time(nullptr), std::chrono::system_clock) outside src/common/rng.hpp"},
       {"R2", "no unordered_{map,set} iteration in exporter/CSV/fingerprint TUs "
-             "(path manifest; see --manifest)"},
+             "(path manifest)"},
       {"R3", "no mutable namespace-scope state in library code"},
       {"R4", "header hygiene: #pragma once, no `using namespace` in headers"},
       {"R5", "every memory_order_relaxed carries a nearby justification comment"},
@@ -310,8 +323,8 @@ const std::vector<RuleInfo>& rule_catalog() {
              "level through a call) is acyclic; cycles are potential deadlocks"},
       {"R10", "every Rng::stream tag is a named enumerator of the RngStreamTag "
               "registry (src/common/rng.hpp) with pairwise-distinct values"},
-      {"R11", "no blocking operation (locks, pool submit/wait, iostream/file I/O) "
-              "is transitively reachable from a hot-path root (--hotpath-roots)"},
+      {"R11", "no blocking operation (locks, pool submit/wait, iostream/file I/O, "
+              "std::{map,set} inserts) is transitively reachable from a hot-path root"},
       {"R12", "no unordered-container iteration transitively reachable from "
               "functions defined in export/fingerprint manifest files"},
       {"R13", "unit discipline: no mixed-unit arithmetic between quantity-"
@@ -368,30 +381,11 @@ std::vector<std::string> default_export_manifest() {
   };
 }
 
-namespace internal {
-
-void run_per_file_rules(const std::string& path, const std::string& content,
-                        const LexedFile& lexed, const AuditConfig& config,
-                        const SymbolIndex& index, std::vector<Finding>& findings) {
-  if (rule_enabled(config, "R1")) check_r1(lexed, path, findings);
-  if (rule_enabled(config, "R2")) check_r2(lexed, path, config, findings);
-  if (rule_enabled(config, "R3")) check_r3(lexed, path, findings);
-  if (rule_enabled(config, "R4")) check_r4(lexed, path, content, findings);
-  if (rule_enabled(config, "R5")) check_r5(lexed, path, findings);
-  if (rule_enabled(config, "R6")) internal::check_r6(lexed, path, index, findings);
-  if (rule_enabled(config, "R7")) internal::check_r7(lexed, path, findings);
-  if (rule_enabled(config, "R8")) internal::check_r8(lexed, path, findings);
-  if (rule_enabled(config, "R13")) check_r13(lexed, path, index, findings);
-  if (rule_enabled(config, "R15")) check_r15(lexed, path, findings);
-}
-
-}  // namespace internal
-
 std::vector<Finding> audit_file(const std::string& path, const std::string& content,
                                 const AuditConfig& config, const SymbolIndex& index) {
   const LexedFile lexed = lex(content);
   std::vector<Finding> findings;
-  internal::run_per_file_rules(path, content, lexed, config, index, findings);
+  run_per_file_rules(path, content, lexed, config, index, findings);
   std::sort(findings.begin(), findings.end());
   return findings;
 }
@@ -403,34 +397,25 @@ std::vector<Finding> audit_file(const std::string& path, const std::string& cont
 
 std::vector<Finding> audit_files(const std::vector<std::pair<std::string, std::string>>& files,
                                  const AuditConfig& config) {
-  // Phase 1: lex everything once (parallel under --jobs; slot-per-file so
-  // order is input order regardless of scheduling), then build the
-  // cross-file symbol index serially -- merge order is file order.
-  std::vector<LexedFile> lexed(files.size());
-  internal::for_each_index(files.size(), config.jobs, [&](std::size_t i) {
-    lexed[i] = lex(files[i].second);
-  });
+  // Phase 1: lex every file once and build the cross-file symbol index in
+  // file order.
+  std::vector<LexedFile> lexed;
+  lexed.reserve(files.size());
   SymbolIndex index;
-  for (std::size_t i = 0; i < lexed.size(); ++i) {
-    internal::scan_status_functions_into_index(lexed[i], index);
+  for (const auto& [path, content] : files) {
+    lexed.push_back(lex(content));
+    internal::scan_status_functions_into_index(lexed.back(), index);
     // Unit bindings cross TU boundaries only through headers; check_r13
     // re-scans each file locally for its own .cpp-level declarations.
-    if (internal::is_header_path(files[i].first)) {
-      internal::scan_unit_params_into_index(lexed[i], index);
+    if (internal::is_header_path(path)) {
+      internal::scan_unit_params_into_index(lexed.back(), index);
     }
   }
 
-  // Phase 2: per-file rules, each file into its own slot; concatenation in
-  // file order plus the final sort keeps findings independent of --jobs.
-  std::vector<std::vector<Finding>> per_file(files.size());
-  internal::for_each_index(files.size(), config.jobs, [&](std::size_t i) {
-    internal::run_per_file_rules(files[i].first, files[i].second, lexed[i], config,
-                                 index, per_file[i]);
-  });
+  // Phase 2: per-file rules in file order.
   std::vector<Finding> findings;
-  for (std::vector<Finding>& slot : per_file) {
-    findings.insert(findings.end(), std::make_move_iterator(slot.begin()),
-                    std::make_move_iterator(slot.end()));
+  for (std::size_t i = 0; i < files.size(); ++i) {
+    run_per_file_rules(files[i].first, files[i].second, lexed[i], config, index, findings);
   }
 
   // Phase 1.5 + 3/4: the call graph and the interprocedural rules, skipped
@@ -438,7 +423,6 @@ std::vector<Finding> audit_files(const std::vector<std::pair<std::string, std::s
   const bool graph_rules = rule_enabled(config, "R9") || rule_enabled(config, "R10") ||
                            rule_enabled(config, "R11") || rule_enabled(config, "R12") ||
                            rule_enabled(config, "R14");
-  std::vector<RngTagDef> rng_tags;
   if (graph_rules) {
     std::vector<std::pair<std::string, const LexedFile*>> graph_input;
     internal::LexedByFile by_file;
@@ -448,7 +432,6 @@ std::vector<Finding> audit_files(const std::vector<std::pair<std::string, std::s
       by_file[files[i].first] = &lexed[i];
     }
     const CallGraph graph = build_call_graph(graph_input);
-    rng_tags = graph.rng_tags;
     if (rule_enabled(config, "R9")) internal::check_r9(graph, by_file, findings);
     if (rule_enabled(config, "R10")) internal::check_r10(graph, by_file, findings);
     if (rule_enabled(config, "R11")) internal::check_r11(graph, config, by_file, findings);
@@ -457,20 +440,12 @@ std::vector<Finding> audit_files(const std::vector<std::pair<std::string, std::s
   }
 
   std::sort(findings.begin(), findings.end());
-  attach_fixits(files, rng_tags, findings);
   return findings;
 }
 
 std::vector<Finding> audit_paths(const std::vector<std::string>& paths,
                                  const AuditConfig& config,
                                  std::vector<std::string>& errors) {
-  return audit_paths(paths, config, errors, nullptr);
-}
-
-std::vector<Finding> audit_paths(const std::vector<std::string>& paths,
-                                 const AuditConfig& config,
-                                 std::vector<std::string>& errors,
-                                 CacheStats* stats) {
   namespace fs = std::filesystem;
   static const std::set<std::string> kExtensions = {".cpp", ".cc", ".cxx", ".hpp",
                                                     ".h",   ".hh", ".hxx", ".ipp"};
@@ -512,40 +487,8 @@ std::vector<Finding> audit_paths(const std::vector<std::string>& paths,
     contents.emplace_back(file, buffer.str());
   }
 
-  // The cache manifest is keyed per scan set (the sorted roots), so
-  // lint.sh's distinct scans (src/, tools/, tree) never evict each other.
-  if (!config.cache_dir.empty()) {
-    std::vector<std::string> roots;
-    roots.reserve(paths.size());
-    for (const std::string& p : paths) roots.push_back(normalize(p));
-    std::sort(roots.begin(), roots.end());
-    roots.erase(std::unique(roots.begin(), roots.end()), roots.end());
-    std::string scan_key;
-    for (const std::string& r : roots) {
-      if (!scan_key.empty()) scan_key += ';';
-      scan_key += r;
-    }
-    return internal::audit_files_cached(scan_key, contents, config, stats);
-  }
-  if (stats != nullptr) *stats = CacheStats{};
-
   // Phases 1, 1.5, 2 and 3/4 over the in-memory scan set.
   return audit_files(contents, config);
 }
-
-namespace internal {
-
-void for_each_index(std::size_t n, std::size_t jobs,
-                    const std::function<void(std::size_t)>& fn) {
-  if (n == 0) return;
-  if (jobs == 1 || n == 1) {
-    for (std::size_t i = 0; i < n; ++i) fn(i);
-    return;
-  }
-  parva::ThreadPool pool(jobs);
-  pool.parallel_for(n, fn);
-}
-
-}  // namespace internal
 
 }  // namespace parva::audit
