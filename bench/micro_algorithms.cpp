@@ -1,11 +1,13 @@
 // google-benchmark microbenchmarks of the building blocks: MIG geometry
 // enumeration, the Segment Configurator, the Segment Allocator stages, the
-// end-to-end schedulers, deploying and repairing a fleet, and the
-// discrete-event simulator throughput.
+// end-to-end schedulers, deploying and repairing a fleet, the
+// discrete-event simulator throughput, and its arrival scheduler.
 #include <benchmark/benchmark.h>
 
 #include <map>
 #include <memory>
+#include <numeric>
+#include <vector>
 
 #include "core/allocator.hpp"
 #include "core/configurator.hpp"
@@ -15,6 +17,7 @@
 #include "profiler/profiler.hpp"
 #include "scenarios/experiment.hpp"
 #include "serving/cluster_sim.hpp"
+#include "serving/shard_engine.hpp"
 
 namespace {
 
@@ -168,6 +171,31 @@ void BM_ClusterSimulationS2(benchmark::State& state) {
                                                   benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_ClusterSimulationS2)->Unit(benchmark::kMillisecond);
+
+// One shard's arrival selection under the DES pattern: take the earliest
+// pending service, then re-arm it one exponential gap later (retiring it
+// first, as the engine does). The sizes are the per-shard service counts of
+// a Table-IV fleet (11) and of S5 x70 / x150 over 4 shards (192, 413).
+void BM_ArrivalStreams(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  std::vector<std::size_t> indices(n);
+  std::iota(indices.begin(), indices.end(), std::size_t{0});
+  constexpr std::size_t kGaps = 4096;  // drawn up front, outside the timing
+  Rng rng(11);
+  std::vector<double> gaps(kGaps);
+  for (double& gap : gaps) gap = rng.exponential(1.0 / static_cast<double>(n));
+  serving::ArrivalStreams streams(indices);
+  for (std::size_t s = 0; s < n; ++s) streams.arm(s, gaps[s]);
+  std::size_t step = 0;
+  for (auto _ : state) {
+    const std::size_t s = streams.earliest();
+    const double now = streams.time(s);
+    streams.retire(s);
+    streams.arm(s, now + gaps[step++ % kGaps]);
+  }
+  benchmark::DoNotOptimize(streams.earliest());
+}
+BENCHMARK(BM_ArrivalStreams)->Arg(11)->Arg(192)->Arg(413);
 
 }  // namespace
 

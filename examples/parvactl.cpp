@@ -30,8 +30,10 @@
 //   $ parvactl profile --models resnet-50,vgg-19 --out /tmp/profiles.csv
 //   $ parvactl schedule --services my_services.csv
 //   $ parvactl simulate --scenario S2 --inject-fault gpu=0@t=10000
+#include <cmath>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <sstream>
 
@@ -70,7 +72,8 @@ int usage() {
   return 2;
 }
 
-/// Parses the --inject-fault spec "gpu=K@t=MS" (t in simulated ms).
+/// Parses the --inject-fault spec "gpu=K@t=MS" (t in simulated ms): K is
+/// a whole number in [0, INT_MAX], MS a finite non-negative number.
 bool parse_fault_spec(const std::string& spec, gpu::GpuFailureEvent* out) {
   int gpu_index = -1;
   double at_ms = -1.0;
@@ -78,12 +81,16 @@ bool parse_fault_spec(const std::string& spec, gpu::GpuFailureEvent* out) {
     const auto kv = split(trim(part), '=');
     if (kv.size() != 2) return false;
     const auto key = trim(kv[0]);
-    double value = 0.0;
-    if (!parse_double(trim(kv[1]), value)) return false;
+    const auto value = trim(kv[1]);
     if (key == "gpu") {
-      gpu_index = static_cast<int>(value);
+      unsigned long long gpu = 0;
+      if (!parse_uint(value, gpu) ||
+          gpu > static_cast<unsigned long long>(std::numeric_limits<int>::max())) {
+        return false;
+      }
+      gpu_index = static_cast<int>(gpu);
     } else if (key == "t") {
-      at_ms = value;
+      if (!parse_double(value, at_ms) || !std::isfinite(at_ms)) return false;
     } else {
       return false;
     }
@@ -242,8 +249,14 @@ int cmd_simulate(const CliArgs& args) {
 
   double value = 0.0;
   gpu::FaultPlan fault_plan;
-  if (args.has("seed") && parse_double(args.get("seed", ""), value)) {
-    fault_plan.seed = static_cast<std::uint64_t>(value);
+  if (args.has("seed")) {
+    unsigned long long seed = 0;
+    if (!parse_uint(args.get("seed", ""), seed)) {
+      std::cerr << "bad --seed '" << args.get("seed", "")
+                << "' (want a non-negative integer)\n";
+      return 1;
+    }
+    fault_plan.seed = seed;
   }
   if (args.has("transient-p")) {
     if (!parse_double(args.get("transient-p", ""), value) || value < 0.0 || value > 1.0) {
@@ -268,10 +281,15 @@ int cmd_simulate(const CliArgs& args) {
 
   serving::SimulationOptions options;
   options.seed = fault_plan.seed;
-  if (args.has("duration-ms") && parse_double(args.get("duration-ms", ""), value)) {
+  options.duration_ms = 28'000.0;
+  if (args.has("duration-ms")) {
+    if (!parse_double(args.get("duration-ms", ""), value) || !std::isfinite(value) ||
+        value <= 0.0) {
+      std::cerr << "bad --duration-ms '" << args.get("duration-ms", "")
+                << "' (want a finite positive number)\n";
+      return 1;
+    }
     options.duration_ms = value;
-  } else {
-    options.duration_ms = 28'000.0;
   }
   options.warmup_ms = 2'000.0;
   options.timeline_bucket_ms = 2'000.0;

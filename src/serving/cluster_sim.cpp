@@ -30,6 +30,14 @@ constexpr double kNever = std::numeric_limits<double>::infinity();
 // (see shard_engine.hpp: sub = (global unit + 1) << 20 | emission).
 constexpr unsigned kSubEmissionBits = 20;
 
+// kBursty arrival shaping (DESIGN.md §4.7): a gap draws the boosted rate
+// `rate * kBurstFactor` with probability kBurstProb, else the slow rate
+// `rate * kBurstSlow`, chosen so the two-phase mixture keeps the offered
+// rate: E[gap] = p/(r*f) + (1-p)/(r*slow) = 1/r.
+constexpr double kBurstFactor = 6.0;
+constexpr double kBurstProb = 0.2;
+constexpr double kBurstSlow = (1.0 - kBurstProb) / (1.0 - kBurstProb / kBurstFactor);
+
 struct Request {
   int service_id = -1;
   double arrival_ms = 0.0;
@@ -172,11 +180,6 @@ struct RunConfig {
   bool record_batch_events = false;  ///< EventLog batch records requested
   /// Generative-LLM policies (admission/eviction/dispatch, chunking).
   LlmSimOptions llm;
-  /// kBursty arrival shaping; burst_slow is derived once so the burst/slow
-  /// exponential mixture preserves the offered rate.
-  double burst_prob = 0.0;
-  double burst_factor = 1.0;
-  double burst_slow = 1.0;
 };
 
 double ms_since(std::chrono::steady_clock::time_point t0) {
@@ -229,18 +232,16 @@ struct Shard {
   std::size_t events_processed = 0;
   double busy_ms = 0.0;  ///< wall-clock spent advancing this shard
 
-  bool idle() const { return arrival_svc == svc_global.size() && events.empty(); }
-
   double next_gap_ms(std::size_t s) {
     if (cfg->arrivals == ArrivalProcess::kPoisson) {
       return arrival_rng[s].exponential(svc_rate[s] / 1000.0);
     }
     if (cfg->arrivals == ArrivalProcess::kBursty) {
       // Two-phase exponential mixture: a boosted burst rate with
-      // probability burst_prob, else a compensating slow rate — the mean
+      // probability kBurstProb, else a compensating slow rate — the mean
       // gap matches the offered rate (DESIGN.md §4.7).
       const double u = arrival_rng[s].next_double();
-      const double factor = u < cfg->burst_prob ? cfg->burst_factor : cfg->burst_slow;
+      const double factor = u < kBurstProb ? kBurstFactor : kBurstSlow;
       return arrival_rng[s].exponential(svc_rate[s] * factor / 1000.0);
     }
     return paced_gap_ms[s];
@@ -951,7 +952,12 @@ double SimulationResult::worst_compliance() const {
 }
 
 SimulationResult ClusterSimulation::run(const SimulationOptions& options) const {
-  PARVA_REQUIRE(options.duration_ms > 0.0, "duration must be positive");
+  PARVA_REQUIRE(std::isfinite(options.duration_ms) && options.duration_ms > 0.0,
+                "duration must be finite and positive");
+  PARVA_REQUIRE(std::isfinite(options.warmup_ms) && options.warmup_ms >= 0.0,
+                "warm-up must be finite and non-negative");
+  PARVA_REQUIRE(std::isfinite(options.timeline_bucket_ms) && options.timeline_bucket_ms >= 0.0,
+                "timeline bucket must be finite and non-negative");
   PARVA_REQUIRE(options.shards >= 1, "shard count must be >= 1");
   const double horizon_ms = options.warmup_ms + options.duration_ms;
   const std::size_t service_count = services_.size();
@@ -965,17 +971,6 @@ SimulationResult ClusterSimulation::run(const SimulationOptions& options) const 
   cfg.arrivals = options.arrivals;
   PARVA_REQUIRE(options.llm.decode_chunk_tokens > 0, "decode chunk must be positive");
   cfg.llm = options.llm;
-  if (options.arrivals == ArrivalProcess::kBursty) {
-    PARVA_REQUIRE(options.burst_factor > 1.0, "burst factor must exceed 1");
-    PARVA_REQUIRE(options.burst_prob > 0.0 && options.burst_prob < 1.0,
-                  "burst probability must be in (0, 1)");
-    cfg.burst_prob = options.burst_prob;
-    cfg.burst_factor = options.burst_factor;
-    // Slow-phase rate multiplier chosen so the two-phase mixture keeps the
-    // offered rate: E[gap] = p/(r*f) + (1-p)/(r*slow) = 1/r.
-    cfg.burst_slow =
-        (1.0 - options.burst_prob) / (1.0 - options.burst_prob / options.burst_factor);
-  }
   if (options.timeline_bucket_ms > 0.0) {
     cfg.timeline_buckets = static_cast<std::size_t>(
         std::ceil(options.duration_ms / options.timeline_bucket_ms));
@@ -991,6 +986,11 @@ SimulationResult ClusterSimulation::run(const SimulationOptions& options) const 
   };
   std::vector<FaultDelivery> faults;
   if (options.fault_plan != nullptr) {
+    // A NaN time would break the sort's strict weak order.
+    for (const gpu::GpuFailureEvent& failure : options.fault_plan->gpu_failures) {
+      PARVA_REQUIRE(std::isfinite(failure.at_ms) && failure.at_ms >= 0.0,
+                    "fault time must be finite and non-negative");
+    }
     const auto sorted = options.fault_plan->sorted_gpu_failures();
     for (std::size_t i = 0; i < sorted.size(); ++i) {
       if (sorted[i].at_ms > horizon_ms) continue;
@@ -1209,7 +1209,7 @@ SimulationResult ClusterSimulation::run(const SimulationOptions& options) const 
 
     // Seed the first arrival of every service (random phase; the phase
     // draw precedes any gap draw on the service's stream).
-    shard.arrivals = ArrivalStreams(shard.svc_global, options.arrival_scheduler);
+    shard.arrivals = ArrivalStreams(shard.svc_global);
     for (std::size_t ls = 0; ls < local_services; ++ls) {
       if (shard.svc_rate[ls] <= 0.0 ||
           shard.svc_unit_off[ls + 1] == shard.svc_unit_off[ls]) {
@@ -1246,9 +1246,7 @@ SimulationResult ClusterSimulation::run(const SimulationOptions& options) const 
   // units of services on different shards), and the fault schedule is
   // static — so the next undelivered failure's canonical key is an *exact*
   // conservative bound: every shard can safely process all events that
-  // precede it. shard_window_ms > 0 adds forced lockstep barriers on top
-  // (the general conservative protocol), which must not — and, by the
-  // differential tests, does not — change any output.
+  // precede it.
   ThreadPool* pool = options.shard_pool;
   auto run_window = [&](double bound_ms, std::uint64_t bound_seq) {
     if (pool != nullptr && shard_count > 1) {
@@ -1258,38 +1256,11 @@ SimulationResult ClusterSimulation::run(const SimulationOptions& options) const 
       for (Shard& shard : shards) shard.advance(bound_ms, bound_seq);
     }
   };
-  auto all_idle = [&]() {
-    for (const Shard& shard : shards) {
-      if (!shard.idle()) return false;
-    }
-    return true;
-  };
 
   SimulationResult result;
   std::vector<BufferedRecord> coordinator_records;
-  std::size_t fault_events = 0;
-  std::size_t next_fault = 0;
-  double window_end = options.shard_window_ms;
-  while (true) {
-    const bool have_fault = next_fault < faults.size();
-    double bound_ms = have_fault ? faults[next_fault].at_ms : kNever;
-    std::uint64_t bound_seq = have_fault ? faults[next_fault].seq : 0;
-    bool forced = false;
-    if (options.shard_window_ms > 0.0 && window_end < bound_ms && !all_idle()) {
-      bound_ms = window_end;
-      bound_seq = 0;
-      forced = true;
-    }
-    run_window(bound_ms, bound_seq);
-    if (forced) {
-      // Monotonic window stepping by a constant, not a reduction.
-      // parva-audit: allow(R14): order is the window order by construction.
-      window_end += options.shard_window_ms;
-      continue;
-    }
-    if (!have_fault) break;  // drained to the horizon with nothing pending
-    const FaultDelivery& fault = faults[next_fault++];
-    ++fault_events;  // the coordinator processes each failure exactly once
+  for (const FaultDelivery& fault : faults) {
+    run_window(fault.at_ms, fault.seq);
     if (result.failure_at_ms < 0.0) result.failure_at_ms = fault.at_ms;
     if (cfg.buffer_records) {
       coordinator_records.push_back({fault.at_ms, fault.seq, 0,
@@ -1297,10 +1268,11 @@ SimulationResult ClusterSimulation::run(const SimulationOptions& options) const 
     }
     for (Shard& shard : shards) shard.apply_failure(fault.gpu, fault.at_ms, fault.seq);
   }
+  run_window(kNever, 0);  // drain to the horizon
 
   // ----- Merge: every aggregate is either per-service / per-unit (owned by
   // exactly one shard, copied into its global slot) or an order-free sum.
-  std::size_t events_processed = fault_events;
+  std::size_t events_processed = faults.size();  // one per delivered failure
   result.shard_events.resize(shard_count);
   result.shard_busy_ms.resize(shard_count);
   result.services.resize(service_count);

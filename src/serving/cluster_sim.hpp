@@ -60,8 +60,8 @@ namespace parva::serving {
 /// "specified request rate" (a paced load generator), which kDeterministic
 /// models; kPoisson adds open-loop burstiness for robustness studies.
 /// kBursty models streaming chat traffic: each gap is exponential at
-/// either a boosted burst rate (probability `burst_prob`) or a compensating
-/// slow rate, preserving the offered rate overall (DESIGN.md §4.7).
+/// either a boosted burst rate or a compensating slow rate, preserving the
+/// offered rate overall (constants in cluster_sim.cpp, DESIGN.md §4.7).
 enum class ArrivalProcess { kDeterministic, kPoisson, kBursty };
 
 /// A unit that starts dormant and comes up mid-run (a repair replacement).
@@ -111,33 +111,10 @@ struct SimulationOptions {
   /// participates), so this may be the very pool run() was submitted to.
   ThreadPool* shard_pool = nullptr;
 
-  /// How each shard schedules its pending arrivals (DESIGN.md §4.6).
-  /// kAuto picks the tournament tree strictly above
-  /// kArrivalTournamentThreshold local services and the flat scan at or
-  /// below it (exactly 16 local services → flat scan); forcing either
-  /// changes per-event cost only — outputs are byte-identical for every
-  /// value (tests/serving/arrival_scheduler_test.cpp).
-  ArrivalSchedulerKind arrival_scheduler = ArrivalSchedulerKind::kAuto;
-
-  /// Forces lockstep window barriers every `shard_window_ms` of simulated
-  /// time in addition to the barriers at cross-shard events. 0 (default)
-  /// lets windows extend conservatively to the next scheduled cross-shard
-  /// event: with today's event set (static fault/activation schedules)
-  /// that bound is exact, so the engine barriers only when it must. Tests
-  /// force small windows to exercise the barrier path; outputs are
-  /// byte-identical either way.
-  double shard_window_ms = 0.0;
-
   /// Generative-LLM execution policies (DESIGN.md §4.7). Only services
   /// carrying a core::LlmWorkload engage them; fixed-latency services are
   /// byte-identically unaffected by every setting.
   LlmSimOptions llm;
-
-  /// kBursty arrival shaping: gaps draw the boosted rate
-  /// `rate * burst_factor` with probability `burst_prob`, otherwise a slow
-  /// rate chosen so the mean gap still matches the offered rate.
-  double burst_factor = 6.0;
-  double burst_prob = 0.2;
 };
 
 /// Per-service outcome.

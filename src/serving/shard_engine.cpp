@@ -4,6 +4,7 @@
 #include <bit>
 #include <limits>
 #include <numeric>
+#include <utility>
 
 namespace parva::serving {
 
@@ -56,84 +57,57 @@ std::vector<BufferedRecord> merge_records(
   return merged;
 }
 
-ArrivalStreams::ArrivalStreams(const std::vector<std::size_t>& service_indices,
-                               ArrivalSchedulerKind kind)
-    : time_(service_indices.size(), std::numeric_limits<double>::infinity()),
-      seq_(service_indices.size(), 0) {
+ArrivalStreams::ArrivalStreams(const std::vector<std::size_t>& service_indices)
+    : leaf_base_(std::bit_ceil(std::max<std::size_t>(service_indices.size(), 1))) {
+  // Every leaf, spare ones included, starts retired; the first earliest()
+  // builds the tree (stale_ starts true).
+  time_.assign(leaf_base_, std::numeric_limits<double>::infinity());
+  seq_.assign(leaf_base_, 0);
+  loser_.assign(leaf_base_, 0);
   streams_.reserve(service_indices.size());
   for (const std::size_t global : service_indices) {
     streams_.emplace_back(arrival_stream_id(global));
   }
-  const std::size_t n = service_indices.size();
-  kind_ = kind;
-  if (kind_ == ArrivalSchedulerKind::kAuto) {
-    kind_ = n > kArrivalTournamentThreshold ? ArrivalSchedulerKind::kTournament
-                                            : ArrivalSchedulerKind::kFlatScan;
-  }
-  if (kind_ == ArrivalSchedulerKind::kTournament) {
-    // Complete binary tournament over bit_ceil(n) leaves; the spare leaves
-    // (and every empty slot) hold kNoSlot, which loses every match. All
-    // slots start retired, so the whole tree starts at kNoSlot.
-    leaf_base_ = std::bit_ceil(std::max<std::size_t>(n, 1));
-    tree_.assign(2 * leaf_base_, kNoSlot);
-  }
 }
 
-std::uint32_t ArrivalStreams::play(std::uint32_t a, std::uint32_t b) const {
-  if (a == kNoSlot) return b;
-  if (b == kNoSlot) return a;
-  if (time_[a] != time_[b]) return time_[a] < time_[b] ? a : b;
-  if (seq_[a] != seq_[b]) return seq_[a] < seq_[b] ? a : b;
-  return a;  // equal keys: both retired (time == inf), unobservable choice
+std::uint32_t ArrivalStreams::play_subtree(std::size_t node) {
+  if (node >= leaf_base_) return static_cast<std::uint32_t>(node - leaf_base_);
+  std::uint32_t winner = play_subtree(2 * node);
+  std::uint32_t loser = play_subtree(2 * node + 1);
+  if (beats(loser, winner)) std::swap(winner, loser);
+  loser_[node] = loser;
+  return winner;
 }
 
-void ArrivalStreams::replay_matches(std::size_t s) {
-  std::size_t node = leaf_base_ + s;
-  while (node > 1) {
-    node /= 2;
-    tree_[node] = play(tree_[2 * node], tree_[2 * node + 1]);
+void ArrivalStreams::replay_matches() {
+  // The champion won every match on its path, so each node there holds the
+  // best of the sibling subtree: one comparison per level re-decides it.
+  std::uint32_t winner = champion_;
+  for (std::size_t node = (leaf_base_ + winner) / 2; node >= 1; node /= 2) {
+    if (beats(loser_[node], winner)) std::swap(loser_[node], winner);
   }
+  champion_ = winner;
 }
 
 void ArrivalStreams::arm(std::size_t s, double time_ms) {
   time_[s] = time_ms;
   seq_[s] = streams_[s].next();
-  if (kind_ == ArrivalSchedulerKind::kTournament) {
-    tree_[leaf_base_ + s] = static_cast<std::uint32_t>(s);
-    replay_matches(s);
-  }
+  touch(s);
 }
 
 void ArrivalStreams::retire(std::size_t s) {
   time_[s] = std::numeric_limits<double>::infinity();
-  if (kind_ == ArrivalSchedulerKind::kTournament) {
-    tree_[leaf_base_ + s] = kNoSlot;
-    replay_matches(s);
-  }
+  touch(s);
 }
 
-std::size_t ArrivalStreams::scan_earliest() const {
-  const std::size_t n = time_.size();
-  std::size_t best = n;
-  double best_time = std::numeric_limits<double>::infinity();
-  for (std::size_t s = 0; s < n; ++s) {
-    if (time_[s] < best_time) {
-      best_time = time_[s];
-      best = s;
-    }
+std::size_t ArrivalStreams::earliest() {
+  if (stale_) {
+    champion_ = play_subtree(1);
+    stale_ = false;
+  } else {
+    replay_matches();
   }
-  if (best == n) return best;
-  for (std::size_t s = best + 1; s < n; ++s) {
-    if (time_[s] == best_time && seq_[s] < seq_[best]) best = s;
-  }
-  return best;
-}
-
-std::size_t ArrivalStreams::earliest() const {
-  if (kind_ != ArrivalSchedulerKind::kTournament) return scan_earliest();
-  if (time_.empty()) return 0;
-  const std::uint32_t champion = tree_[1];
-  return champion == kNoSlot ? time_.size() : champion;
+  return time_[champion_] == std::numeric_limits<double>::infinity() ? size() : champion_;
 }
 
 }  // namespace parva::serving

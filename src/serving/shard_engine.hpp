@@ -136,33 +136,6 @@ std::vector<BufferedRecord> merge_records(std::vector<std::vector<BufferedRecord
 // Per-service arrival streams.
 // ---------------------------------------------------------------------------
 
-/// How ArrivalStreams finds its earliest pending slot.
-enum class ArrivalSchedulerKind : std::uint8_t {
-  /// Pick by size(): tournament strictly above kArrivalTournamentThreshold
-  /// services, flat scan at or below it — exactly 16 local services still
-  /// takes the flat scan (where the slot array fits in a cache line or two
-  /// and the tree's update walk buys nothing).
-  kAuto,
-  /// O(size) argmin scan over the slots. The original implementation,
-  /// kept as the differential oracle for the tournament tree and as the
-  /// small-shard fast path.
-  kFlatScan,
-  /// Index-stable loser-style tournament tree over the slots: O(log size)
-  /// arm/retire, O(1) earliest. Selects the same winner as the flat scan
-  /// bit-for-bit (lexicographic (time, seq) min; keys are unique across
-  /// live slots because each service owns its stream id).
-  kTournament,
-};
-
-/// kAuto boundary: at or below this many local services the flat scan wins
-/// (the whole slot array is a couple of cache lines); strictly above it the
-/// scan is the per-event bottleneck and the tree takes over. A shard with
-/// zero local services (shards > services) builds a valid sentinel-only
-/// structure under either scheduler: earliest() == size() == 0. Both sides
-/// stay exercised by the differential battery regardless of which one kAuto
-/// picks.
-inline constexpr std::size_t kArrivalTournamentThreshold = 16;
-
 /// The next pending arrival of one service: each service has at most one
 /// outstanding arrival, so a (time, key) slot per service replaces heap
 /// traffic entirely. Keys come from the service's own canonical stream, so
@@ -170,25 +143,29 @@ inline constexpr std::size_t kArrivalTournamentThreshold = 16;
 /// global engine or a shard — the regression contract of
 /// tests/serving/seq_stability_test.cpp.
 ///
-/// Slot selection is either a flat argmin scan or a tournament tree
-/// (ArrivalSchedulerKind): a complete binary tournament whose leaves are
-/// the slots and whose internal nodes hold the winner — the slot with the
-/// lexicographically least (time, seq) — of their subtree. Re-arming or
-/// retiring slot s replays only the log2(size) matches on s's leaf-to-root
-/// path, and earliest() reads the root. Winner selection is byte-identical
-/// to the flat argmin: (time, seq) pairs are unique across pending slots,
-/// so the lexicographic min IS the min-time-then-min-seq slot
-/// (tests/serving/arrival_scheduler_test.cpp fuzzes the equivalence,
-/// equal-time ties included).
+/// Slot selection is a loser tree (DESIGN.md §4.6): a complete binary
+/// tournament over bit_ceil(size) leaves in heap layout, where internal
+/// node i keeps the LOSER of the match played there and the champion — the
+/// slot with the lexicographically least (time, seq) — is kept apart.
+/// Spare leaves past size() are slots that stay retired (time = ∞), and a
+/// retired champion means nothing is pending. The DES only ever changes
+/// the champion's slot (it processes the earliest arrival, then retires or
+/// re-arms that service), so earliest() replays the champion's
+/// leaf-to-root path once, one comparison per level, however often the
+/// champion changed since the last call. Changing any other slot marks
+/// the tree stale, and earliest() rebuilds it bottom-up in O(size).
+/// Selection is byte-identical to a flat argmin: (time, seq) pairs are
+/// unique across pending slots, so the lexicographic min IS the
+/// min-time-then-min-seq slot (tests/serving/arrival_scheduler_test.cpp
+/// checks it against that oracle, equal-time ties included).
 class ArrivalStreams {
  public:
   /// An empty set of streams (a shard before its services are bound).
-  ArrivalStreams() = default;
+  ArrivalStreams() : ArrivalStreams(std::vector<std::size_t>{}) {}
 
   /// `service_indices[i]` is the global index of local service i (global
   /// indices feed stream ids; local indices feed slot selection).
-  explicit ArrivalStreams(const std::vector<std::size_t>& service_indices,
-                          ArrivalSchedulerKind kind = ArrivalSchedulerKind::kAuto);
+  explicit ArrivalStreams(const std::vector<std::size_t>& service_indices);
 
   /// Arms local service `s` to arrive at `time_ms`, drawing the next
   /// canonical key of its stream.
@@ -198,38 +175,39 @@ class ArrivalStreams {
   /// or when it fell past the horizon).
   void retire(std::size_t s);
 
-  std::size_t size() const { return time_.size(); }
+  std::size_t size() const { return streams_.size(); }
   double time(std::size_t s) const { return time_[s]; }
   std::uint64_t seq(std::size_t s) const { return seq_[s]; }
   /// Canonical keys this service's stream has issued so far.
   std::uint64_t issued(std::size_t s) const { return streams_[s].issued(); }
-  /// The scheduler actually in use (kAuto resolved at construction).
-  ArrivalSchedulerKind kind() const { return kind_; }
 
   /// Local index of the earliest pending arrival by (time, seq), or size()
   /// when none is pending.
-  std::size_t earliest() const;
+  std::size_t earliest();
 
  private:
-  /// Replays the tournament matches on slot s's leaf-to-root path.
-  void replay_matches(std::size_t s);
-  /// Winner of a match: the lexicographically least (time, seq) slot;
-  /// kNoSlot loses to everything, equal keys (only possible between
-  /// retired slots, whose choice earliest() never observes) go left.
-  std::uint32_t play(std::uint32_t a, std::uint32_t b) const;
-  std::size_t scan_earliest() const;
+  /// Replays the champion's matches on its leaf-to-root path.
+  void replay_matches();
+  /// Plays every match below `node` afresh; returns the subtree's winner.
+  std::uint32_t play_subtree(std::size_t node);
+  /// True when slot a wins a match against slot b: strictly less (time, seq).
+  bool beats(std::uint32_t a, std::uint32_t b) const {
+    return time_[a] < time_[b] || (time_[a] == time_[b] && seq_[a] < seq_[b]);
+  }
+  /// Arming or retiring slot s; only the champion may change cheaply.
+  void touch(std::size_t s) { stale_ = stale_ || s != champion_; }
 
-  static constexpr std::uint32_t kNoSlot = ~std::uint32_t{0};
-
-  ArrivalSchedulerKind kind_ = ArrivalSchedulerKind::kFlatScan;
+  /// Per leaf, so spare leaves are ordinary never-armed slots.
   std::vector<double> time_;
   std::vector<std::uint64_t> seq_;
   std::vector<SeqStream> streams_;
-  /// Tournament nodes, heap layout: tree_[1] is the champion, node i plays
-  /// tree_[2i] vs tree_[2i+1], leaves are tree_[leaf_base_ + s]. Empty in
-  /// kFlatScan mode.
-  std::vector<std::uint32_t> tree_;
-  std::size_t leaf_base_ = 0;
+  /// loser_[i] (1 <= i < leaf_base_) is the loser of node i's match; node
+  /// i plays the winners of nodes 2i and 2i+1, and leaf s is node
+  /// leaf_base_ + s.
+  std::vector<std::uint32_t> loser_;
+  std::size_t leaf_base_ = 1;
+  std::uint32_t champion_ = 0;
+  bool stale_ = true;
 };
 
 }  // namespace parva::serving

@@ -1,16 +1,17 @@
-// Differential battery for the tournament-tree arrival scheduler
-// (DESIGN.md §4.6): the tree must select byte-identical winners to the
-// flat argmin scan it replaced, for any arm/retire sequence — equal-time
-// seq tie-breaks included — and forcing either implementation through a
-// full simulation must not move a single output bit.
+// Differential battery for the loser-tree arrival scheduler (DESIGN.md
+// §4.6): the tree must select byte-identical winners to a flat argmin scan
+// over the same slots, for any arm/retire sequence — equal-time seq
+// tie-breaks included — both for arbitrary-slot schedules (the rebuild
+// path) and for the engine's own earliest-only pattern (the champion
+// replay path).
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "core/parvagpu.hpp"
-#include "gpu/fault_plan.hpp"
 #include "serving/cluster_sim.hpp"
 #include "serving/shard_engine.hpp"
 #include "tests/core/test_support.hpp"
@@ -27,55 +28,43 @@ std::vector<std::size_t> iota_indices(std::size_t n) {
   return indices;
 }
 
-TEST(ArrivalSchedulerTest, AutoSelectsByServiceCount) {
-  EXPECT_EQ(ArrivalStreams(iota_indices(kArrivalTournamentThreshold)).kind(),
-            ArrivalSchedulerKind::kFlatScan);
-  EXPECT_EQ(ArrivalStreams(iota_indices(kArrivalTournamentThreshold + 1)).kind(),
-            ArrivalSchedulerKind::kTournament);
-  // Forcing overrides the count on both sides of the threshold.
-  EXPECT_EQ(ArrivalStreams(iota_indices(2), ArrivalSchedulerKind::kTournament).kind(),
-            ArrivalSchedulerKind::kTournament);
-  EXPECT_EQ(ArrivalStreams(iota_indices(100), ArrivalSchedulerKind::kFlatScan).kind(),
-            ArrivalSchedulerKind::kFlatScan);
-}
-
-TEST(ArrivalSchedulerTest, AutoBoundaryIsExactlyThreshold) {
-  // The §4.6 contract, pinned one-past on each side: the tournament engages
-  // STRICTLY above the threshold. Exactly 16 local services (a power of
-  // two, so an off-by-one here would still build a well-formed tree and
-  // hide) must take the flat scan, and the boundary must track the
-  // constant, not a hard-coded 16.
-  static_assert(kArrivalTournamentThreshold == 16,
-                "DESIGN.md §4.6 documents threshold 16; update it with this constant");
-  EXPECT_EQ(ArrivalStreams(iota_indices(kArrivalTournamentThreshold - 1)).kind(),
-            ArrivalSchedulerKind::kFlatScan);
-  EXPECT_EQ(ArrivalStreams(iota_indices(kArrivalTournamentThreshold)).kind(),
-            ArrivalSchedulerKind::kFlatScan);
-  EXPECT_EQ(ArrivalStreams(iota_indices(kArrivalTournamentThreshold + 1)).kind(),
-            ArrivalSchedulerKind::kTournament);
+/// The oracle: O(size) argmin over the slots by (time, seq), or size() when
+/// none is pending. This was the engine's small-shard path before the loser
+/// tree replaced it.
+std::size_t flat_earliest(const ArrivalStreams& streams) {
+  const std::size_t n = streams.size();
+  std::size_t best = n;
+  double best_time = std::numeric_limits<double>::infinity();
+  for (std::size_t s = 0; s < n; ++s) {
+    if (streams.time(s) < best_time) {
+      best_time = streams.time(s);
+      best = s;
+    }
+  }
+  if (best == n) return best;
+  for (std::size_t s = best + 1; s < n; ++s) {
+    if (streams.time(s) == best_time && streams.seq(s) < streams.seq(best)) best = s;
+  }
+  return best;
 }
 
 TEST(ArrivalSchedulerTest, ZeroServicesBuildValidSentinelOnlyStructures) {
-  // A shard of a (shards > services) run binds an EMPTY service list. Both
-  // schedulers must come up as valid empty structures — the tournament as
-  // a sentinel-only tree — where earliest() == size() == 0, and the
-  // default-constructed (pre-bind) object must behave the same.
-  for (const auto kind : {ArrivalSchedulerKind::kAuto, ArrivalSchedulerKind::kFlatScan,
-                          ArrivalSchedulerKind::kTournament}) {
-    ArrivalStreams streams(iota_indices(0), kind);
-    EXPECT_EQ(streams.size(), 0u);
-    EXPECT_EQ(streams.earliest(), 0u);
-  }
+  // A shard of a (shards > services) run binds an EMPTY service list. It
+  // must come up as a valid sentinel-only tree where earliest() == size()
+  // == 0, and the default-constructed (pre-bind) object must behave the
+  // same.
+  ArrivalStreams streams(iota_indices(0));
+  EXPECT_EQ(streams.size(), 0u);
+  EXPECT_EQ(streams.earliest(), 0u);
   ArrivalStreams unbound;
   EXPECT_EQ(unbound.size(), 0u);
   EXPECT_EQ(unbound.earliest(), 0u);
 }
 
-TEST(ArrivalSchedulerTest, MoreShardsThanServicesRunsUnderEitherScheduler) {
+TEST(ArrivalSchedulerTest, MoreShardsThanServicesMatchesOneShard) {
   // End-to-end: 2 services over 4 shards leaves two shards service-less;
-  // their empty (possibly sentinel-only) arrival structures must be inert
-  // and the outputs byte-identical to the 1-shard run under BOTH forced
-  // schedulers.
+  // their empty arrival structures must be inert and the outputs
+  // byte-identical to the 1-shard run.
   const std::vector<core::ServiceSpec> services = {service(0, "resnet-50", 205, 600),
                                                    service(1, "vgg-19", 397, 300)};
   const auto profiles = builtin_profiles();
@@ -90,26 +79,22 @@ TEST(ArrivalSchedulerTest, MoreShardsThanServicesRunsUnderEitherScheduler) {
   options.arrivals = ArrivalProcess::kPoisson;
   options.shards = 1;
   const SimulationResult base = sim.run(options);
-  for (const auto kind :
-       {ArrivalSchedulerKind::kFlatScan, ArrivalSchedulerKind::kTournament}) {
-    options.shards = 4;
-    options.arrival_scheduler = kind;
-    const SimulationResult sharded = sim.run(options);
-    ASSERT_EQ(sharded.services.size(), base.services.size());
-    for (std::size_t s = 0; s < base.services.size(); ++s) {
-      EXPECT_EQ(sharded.services[s].requests, base.services[s].requests);
-      EXPECT_EQ(sharded.services[s].violated_batches, base.services[s].violated_batches);
-      EXPECT_EQ(sharded.services[s].request_latency_ms.values(),
-                base.services[s].request_latency_ms.values());
-    }
-    EXPECT_EQ(sharded.events_processed, base.events_processed);
+  options.shards = 4;
+  const SimulationResult sharded = sim.run(options);
+  ASSERT_EQ(sharded.services.size(), base.services.size());
+  for (std::size_t s = 0; s < base.services.size(); ++s) {
+    EXPECT_EQ(sharded.services[s].requests, base.services[s].requests);
+    EXPECT_EQ(sharded.services[s].violated_batches, base.services[s].violated_batches);
+    EXPECT_EQ(sharded.services[s].request_latency_ms.values(),
+              base.services[s].request_latency_ms.values());
   }
+  EXPECT_EQ(sharded.events_processed, base.events_processed);
 }
 
 TEST(ArrivalSchedulerTest, TournamentBreaksTimeTiesBySeq) {
-  // The mirror of SeqStabilityTest.EarliestBreaksTimeTiesBySeq on the
-  // tree path: stream ids decide equal-time matches.
-  ArrivalStreams streams(iota_indices(3), ArrivalSchedulerKind::kTournament);
+  // Stream ids decide equal-time matches, and a fully retired tree reports
+  // nothing pending.
+  ArrivalStreams streams(iota_indices(3));
   streams.arm(2, 10.0);
   streams.arm(0, 10.0);
   streams.arm(1, 10.0);
@@ -126,7 +111,7 @@ TEST(ArrivalSchedulerTest, TournamentBreaksTimeTiesBySeq) {
 
 TEST(ArrivalSchedulerTest, NonPowerOfTwoSlotCountsFillWithSentinels) {
   // Spare tournament leaves (5 slots over an 8-leaf tree) must never win.
-  ArrivalStreams streams(iota_indices(5), ArrivalSchedulerKind::kTournament);
+  ArrivalStreams streams(iota_indices(5));
   EXPECT_EQ(streams.earliest(), 5u);
   streams.arm(4, 1.0);  // the last real slot, adjacent to the sentinels
   EXPECT_EQ(streams.earliest(), 4u);
@@ -136,111 +121,82 @@ TEST(ArrivalSchedulerTest, NonPowerOfTwoSlotCountsFillWithSentinels) {
 
 TEST(ArrivalSchedulerTest, RandomOpsMatchFlatOracleIncludingTies) {
   // The property the engine's determinism rides on: after every operation
-  // of a random arm/retire schedule, tournament earliest() == flat
-  // earliest(). Times are drawn from a SMALL integer set so equal-time
-  // collisions (the seq tie-break path) occur constantly, and both
-  // structures see the identical op sequence so their canonical streams
-  // stay in lockstep.
-  for (const std::size_t slots : {1u, 2u, 3u, 7u, 16u, 17u, 64u, 197u}) {
-    ArrivalStreams oracle(iota_indices(slots), ArrivalSchedulerKind::kFlatScan);
-    ArrivalStreams tree(iota_indices(slots), ArrivalSchedulerKind::kTournament);
+  // of a random arm/retire schedule, the tree's earliest() == the flat
+  // oracle's. Times are drawn from a SMALL integer set so equal-time
+  // collisions (the seq tie-break path) occur constantly.
+  for (const std::size_t slots :
+       {1u, 2u, 3u, 6u, 7u, 11u, 16u, 17u, 64u, 192u, 197u, 413u}) {
+    ArrivalStreams tree(iota_indices(slots));
     Rng rng(0xA771 + slots);
     std::vector<bool> pending(slots, false);
     for (int step = 0; step < 4'000; ++step) {
       const auto s = static_cast<std::size_t>(
           rng.uniform_int(0, static_cast<int>(slots) - 1));
       if (pending[s] && rng.next_double() < 0.5) {
-        oracle.retire(s);
         tree.retire(s);
         pending[s] = false;
       } else {
-        const double t = static_cast<double>(rng.uniform_int(0, 31));
-        oracle.arm(s, t);
-        tree.arm(s, t);
+        tree.arm(s, static_cast<double>(rng.uniform_int(0, 31)));
         pending[s] = true;
       }
-      const std::size_t expected = oracle.earliest();
-      ASSERT_EQ(tree.earliest(), expected)
+      ASSERT_EQ(tree.earliest(), flat_earliest(tree))
           << "slots=" << slots << " step=" << step;
-      if (expected < slots) {
-        ASSERT_EQ(tree.time(expected), oracle.time(expected));
-        ASSERT_EQ(tree.seq(expected), oracle.seq(expected));
+    }
+  }
+}
+
+TEST(ArrivalSchedulerTest, EarliestOnlyScheduleMatchesFlatOracle) {
+  // The engine's own pattern: take the earliest slot, then retire it or
+  // re-arm it at or after its current time (a zero gap re-arms it into a
+  // tie). Only the champion changes between calls, so this drives the
+  // leaf-to-root replay; when everything has retired, re-arming every slot
+  // drives the rebuild again.
+  for (const std::size_t slots : {1u, 6u, 11u, 16u, 17u, 192u, 413u}) {
+    ArrivalStreams tree(iota_indices(slots));
+    Rng rng(0xE4 + slots);
+    auto arm_all = [&](double now) {
+      for (std::size_t s = 0; s < slots; ++s) {
+        tree.arm(s, now + static_cast<double>(rng.uniform_int(0, 7)));
+      }
+    };
+    arm_all(0.0);
+    std::size_t retired = 0;
+    for (int step = 0; step < 6'000; ++step) {
+      const std::size_t s = tree.earliest();
+      ASSERT_EQ(s, flat_earliest(tree)) << "slots=" << slots << " step=" << step;
+      if (s == slots) {
+        arm_all(static_cast<double>(step));
+        continue;
+      }
+      const double now = tree.time(s);
+      if (rng.next_double() < 0.05) {
+        tree.retire(s);
+        ++retired;
+      } else {
+        tree.arm(s, now + static_cast<double>(rng.uniform_int(0, 3)));
       }
     }
-    for (std::size_t s = 0; s < slots; ++s) {
-      EXPECT_EQ(tree.issued(s), oracle.issued(s)) << "slots=" << slots;
-    }
+    EXPECT_GT(retired, 0u) << "slots=" << slots;
   }
 }
 
 TEST(ArrivalSchedulerTest, DrainOrderMatchesFlatOracle) {
   // Pop-everything equivalence: repeatedly retiring the earliest slot must
-  // walk both structures through the same total order.
+  // walk the tree through the oracle's total order.
   const std::size_t slots = 41;
-  ArrivalStreams oracle(iota_indices(slots), ArrivalSchedulerKind::kFlatScan);
-  ArrivalStreams tree(iota_indices(slots), ArrivalSchedulerKind::kTournament);
+  ArrivalStreams tree(iota_indices(slots));
   Rng rng(99);
   for (std::size_t s = 0; s < slots; ++s) {
-    const double t = static_cast<double>(rng.uniform_int(0, 7));  // dense ties
-    oracle.arm(s, t);
-    tree.arm(s, t);
+    tree.arm(s, static_cast<double>(rng.uniform_int(0, 7)));  // dense ties
   }
   for (std::size_t popped = 0; popped < slots; ++popped) {
-    const std::size_t expected = oracle.earliest();
+    const std::size_t expected = flat_earliest(tree);
     ASSERT_LT(expected, slots);
     ASSERT_EQ(tree.earliest(), expected) << "pop " << popped;
-    oracle.retire(expected);
     tree.retire(expected);
   }
-  EXPECT_EQ(oracle.earliest(), slots);
+  EXPECT_EQ(flat_earliest(tree), slots);
   EXPECT_EQ(tree.earliest(), slots);
-}
-
-TEST(ArrivalSchedulerTest, ForcedSchedulersAreByteIdenticalEndToEnd) {
-  // Engine-level differential: a faulted, sharded simulation forced
-  // through the flat scan and through the tournament tree must agree on
-  // every latency bit. (kAuto resolves per shard from the local service
-  // count, so this also pins kAuto between the two forced runs.)
-  const std::vector<core::ServiceSpec> services = {service(0, "resnet-50", 205, 2000),
-                                                   service(1, "vgg-19", 397, 1200),
-                                                   service(2, "mobilenetv2", 167, 4000),
-                                                   service(3, "bert-large", 400, 500)};
-  core::ParvaGpuScheduler scheduler(builtin_profiles());
-  const core::Deployment deployment = scheduler.schedule(services).value().deployment;
-  perfmodel::AnalyticalPerfModel perf(perfmodel::ModelCatalog::builtin());
-  ClusterSimulation sim(deployment, services, perf);
-  gpu::FaultPlan plan;
-  plan.gpu_failures = {{600.0, 0, 79}};
-  SimulationOptions opts;
-  opts.duration_ms = 1'200.0;
-  opts.warmup_ms = 300.0;
-  opts.seed = 17;
-  opts.fault_plan = &plan;
-  opts.arrivals = ArrivalProcess::kPoisson;
-
-  auto run_with = [&](ArrivalSchedulerKind kind, int shards) {
-    SimulationOptions o = opts;
-    o.arrival_scheduler = kind;
-    o.shards = shards;
-    return sim.run(o);
-  };
-  for (const int shards : {1, 3}) {
-    const SimulationResult flat = run_with(ArrivalSchedulerKind::kFlatScan, shards);
-    const SimulationResult tree = run_with(ArrivalSchedulerKind::kTournament, shards);
-    const SimulationResult autop = run_with(ArrivalSchedulerKind::kAuto, shards);
-    EXPECT_EQ(flat.events_processed, tree.events_processed) << "shards " << shards;
-    EXPECT_EQ(flat.events_processed, autop.events_processed) << "shards " << shards;
-    ASSERT_EQ(flat.services.size(), tree.services.size());
-    for (std::size_t s = 0; s < flat.services.size(); ++s) {
-      EXPECT_EQ(flat.services[s].requests, tree.services[s].requests);
-      EXPECT_EQ(flat.services[s].shed_requests, tree.services[s].shed_requests);
-      EXPECT_EQ(flat.services[s].request_latency_ms.values(),
-                tree.services[s].request_latency_ms.values())
-          << "service " << s << " shards " << shards;
-      EXPECT_EQ(autop.services[s].request_latency_ms.values(),
-                tree.services[s].request_latency_ms.values());
-    }
-  }
 }
 
 }  // namespace

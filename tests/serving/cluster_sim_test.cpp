@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "core/parvagpu.hpp"
+#include "gpu/fault_plan.hpp"
 #include "tests/core/test_support.hpp"
 
 namespace parva::serving {
@@ -152,6 +155,26 @@ TEST_F(ClusterSimTest, InvalidOptionsThrow) {
   SimulationOptions bad;
   bad.duration_ms = 0.0;
   EXPECT_THROW((void)sim.run(bad), std::logic_error);
+
+  // Non-finite and negative times: an infinite duration would size the
+  // timeline from ceil(inf), a NaN fault time breaks the fault sort.
+  for (const double bad_ms : {std::numeric_limits<double>::infinity(),
+                              std::numeric_limits<double>::quiet_NaN(), -1.0}) {
+    SimulationOptions duration;
+    duration.duration_ms = bad_ms;
+    duration.timeline_bucket_ms = 100.0;
+    SimulationOptions warmup;
+    warmup.warmup_ms = bad_ms;
+    SimulationOptions bucket;
+    bucket.timeline_bucket_ms = bad_ms;
+    gpu::FaultPlan plan;
+    plan.gpu_failures = {{1'000.0, 0, 79}, {bad_ms, 0, 79}};
+    SimulationOptions fault;
+    fault.fault_plan = &plan;
+    for (const SimulationOptions* options : {&duration, &warmup, &bucket, &fault}) {
+      EXPECT_THROW((void)sim.run(*options), std::logic_error) << bad_ms;
+    }
+  }
 }
 
 }  // namespace

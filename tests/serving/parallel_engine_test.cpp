@@ -1,5 +1,5 @@
 // Differential battery for the sharded DES engine: for every scenario,
-// fault schedule, window policy, and execution mode, a run with N shards
+// fault schedule, and execution mode, a run with N shards
 // must be byte-identical to the single-shard run — same counters, same
 // latency sample bit patterns, same telemetry exports. `ctest -R
 // parallel_engine` is the determinism gate the engine's parallelism rides
@@ -204,22 +204,6 @@ TEST_F(ParallelEngineFaultTest, FaultSchedulesAreByteIdentical) {
   }
 }
 
-TEST_F(ParallelEngineFaultTest, ForcedWindowBarriersDoNotChangeOutputs) {
-  // The conservative auto-bound (barriers only at fault deliveries) and
-  // forced lockstep windows of any width must produce the same stream.
-  ClusterSimulation sim(deployment_, services_, perf_);
-  SimulationOptions opts = fault_options();
-  const std::vector<std::uint64_t> serial = fingerprint(sim.run(opts));
-  for (const int shards : {1, 2, 4}) {
-    for (const double window_ms : {50.0, 333.3, 10'000.0}) {
-      opts.shards = shards;
-      opts.shard_window_ms = window_ms;
-      EXPECT_EQ(serial, fingerprint(sim.run(opts)))
-          << "shards=" << shards << " window=" << window_ms;
-    }
-  }
-}
-
 TEST_F(ParallelEngineFaultTest, ThreadPoolExecutionMatchesSequential) {
   // The actual parallel path: shards advancing on pool workers must equal
   // the same decomposition run sequentially (and therefore the single-shard
@@ -232,11 +216,7 @@ TEST_F(ParallelEngineFaultTest, ThreadPoolExecutionMatchesSequential) {
   opts.shard_pool = &pool;
   for (const int shards : {2, 4, 7}) {
     opts.shards = shards;
-    opts.shard_window_ms = 0.0;
     EXPECT_EQ(serial, fingerprint(sim.run(opts))) << "pooled shards=" << shards;
-    opts.shard_window_ms = 200.0;  // pooled + forced lockstep windows
-    EXPECT_EQ(serial, fingerprint(sim.run(opts)))
-        << "pooled windowed shards=" << shards;
   }
 }
 

@@ -627,6 +627,27 @@ TEST(AuditRepo, RepositorySrcTreeIsClean) {
   EXPECT_TRUE(findings.empty()) << parva::audit::format_findings(findings);
 }
 
+// R11 skips a root that names no function in the scan set, so renaming a
+// hot-path function would silently drop its reachability check: every
+// default root must resolve against the real src/ tree.
+TEST(AuditRepo, DefaultHotPathRootsResolveInSrcTree) {
+  std::vector<std::string> paths;
+  for (const auto& entry : fs::recursive_directory_iterator(PARVA_REPO_SRC_DIR)) {
+    const std::string ext = entry.path().extension().string();
+    if (entry.is_regular_file() && (ext == ".cpp" || ext == ".hpp")) {
+      paths.push_back(entry.path().string());
+    }
+  }
+  std::vector<parva::audit::LexedFile> lexed;
+  for (const std::string& path : paths) lexed.push_back(parva::audit::lex(read_file(path)));
+  std::vector<std::pair<std::string, const parva::audit::LexedFile*>> files;
+  for (std::size_t i = 0; i < paths.size(); ++i) files.emplace_back(paths[i], &lexed[i]);
+  const auto graph = parva::audit::build_call_graph(files);
+  for (const std::string& root : parva::audit::default_hotpath_roots()) {
+    EXPECT_EQ(graph.by_qualified.count(root), 1u) << root << " is not defined under src/";
+  }
+}
+
 // A violation fixture planted under a src-shaped tree is caught: this is
 // the documented "golden fixture placed under src/" scenario.
 TEST(AuditRepo, PlantedFixturesTriggerUnderSrcTree) {
