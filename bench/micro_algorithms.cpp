@@ -1,14 +1,17 @@
 // google-benchmark microbenchmarks of the building blocks: MIG geometry
 // enumeration, the Segment Configurator, the Segment Allocator stages, the
-// end-to-end schedulers, deploying and repairing a fleet, the
-// discrete-event simulator throughput, and its arrival scheduler.
+// end-to-end schedulers, deploying and repairing a fleet, and the
+// discrete-event simulator: throughput, cost per event across fleet sizes,
+// and how much of a shard's time pooled execution adds.
 #include <benchmark/benchmark.h>
 
+#include <chrono>
 #include <map>
 #include <memory>
 #include <numeric>
 #include <vector>
 
+#include "common/thread_pool.hpp"
 #include "core/allocator.hpp"
 #include "core/configurator.hpp"
 #include "core/parvagpu.hpp"
@@ -17,7 +20,6 @@
 #include "profiler/profiler.hpp"
 #include "scenarios/experiment.hpp"
 #include "serving/cluster_sim.hpp"
-#include "serving/shard_engine.hpp"
 
 namespace {
 
@@ -79,14 +81,23 @@ BENCHMARK_CAPTURE(BM_Scheduler, parvagpu_s6, Framework::kParvaGpu, "S6");
 BENCHMARK_CAPTURE(BM_Scheduler, gpulet_s6, Framework::kGpulet, "S6");
 BENCHMARK_CAPTURE(BM_Scheduler, migserving_s2, Framework::kMigServing, "S2");
 
+/// The S5 fleet folded `fold` times.
+const Scenario& s5_fleet(int fold) {
+  static std::map<int, Scenario> fleets;
+  auto it = fleets.find(fold);
+  if (it == fleets.end()) it = fleets.emplace(fold, scale_scenario(scenario("S5"), fold)).first;
+  return it->second;
+}
+
 /// The ParvaGPU deployment of the S5 fleet folded `fold` times.
 const core::Deployment& s5_deployment(int fold) {
   static std::map<int, core::Deployment> deployments;
   auto it = deployments.find(fold);
   if (it == deployments.end()) {
-    const Scenario fleet = scale_scenario(scenario("S5"), fold);
     auto scheduler = context().make_scheduler(Framework::kParvaGpu);
-    it = deployments.emplace(fold, scheduler->schedule(fleet.services).value().deployment).first;
+    it = deployments
+             .emplace(fold, scheduler->schedule(s5_fleet(fold).services).value().deployment)
+             .first;
   }
   return it->second;
 }
@@ -172,30 +183,67 @@ void BM_ClusterSimulationS2(benchmark::State& state) {
 }
 BENCHMARK(BM_ClusterSimulationS2)->Unit(benchmark::kMillisecond);
 
-// One shard's arrival selection under the DES pattern: take the earliest
-// pending service, then re-arm it one exponential gap later (retiring it
-// first, as the engine does). The sizes are the per-shard service counts of
-// a Table-IV fleet (11) and of S5 x70 / x150 over 4 shards (192, 413).
-void BM_ArrivalStreams(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  std::vector<std::size_t> indices(n);
-  std::iota(indices.begin(), indices.end(), std::size_t{0});
-  constexpr std::size_t kGaps = 4096;  // drawn up front, outside the timing
-  Rng rng(11);
-  std::vector<double> gaps(kGaps);
-  for (double& gap : gaps) gap = rng.exponential(1.0 / static_cast<double>(n));
-  serving::ArrivalStreams streams(indices);
-  for (std::size_t s = 0; s < n; ++s) streams.arm(s, gaps[s]);
-  std::size_t step = 0;
-  for (auto _ : state) {
-    const std::size_t s = streams.earliest();
-    const double now = streams.time(s);
-    streams.retire(s);
-    streams.arm(s, now + gaps[step++ % kGaps]);
-  }
-  benchmark::DoNotOptimize(streams.earliest());
+/// The replay both S5 fold benchmarks below run: one second of Poisson
+/// arrivals after a 100 ms warm-up.
+serving::SimulationOptions s5_replay_options() {
+  serving::SimulationOptions options;
+  options.duration_ms = 1'000.0;
+  options.warmup_ms = 100.0;
+  options.arrivals = serving::ArrivalProcess::kPoisson;
+  return options;
 }
-BENCHMARK(BM_ArrivalStreams)->Arg(11)->Arg(192)->Arg(413);
+
+// Cost per event of a one-shard replay as the fleet grows: S5 folded x1
+// (11 services), x70 (770) and x300 (3,300). Flat ns/event means the
+// engine's per-event work does not grow with the number of services.
+void BM_ClusterSimulationS5Fold(benchmark::State& state) {
+  const int fold = static_cast<int>(state.range(0));
+  serving::ClusterSimulation sim(s5_deployment(fold), s5_fleet(fold).services,
+                                 context().perf());
+  const serving::SimulationOptions options = s5_replay_options();
+  double run_ns = 0.0;
+  std::size_t events = 0;
+  for (auto _ : state) {
+    const auto t0 = std::chrono::steady_clock::now();
+    const serving::SimulationResult result = sim.run(options);
+    run_ns += std::chrono::duration<double, std::nano>(std::chrono::steady_clock::now() - t0)
+                  .count();
+    events += result.events_processed;
+    benchmark::DoNotOptimize(result);
+  }
+  state.counters["events"] = static_cast<double>(events) / static_cast<double>(state.iterations());
+  state.counters["ns/event"] = run_ns / static_cast<double>(events);
+}
+BENCHMARK(BM_ClusterSimulationS5Fold)->Arg(1)->Arg(70)->Arg(300)->Unit(benchmark::kMillisecond);
+
+// What running shards concurrently costs each shard: S5 x70 over 4 shards,
+// once on a 3-worker pool and once one shard after another, both timed per
+// shard by the engine (shard_busy_ms). `pooled/serial` is the pooled busy
+// sum over the serial one: 1.0 means the shards do not slow each other
+// down; memory bandwidth, a busy host or two shards writing the same cache
+// line push it up.
+void BM_ShardPoolBusyRatio(benchmark::State& state) {
+  serving::ClusterSimulation sim(s5_deployment(70), s5_fleet(70).services, context().perf());
+  ThreadPool pool(3);
+  serving::SimulationOptions serial = s5_replay_options();
+  serial.shards = 4;
+  serving::SimulationOptions pooled = serial;
+  pooled.shard_pool = &pool;
+  auto busy_sum = [&](const serving::SimulationOptions& options) {
+    const serving::SimulationResult result = sim.run(options);
+    return std::accumulate(result.shard_busy_ms.begin(), result.shard_busy_ms.end(), 0.0);
+  };
+  double pooled_ms = 0.0;
+  double serial_ms = 0.0;
+  for (auto _ : state) {
+    pooled_ms += busy_sum(pooled);
+    serial_ms += busy_sum(serial);
+  }
+  state.counters["pooled_busy_ms"] = pooled_ms / static_cast<double>(state.iterations());
+  state.counters["serial_busy_ms"] = serial_ms / static_cast<double>(state.iterations());
+  state.counters["pooled/serial"] = pooled_ms / serial_ms;
+}
+BENCHMARK(BM_ShardPoolBusyRatio)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 }  // namespace
 

@@ -259,7 +259,7 @@ int cmd_simulate(const CliArgs& args) {
     fault_plan.seed = seed;
   }
   if (args.has("transient-p")) {
-    if (!parse_double(args.get("transient-p", ""), value) || value < 0.0 || value > 1.0) {
+    if (!parse_double(args.get("transient-p", ""), value) || !(value >= 0.0 && value <= 1.0)) {
       std::cerr << "bad --transient-p (want a probability)\n";
       return 1;
     }

@@ -187,12 +187,28 @@ double ms_since(std::chrono::steady_clock::time_point t0) {
       .count();
 }
 
+/// One local service's event loop: its next pending arrival (each service
+/// has at most one outstanding) and a small heap of its own units'
+/// completion, prefill, decode and activation events. Services of a shard
+/// share only order-free counters and the slot pool, so running each loop
+/// to a window bound in turn gives every service the trajectory it has in
+/// one global (time, seq) order (DESIGN.md §4.5).
+struct ServiceLoop {
+  double arrival_ms = kNever;  ///< kNever: no arrival pending
+  std::uint64_t arrival_seq = 0;
+  SeqStream arrival_keys;  ///< the service's canonical arrival stream
+  EventQueue events;
+};
+
 /// One sub-engine: the full simulation restricted to a subset of the
 /// services (and their units). Between window barriers a shard is touched
 /// by exactly one thread, and the barriers (ThreadPool::parallel_for joins)
 /// order every handoff to and from the coordinator — the happens-before
-/// discipline that replaces locks on all of this state.
-struct Shard {
+/// discipline that replaces locks on all of this state. Aligned to 128
+/// bytes so no two shards share a cache line (or an adjacent-line prefetch
+/// pair): every event bumps `events_processed`, which without the padding
+/// sits on the line holding the next shard's hottest pointers.
+struct alignas(128) Shard {
   const RunConfig* cfg = nullptr;
 
   // Services (local index -> global metadata), in ascending global order.
@@ -207,8 +223,9 @@ struct Shard {
   std::vector<Rng> token_rng;
   std::vector<Rng> dispatch_rng;
   std::vector<std::uint32_t> rr_cursor;  ///< round-robin dispatch state
-  ArrivalStreams arrivals;
-  std::size_t arrival_svc = 0;  ///< cached arrivals.earliest()
+  /// loops[s] for local service s, plus one last loop for orphan units
+  /// (no matching service), which never arms an arrival.
+  std::vector<ServiceLoop> loops;
 
   // Units (local index -> global metadata), in ascending global order.
   std::vector<UnitState> units;
@@ -219,7 +236,6 @@ struct Shard {
   std::vector<std::uint32_t> svc_unit_off;
   std::vector<std::uint32_t> svc_unit_flat;
 
-  EventQueue events;
   BatchPool batches;
 
   // Accounting, merged by the coordinator after the last window.
@@ -245,6 +261,19 @@ struct Shard {
       return arrival_rng[s].exponential(svc_rate[s] * factor / 1000.0);
     }
     return paced_gap_ms[s];
+  }
+
+  /// Arms local service `s` to arrive at `time_ms` under the next key of
+  /// its arrival stream.
+  void arm_arrival(std::size_t s, double time_ms) {
+    loops[s].arrival_ms = time_ms;
+    loops[s].arrival_seq = loops[s].arrival_keys.next();
+  }
+
+  /// The event heap of unit `ui`'s loop.
+  EventQueue& events_of(std::size_t ui) {
+    const int s = unit_service[ui];
+    return loops[s >= 0 ? static_cast<std::size_t>(s) : loops.size() - 1].events;
   }
 
   /// Clamped-lognormal token draw: exp(N(log(mean) - s^2/2, s)) rounded to
@@ -486,7 +515,7 @@ struct Shard {
       event.unit_index = static_cast<int>(ui);
       event.slot = slot;
       event.generation = batches[slot].generation;
-      events.push(event);
+      events_of(ui).push(event);
     }
   }
 
@@ -567,12 +596,11 @@ struct Shard {
     return delay_score(second) < delay_score(first) ? second : first;
   }
 
-  void process_arrival() {
-    const std::size_t s = arrival_svc;
-    const double now = arrivals.time(s);
-    const std::uint64_t seq = arrivals.seq(s);
+  void process_arrival(std::size_t s) {
+    const double now = loops[s].arrival_ms;
+    const std::uint64_t seq = loops[s].arrival_seq;
     ++events_processed;
-    arrivals.retire(s);
+    loops[s].arrival_ms = kNever;
     if (now <= cfg->horizon_ms) {
       // Dispatch to a live unit (policy above); a service whose every unit
       // is down sheds the request — the front end has nowhere to send it.
@@ -596,9 +624,8 @@ struct Shard {
 
       // Schedule the next arrival of this service.
       const double next = now + next_gap_ms(s);
-      if (next <= cfg->horizon_ms) arrivals.arm(s, next);
+      if (next <= cfg->horizon_ms) arm_arrival(s, next);
     }
-    arrival_svc = arrivals.earliest();
   }
 
   /// The fixed-latency completion path: frees the process, accounts the
@@ -692,7 +719,7 @@ struct Shard {
     event.unit_index = static_cast<int>(ui);
     event.slot = slot;
     event.generation = batches[slot].generation;
-    events.push(event);
+    events_of(ui).push(event);
   }
 
   /// Last decode token emitted: free the ledger, the process and the slot,
@@ -717,9 +744,12 @@ struct Shard {
       ++outcome.batches;
       if (batch.violated) ++outcome.violated_batches;
       if (cfg->record_batch_events) {
-        records.push_back({now, event.seq, 0, telemetry::EventKind::kBatchCompleted,
-                           state.unit->gpu_index, svc_id[s],
-                           static_cast<double>(batch.requests.size())});
+        // An emission sub-key, not 0: this decode step may already have
+        // emitted evictions, and the record must sort after them.
+        PARVA_CHECK(*emission >> kSubEmissionBits == 0, "completion emission overflow");
+        records.push_back({now, event.seq, unit_sub(ui) | (*emission)++,
+                           telemetry::EventKind::kBatchCompleted, state.unit->gpu_index,
+                           svc_id[s], static_cast<double>(batch.requests.size())});
       }
       ++phase->batches;
       if (batch.violated) ++phase->violated_batches;
@@ -834,12 +864,6 @@ struct Shard {
       start_batch_if_possible(ui, now, event.seq, &emission);
       return;
     }
-    // Device losses are delivered by the coordinator at window barriers
-    // (apply_failure), never through a shard's heap.
-    PARVA_CHECK(event.kind == EventKind::kBatchComplete ||
-                    event.kind == EventKind::kLlmPrefillDone ||
-                    event.kind == EventKind::kLlmDecodeStep,
-                "unexpected heap event kind");
     const auto ui = static_cast<std::size_t>(event.unit_index);
     if (!batches.current(event.slot, event.generation)) return;  // stale (GPU died
                                                                  // or batch evicted)
@@ -855,31 +879,30 @@ struct Shard {
   }
 
   /// Processes every local event whose canonical key precedes
-  /// (bound_ms, bound_seq); events at or past the bound stay pending for a
-  /// later window.
+  /// (bound_ms, bound_seq), one service loop after another; events at or
+  /// past the bound stay pending for a later window.
   void advance(double bound_ms, std::uint64_t bound_seq) {
     const auto t0 = std::chrono::steady_clock::now();
-    const std::size_t n = svc_global.size();
-    while (true) {
-      const bool have_arrival = arrival_svc != n;
-      const bool have_event = !events.empty();
-      if (!have_arrival && !have_event) break;
-      // Merge the arrival streams with the heap on (time, seq): an arrival
-      // fires when it precedes the heap top in the global event order.
-      bool take_arrival = have_arrival;
-      if (have_arrival && have_event) {
-        const SimEvent& top = events.top();
-        take_arrival = arrivals.time(arrival_svc) < top.time_ms ||
-                       (arrivals.time(arrival_svc) == top.time_ms &&
-                        arrivals.seq(arrival_svc) < top.seq);
-      }
-      const double t = take_arrival ? arrivals.time(arrival_svc) : events.top().time_ms;
-      const std::uint64_t q = take_arrival ? arrivals.seq(arrival_svc) : events.top().seq;
-      if (t > bound_ms || (t == bound_ms && q >= bound_seq)) break;
-      if (take_arrival) {
-        process_arrival();
-      } else {
-        process_event(events.pop());
+    for (std::size_t s = 0; s < loops.size(); ++s) {
+      ServiceLoop& loop = loops[s];
+      while (true) {
+        // The loop's next event on (time, seq): its pending arrival, unless
+        // the heap top precedes it (no arrival pending reads as kNever).
+        double t = loop.arrival_ms;
+        std::uint64_t q = loop.arrival_seq;
+        const bool take_arrival =
+            loop.events.empty() || t < loop.events.top().time_ms ||
+            (t == loop.events.top().time_ms && q < loop.events.top().seq);
+        if (!take_arrival) {
+          t = loop.events.top().time_ms;
+          q = loop.events.top().seq;
+        }
+        if (t > bound_ms || (t == bound_ms && q >= bound_seq)) break;
+        if (take_arrival) {
+          process_arrival(s);
+        } else {
+          process_event(loop.events.pop());
+        }
       }
     }
     busy_ms += ms_since(t0);
@@ -959,6 +982,14 @@ SimulationResult ClusterSimulation::run(const SimulationOptions& options) const 
   PARVA_REQUIRE(std::isfinite(options.timeline_bucket_ms) && options.timeline_bucket_ms >= 0.0,
                 "timeline bucket must be finite and non-negative");
   PARVA_REQUIRE(options.shards >= 1, "shard count must be >= 1");
+  // A NaN activation would never fire, and a NaN recovery boundary would
+  // never open the post-recovery phase; past-horizon times stay legal.
+  for (const UnitActivation& activation : options.activations) {
+    PARVA_REQUIRE(std::isfinite(activation.at_ms) && activation.at_ms >= 0.0,
+                  "activation time must be finite and non-negative");
+  }
+  PARVA_REQUIRE(std::isfinite(options.recovered_at_ms) && options.recovered_at_ms >= 0.0,
+                "recovery time must be finite and non-negative");
   const double horizon_ms = options.warmup_ms + options.duration_ms;
   const std::size_t service_count = services_.size();
   const std::size_t unit_count = deployment_->units.size();
@@ -1209,20 +1240,20 @@ SimulationResult ClusterSimulation::run(const SimulationOptions& options) const 
 
     // Seed the first arrival of every service (random phase; the phase
     // draw precedes any gap draw on the service's stream).
-    shard.arrivals = ArrivalStreams(shard.svc_global);
+    shard.loops.resize(local_services + 1);
     for (std::size_t ls = 0; ls < local_services; ++ls) {
+      shard.loops[ls].arrival_keys = SeqStream(arrival_stream_id(shard.svc_global[ls]));
       if (shard.svc_rate[ls] <= 0.0 ||
           shard.svc_unit_off[ls + 1] == shard.svc_unit_off[ls]) {
         continue;
       }
       const double phase = shard.arrival_rng[ls].next_double();
-      shard.arrivals.arm(ls, phase * shard.next_gap_ms(ls));
+      shard.arm_arrival(ls, phase * shard.next_gap_ms(ls));
     }
-    shard.arrival_svc = shard.arrivals.earliest();
   }
 
-  // Repair activations: dormant at t=0, woken by an intra-shard heap event
-  // keyed by the activation's position in options.activations.
+  // Repair activations: dormant at t=0, woken by an event in the unit's
+  // loop keyed by the activation's position in options.activations.
   for (std::size_t i = 0; i < options.activations.size(); ++i) {
     const UnitActivation& activation = options.activations[i];
     PARVA_REQUIRE(activation.unit_index < unit_count, "activation index out of range");
@@ -1236,7 +1267,7 @@ SimulationResult ClusterSimulation::run(const SimulationOptions& options) const 
       event.seq = canonical_seq(kActivationStreamId, i);
       event.kind = EventKind::kUnitActivate;
       event.unit_index = static_cast<int>(lu);
-      shard.events.push(event);
+      shard.events_of(lu).push(event);
     }
   }
 

@@ -1,6 +1,7 @@
 // The discrete-event engine underneath ClusterSimulation: a flat binary
-// min-heap of plain-value events ordered by a canonical (time, seq) key,
-// and a slot pool recycling in-flight batch storage.
+// min-heap of plain-value events ordered by a canonical (time, seq) key
+// (one per service loop), and a slot pool recycling in-flight batch
+// storage.
 //
 // Determinism by construction: the heap orders by (time, seq) where `seq`
 // is a *canonical stream key* (see shard_engine.hpp) assigned by the event
@@ -8,10 +9,10 @@
 // a unit's completion stream, the fault schedule, the activation schedule —
 // owns a stream id and numbers its own events, so the key of an event is a
 // pure function of (source, occurrence index). That makes the pop order of
-// equal-timestamp events fully determined AND invariant under any shard
-// partition of the sources: N per-shard heaps merged on (time, seq) pop
-// the exact same global order as one heap holding everything
-// (tests/serving/parallel_engine_test.cpp, shard_merge_property_test.cpp).
+// equal-timestamp events fully determined AND invariant under any split of
+// the sources across heaps: each service loop pops its own events in the
+// order one global heap would (tests/serving/parallel_engine_test.cpp,
+// shard_merge_property_test.cpp).
 //
 // Pooling: completions used to live in per-unit std::map<id, batch> tables
 // plus a std::set of ids dropped by device losses — a rb-tree allocation
@@ -28,12 +29,12 @@
 
 namespace parva::serving {
 
-/// Event kinds, ordered by time in the event queue. Arrivals live in
-/// per-service streams outside the heap (see cluster_sim.cpp) and only
-/// batch completions, device losses, and activations are heap events.
+/// Event kinds, ordered by time in the event queue. A service's arrivals
+/// live in its loop outside the heap (see cluster_sim.cpp), and device
+/// losses are delivered at window barriers, so only completions, LLM
+/// phase steps and activations are heap events.
 enum class EventKind : std::uint8_t {
   kBatchComplete,  ///< fixed-latency batch finished
-  kGpuFailure,
   kUnitActivate,
   // Generative-LLM phase structure (DESIGN.md §4.7). Both draw their
   // sequence numbers from the owning unit's completion stream, so keys
@@ -46,19 +47,18 @@ struct SimEvent {
   double time_ms = 0.0;
   std::uint64_t seq = 0;       ///< canonical stream key: the deterministic tie-break
   EventKind kind = EventKind::kBatchComplete;
-  int unit_index = -1;         ///< completions/activations: unit; failures: gpu
+  int unit_index = -1;         ///< the event's (shard-local) unit
   std::uint32_t slot = 0;      ///< completions: batch-pool slot
   std::uint32_t generation = 0;///< completions: slot generation at issue
 };
 
 /// Flat binary min-heap on (time_ms, seq). Events are plain values in one
 /// contiguous vector; push/pop never allocate once the backing storage has
-/// grown to the simulation's high-water mark. The caller assigns `seq`
-/// (canonical stream keys); the heap only orders.
+/// grown to the loop's high-water mark (a few events per unit, so it
+/// starts empty). The caller assigns `seq` (canonical stream keys); the
+/// heap only orders.
 class EventQueue {
  public:
-  explicit EventQueue(std::size_t reserve_hint = 1024) { heap_.reserve(reserve_hint); }
-
   bool empty() const { return heap_.empty(); }
   std::size_t size() const { return heap_.size(); }
 

@@ -18,14 +18,13 @@
 //      service index), so the partition is a pure function of
 //      (services, shard count) and shard load is balanced.
 //
-//   3. A canonical merge. Per-shard buffers of telemetry records, each
-//      sorted in its shard's processing order, merge into one stream
-//      ordered by (time, seq, sub) — exactly the order a single-shard run
-//      records them in. The sub-key serialises records emitted while
-//      processing ONE event that fans out across shards (a GPU failure
-//      shedding requests on several shards' units): it embeds the global
-//      unit index, so the merged shed order equals the serial engine's
-//      unit-index iteration order.
+//   3. A canonical merge. Per-shard buffers of telemetry records, in any
+//      order, merge into one stream sorted by (time, seq, sub) — the
+//      global event order. The sub-key serialises the records emitted
+//      while processing ONE event, in emission order, including an event
+//      that fans out across shards (a GPU failure shedding requests on
+//      several shards' units): it embeds the global unit index, so the
+//      merged shed order equals a unit-index iteration over the fleet.
 #pragma once
 
 #include <cstdint>
@@ -103,10 +102,10 @@ std::vector<int> partition_services(const std::vector<double>& rates, int shards
 /// One telemetry record buffered during sharded execution, keyed for the
 /// canonical merge: `seq` is the canonical key of the event being processed
 /// when the record was emitted, `sub` serialises multiple records emitted
-/// under that one key (0 for the single-record common case; GPU-failure
-/// shed records use (global unit index + 1) << 20 | per-unit emission, so
-/// shards shedding under the same failure key interleave exactly as the
-/// serial engine's unit-index loop does).
+/// under that one key in emission order (0 only for a record emitted
+/// first; the others use (global unit index + 1) << 20 | per-unit
+/// emission, so shards shedding under the same failure key interleave
+/// exactly as a unit-index loop over the fleet does).
 struct BufferedRecord {
   double t_ms = 0.0;
   std::uint64_t seq = 0;
@@ -125,89 +124,11 @@ inline bool record_before(const BufferedRecord& a, const BufferedRecord& b) {
   return a.sub < b.sub;
 }
 
-/// Merges per-shard buffers (each sorted in shard processing order, which
-/// is canonical-key order) into one canonically ordered stream. The result
-/// is invariant under how records were distributed across the input
-/// buffers — the property tests/serving/shard_merge_property_test.cpp
-/// fuzzes.
+/// Merges per-shard buffers into one canonically ordered stream: a sort on
+/// the unique (time, seq, sub) key, so neither the order within a buffer
+/// (a shard emits one service loop's window at a time) nor how records
+/// were distributed across buffers shows in the result — the property
+/// tests/serving/shard_merge_property_test.cpp fuzzes.
 std::vector<BufferedRecord> merge_records(std::vector<std::vector<BufferedRecord>> buffers);
-
-// ---------------------------------------------------------------------------
-// Per-service arrival streams.
-// ---------------------------------------------------------------------------
-
-/// The next pending arrival of one service: each service has at most one
-/// outstanding arrival, so a (time, key) slot per service replaces heap
-/// traffic entirely. Keys come from the service's own canonical stream, so
-/// the slot state of a service is identical whether the stream lives in a
-/// global engine or a shard — the regression contract of
-/// tests/serving/seq_stability_test.cpp.
-///
-/// Slot selection is a loser tree (DESIGN.md §4.6): a complete binary
-/// tournament over bit_ceil(size) leaves in heap layout, where internal
-/// node i keeps the LOSER of the match played there and the champion — the
-/// slot with the lexicographically least (time, seq) — is kept apart.
-/// Spare leaves past size() are slots that stay retired (time = ∞), and a
-/// retired champion means nothing is pending. The DES only ever changes
-/// the champion's slot (it processes the earliest arrival, then retires or
-/// re-arms that service), so earliest() replays the champion's
-/// leaf-to-root path once, one comparison per level, however often the
-/// champion changed since the last call. Changing any other slot marks
-/// the tree stale, and earliest() rebuilds it bottom-up in O(size).
-/// Selection is byte-identical to a flat argmin: (time, seq) pairs are
-/// unique across pending slots, so the lexicographic min IS the
-/// min-time-then-min-seq slot (tests/serving/arrival_scheduler_test.cpp
-/// checks it against that oracle, equal-time ties included).
-class ArrivalStreams {
- public:
-  /// An empty set of streams (a shard before its services are bound).
-  ArrivalStreams() : ArrivalStreams(std::vector<std::size_t>{}) {}
-
-  /// `service_indices[i]` is the global index of local service i (global
-  /// indices feed stream ids; local indices feed slot selection).
-  explicit ArrivalStreams(const std::vector<std::size_t>& service_indices);
-
-  /// Arms local service `s` to arrive at `time_ms`, drawing the next
-  /// canonical key of its stream.
-  void arm(std::size_t s, double time_ms);
-
-  /// Retires the pending arrival of local service `s` (after processing,
-  /// or when it fell past the horizon).
-  void retire(std::size_t s);
-
-  std::size_t size() const { return streams_.size(); }
-  double time(std::size_t s) const { return time_[s]; }
-  std::uint64_t seq(std::size_t s) const { return seq_[s]; }
-  /// Canonical keys this service's stream has issued so far.
-  std::uint64_t issued(std::size_t s) const { return streams_[s].issued(); }
-
-  /// Local index of the earliest pending arrival by (time, seq), or size()
-  /// when none is pending.
-  std::size_t earliest();
-
- private:
-  /// Replays the champion's matches on its leaf-to-root path.
-  void replay_matches();
-  /// Plays every match below `node` afresh; returns the subtree's winner.
-  std::uint32_t play_subtree(std::size_t node);
-  /// True when slot a wins a match against slot b: strictly less (time, seq).
-  bool beats(std::uint32_t a, std::uint32_t b) const {
-    return time_[a] < time_[b] || (time_[a] == time_[b] && seq_[a] < seq_[b]);
-  }
-  /// Arming or retiring slot s; only the champion may change cheaply.
-  void touch(std::size_t s) { stale_ = stale_ || s != champion_; }
-
-  /// Per leaf, so spare leaves are ordinary never-armed slots.
-  std::vector<double> time_;
-  std::vector<std::uint64_t> seq_;
-  std::vector<SeqStream> streams_;
-  /// loser_[i] (1 <= i < leaf_base_) is the loser of node i's match; node
-  /// i plays the winners of nodes 2i and 2i+1, and leaf s is node
-  /// leaf_base_ + s.
-  std::vector<std::uint32_t> loser_;
-  std::size_t leaf_base_ = 1;
-  std::uint32_t champion_ = 0;
-  bool stale_ = true;
-};
 
 }  // namespace parva::serving

@@ -171,10 +171,24 @@ TEST_F(ClusterSimTest, InvalidOptionsThrow) {
     plan.gpu_failures = {{1'000.0, 0, 79}, {bad_ms, 0, 79}};
     SimulationOptions fault;
     fault.fault_plan = &plan;
-    for (const SimulationOptions* options : {&duration, &warmup, &bucket, &fault}) {
+    // A NaN activation would leave its unit dormant with no error, and a
+    // NaN recovery boundary would never open the post-recovery phase.
+    SimulationOptions activation;
+    activation.activations = {{0, 500.0}, {0, bad_ms}};
+    SimulationOptions recovered;
+    recovered.recovered_at_ms = bad_ms;
+    for (const SimulationOptions* options :
+         {&duration, &warmup, &bucket, &fault, &activation, &recovered}) {
       EXPECT_THROW((void)sim.run(*options), std::logic_error) << bad_ms;
     }
   }
+
+  // Still legal: an activation past the horizon (it never fires) and a
+  // zero recovery time (derive it from the latest activation).
+  SimulationOptions late = fast_options();
+  late.activations = {{0, 1e12}};
+  late.recovered_at_ms = 0.0;
+  EXPECT_NO_THROW((void)sim.run(late));
 }
 
 }  // namespace

@@ -9,11 +9,14 @@
 #include <vector>
 
 #include "core/parvagpu.hpp"
+#include "gpu/arch.hpp"
+#include "perfmodel/llm_model.hpp"
 #include "perfmodel/model_catalog.hpp"
 #include "profiler/profiler.hpp"
 #include "scenarios/scenarios.hpp"
 #include "serving/cluster_sim.hpp"
 #include "serving/llm_engine.hpp"
+#include "telemetry/telemetry.hpp"
 #include "tests/core/test_support.hpp"
 
 namespace parva::serving {
@@ -219,6 +222,58 @@ TEST_F(LlmSimTest, FifoAndLruEvictionChooseDifferentVictims) {
   EXPECT_GT(fifo.requests_evicted, 0u);
   EXPECT_GT(lru.requests_evicted, 0u);
   EXPECT_NE(fingerprint(fifo), fingerprint(lru));
+}
+
+// One decode step can evict another resident batch and then finish its
+// own: the eviction is emitted first, and the merge that orders exported
+// records must keep it first. Two single-request processes share a ledger
+// that holds both prompts (2 x 100 tokens) but not a prompt's decode chunk
+// on top (20 more), so nearly every batch's only decode step evicts the
+// other batch before completing.
+TEST_F(LlmSimTest, EvictionThenCompletionInOneDecodeStepKeepsEmissionOrder) {
+  core::DeployedUnit unit;
+  unit.service_id = 0;
+  unit.model = "llama-7b";
+  unit.gpu_index = 0;
+  unit.gpc_grant = 7.0;
+  unit.batch = 1;
+  unit.procs = 2;
+  unit.planned_throughput = unit.actual_throughput = 10.0;
+  unit.planned_latency_ms = unit.actual_latency_ms = 200.0;
+  core::Deployment deployment;
+  deployment.framework = "test";
+  deployment.uses_mig = true;
+  deployment.gpu_count = 1;
+  deployment.units = {unit};
+  const double weights_gib = perfmodel::LlmCatalog::builtin().find("llama-7b")->weight_gib * 2;
+  const double ledger_bytes = (gpu::instance_memory_gib(7) - weights_gib) * 1024.0 * 1024.0 * 1024.0;
+  const std::vector<core::ServiceSpec> services = {llm_service(
+      0, "llama-7b", 30'000, 20.0,
+      core::LlmWorkload{100.0, 0.0, 2048, 20.0, 0.0, 2048, ledger_bytes / 210.0})};
+  ClusterSimulation sim(deployment, services, perf_);
+
+  telemetry::Telemetry telemetry({.max_events = 1 << 16, .request_events = true});
+  SimulationOptions opts = fast_options();
+  opts.warmup_ms = 0.0;
+  opts.llm.admission = LlmAdmissionPolicy::kEvict;
+  opts.telemetry = &telemetry;
+  const SimulationResult result = sim.run(opts);
+  EXPECT_GT(result.requests_evicted, 0u);
+
+  const std::vector<telemetry::Event> events = telemetry.events().snapshot();
+  std::size_t steps = 0;
+  for (std::size_t i = 0; i + 1 < events.size(); ++i) {
+    const bool same_time = events[i].t_ms == events[i + 1].t_ms;
+    if (same_time && events[i].kind == telemetry::EventKind::kLlmEviction &&
+        events[i + 1].kind == telemetry::EventKind::kBatchCompleted) {
+      ++steps;
+    }
+    EXPECT_FALSE(same_time && events[i].kind == telemetry::EventKind::kBatchCompleted &&
+                 events[i + 1].kind == telemetry::EventKind::kLlmEviction)
+        << "completion exported before the eviction its decode step made, t="
+        << events[i].t_ms;
+  }
+  EXPECT_GT(steps, 0u);
 }
 
 // Every dispatch policy runs deterministically; the placement orderings

@@ -37,45 +37,30 @@ TEST(SeqStabilityTest, CanonicalKeysArePureFunctionsOfTheSource) {
   EXPECT_EQ(a.issued(), 100u);
 }
 
-TEST(SeqStabilityTest, ArrivalStreamsAssignIdenticalSeqsUnderAnyPartition) {
-  // A monolithic set of per-service arrival streams and the same streams
-  // split across two shards must hand out identical seqs per service —
-  // regardless of the order the two shards interleave their arming calls.
-  ArrivalStreams mono({0, 1, 2, 3, 4});
-  ArrivalStreams shard_a({0, 2, 4});
-  ArrivalStreams shard_b({1, 3});
+TEST(SeqStabilityTest, ArrivalSeqStreamsAreIdenticalUnderAnyPartition) {
+  // One arrival stream per service, keyed by the service's global index,
+  // hands out the same keys whether all five services live on one shard
+  // or are split across two — regardless of how the shards interleave
+  // their draws.
+  std::vector<SeqStream> mono;
+  for (std::size_t s = 0; s < 5; ++s) mono.emplace_back(arrival_stream_id(s));
+  std::vector<SeqStream> shard_a = {SeqStream(arrival_stream_id(0)),
+                                    SeqStream(arrival_stream_id(2)),
+                                    SeqStream(arrival_stream_id(4))};
+  std::vector<SeqStream> shard_b = {SeqStream(arrival_stream_id(1)),
+                                    SeqStream(arrival_stream_id(3))};
   Rng rng(7);
   std::vector<int> armed(5, 0);
   for (int step = 0; step < 500; ++step) {
     const auto s = static_cast<std::size_t>(rng.uniform_int(0, 4));
-    const double t = static_cast<double>(step);
-    mono.arm(s, t);
-    const std::uint64_t expected = mono.seq(s);
-    if (s % 2 == 0) {
-      shard_a.arm(s / 2, t);
-      EXPECT_EQ(shard_a.seq(s / 2), expected);
-      EXPECT_EQ(shard_a.time(s / 2), t);
-    } else {
-      shard_b.arm(s / 2, t);
-      EXPECT_EQ(shard_b.seq(s / 2), expected);
-    }
+    const std::uint64_t expected = mono[s].next();
+    std::vector<SeqStream>& shard = s % 2 == 0 ? shard_a : shard_b;
+    EXPECT_EQ(shard[s / 2].next(), expected);
     ++armed[s];
     // The key is the pure function (arrival stream of s, occurrences so far).
     EXPECT_EQ(expected, canonical_seq(arrival_stream_id(s),
                                       static_cast<std::uint64_t>(armed[s]) - 1));
   }
-}
-
-TEST(SeqStabilityTest, EarliestBreaksTimeTiesBySeq) {
-  ArrivalStreams streams({0, 1, 2});
-  streams.arm(2, 10.0);  // armed first: lowest counter at the tied time? No —
-  streams.arm(0, 10.0);  // seq is per-stream, so the *stream id* decides:
-  streams.arm(1, 10.0);  // all counters are 0, stream 0 < 1 < 2.
-  EXPECT_EQ(streams.earliest(), 0u);
-  streams.retire(0);
-  EXPECT_EQ(streams.earliest(), 1u);
-  streams.arm(0, 5.0);  // strictly earlier time wins over any seq
-  EXPECT_EQ(streams.earliest(), 0u);
 }
 
 TEST(SeqStabilityTest, PerShardArrivalGenerationPreservesEngineSeqs) {

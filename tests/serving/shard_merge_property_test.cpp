@@ -1,9 +1,9 @@
 // Property test for the window-barrier merge: the canonically keyed record
 // stream that merge_records() produces must be invariant under how the
-// records were distributed across shard buffers — including adversarial
-// bursts of equal-timestamp records spread over every buffer. This is the
-// algebraic half of the engine's parallel == serial argument (the
-// differential half lives in parallel_engine_test.cpp).
+// records were distributed across shard buffers and ordered within each —
+// including adversarial bursts of equal-timestamp records spread over
+// every buffer. This is the algebraic half of the engine's parallel ==
+// serial argument (the differential half lives in parallel_engine_test.cpp).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -58,14 +58,20 @@ std::vector<BufferedRecord> random_stream(Rng& rng, std::size_t streams,
 }
 
 /// Distributes the canonical stream across `shards` buffers at random,
-/// preserving each buffer's relative (canonical) order — exactly what a
-/// shard execution does, since every shard emits in key order.
+/// then shuffles each buffer: a shard emits one service loop's window at a
+/// time, so its buffer follows key order only within each service.
 std::vector<std::vector<BufferedRecord>> random_partition(Rng& rng,
                                                           const std::vector<BufferedRecord>& stream,
                                                           std::size_t shards) {
   std::vector<std::vector<BufferedRecord>> buffers(shards);
   for (const BufferedRecord& record : stream) {
     buffers[static_cast<std::size_t>(rng.uniform_int(0, shards - 1))].push_back(record);
+  }
+  for (std::vector<BufferedRecord>& buffer : buffers) {
+    // Fisher-Yates on the test's own seeded stream.
+    for (std::size_t i = buffer.size(); i > 1; --i) {
+      std::swap(buffer[i - 1], buffer[static_cast<std::size_t>(rng.uniform_int(0, i - 1))]);
+    }
   }
   return buffers;
 }

@@ -1,16 +1,15 @@
 // Golden fixture: rule R11 satisfied -- the hot-path root
-// ArrivalStreams::replay_matches reaches only pure arithmetic helpers.
+// Shard::advance reaches only pure arithmetic helpers.
 // The audit must report nothing.
-struct ArrivalStreams {
-  unsigned long long replay_matches(unsigned long long draws);
+struct Shard {
+  unsigned long long advance(unsigned long long draws);
   unsigned long long mix(unsigned long long value);
 };
 
-inline unsigned long long ArrivalStreams::replay_matches(
-    unsigned long long draws) {
+inline unsigned long long Shard::advance(unsigned long long draws) {
   return mix(draws) + 1;
 }
 
-inline unsigned long long ArrivalStreams::mix(unsigned long long value) {
+inline unsigned long long Shard::mix(unsigned long long value) {
   return value * 2654435761ULL;
 }

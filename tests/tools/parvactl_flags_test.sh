@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Regression test for parvactl simulate's numeric flags: a malformed or
-# out-of-range --seed, --duration-ms or --inject-fault value must exit 1
-# with a message naming the flag, never run with a silently substituted
-# value. A valid short simulation must still exit 0.
+# out-of-range --seed, --duration-ms, --inject-fault or --transient-p value
+# must exit 1 with a message naming the flag, never run with a silently
+# substituted value. A valid short simulation must still exit 0.
 #
 # Usage: parvactl_flags_test.sh <parvactl_binary>
 #
@@ -39,6 +39,7 @@ expect_rejected --seed --seed -1
 expect_rejected --inject-fault --inject-fault gpu=0@t=nan
 expect_rejected --inject-fault --inject-fault gpu=0@t=inf
 expect_rejected --inject-fault --inject-fault gpu=1.9@t=5000
+expect_rejected --transient-p --transient-p nan
 
 run --seed 7 --duration-ms 1000 --inject-fault gpu=0@t=500 >/dev/null 2>&1
 rc=$?

@@ -36,7 +36,7 @@
 //   R11 no blocking operation (mutex acquisition, ThreadPool submit/wait,
 //       iostream/file I/O, std::{map,set} inserts) is transitively
 //       reachable from a hot-path root (shard window advance, event-engine
-//       push/pop, arrival-tournament replay; see default_hotpath_roots())
+//       push/pop; see default_hotpath_roots())
 //   R12 R2 upgraded to reachability: unordered-container iteration anywhere
 //       transitively reachable from a function defined in an export/
 //       fingerprint manifest file is flagged, closing the helper-in-a-

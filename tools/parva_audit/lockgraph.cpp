@@ -294,14 +294,13 @@ void check_r12(const CallGraph& graph, const AuditConfig& config,
 }  // namespace internal
 
 std::vector<std::string> default_hotpath_roots() {
-  // The three hot loops of the sharded DES (DESIGN.md §4.5-§4.7): the
-  // shard window advance, the event-engine heap, and the arrival
-  // tournament's replay. AuditConfig::hotpath_roots overrides them.
+  // The hot loops of the sharded DES (DESIGN.md §4.5-§4.7): the shard
+  // window advance, which runs every service loop, and the per-service
+  // event heap. AuditConfig::hotpath_roots overrides them.
   return {
       "Shard::advance",
       "EventQueue::push",
       "EventQueue::pop",
-      "ArrivalStreams::replay_matches",
   };
 }
 
