@@ -1,8 +1,9 @@
 // google-benchmark microbenchmarks of the building blocks: MIG geometry
-// enumeration, the Segment Configurator, the Segment Allocator stages, the
-// end-to-end schedulers, deploying and repairing a fleet, and the
-// discrete-event simulator: throughput, cost per event across fleet sizes,
-// and how much of a shard's time pooled execution adds.
+// enumeration, the Segment Configurator, the Segment Allocator stages and
+// single-service updates on an LLM fleet, the end-to-end schedulers,
+// deploying and repairing a fleet, and the discrete-event simulator:
+// throughput, cost per event across fleet sizes, and how much of a shard's
+// time pooled execution adds.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -11,10 +12,12 @@
 #include <numeric>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "common/thread_pool.hpp"
 #include "core/allocator.hpp"
 #include "core/configurator.hpp"
 #include "core/parvagpu.hpp"
+#include "core/reconfigure.hpp"
 #include "core/repair.hpp"
 #include "gpu/mig_geometry.hpp"
 #include "profiler/profiler.hpp"
@@ -68,6 +71,87 @@ void BM_SegmentAllocator(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SegmentAllocator);
+
+/// Profiles of the LLM-extended catalog (the built-in models plus the
+/// llama rows S7 serves), profiled once.
+const profiler::ProfileSet& llm_profiles() {
+  static const profiler::ProfileSet profiles = [] {
+    perfmodel::AnalyticalPerfModel perf(perfmodel::ModelCatalog::with_llm());
+    profiler::Profiler profiler(perf);
+    return profiler.profile_all(perfmodel::ModelCatalog::with_llm().names());
+  }();
+  return profiles;
+}
+
+const profiler::ProfileSurfaceSet& llm_surfaces() {
+  static const profiler::ProfileSurfaceSet surfaces{llm_profiles()};
+  return surfaces;
+}
+
+// Allocation Optimization (Alg. 2 stage 2) alone on the relocated plan of
+// S7 folded x60 / x300 / x700 (300 / 1,500 / 3,500 LLM services). The plan
+// is copied outside the timer. S7 leaves most GPUs light, so nearly every
+// GPU is a candidate: time per fold should grow with the fold.
+void BM_AllocationOptimizationS7Fold(benchmark::State& state) {
+  const Scenario fleet = scale_scenario(llm_scenario(), static_cast<int>(state.range(0)));
+  const auto configured =
+      core::SegmentConfigurator().configure(fleet.services, llm_surfaces()).value();
+  const core::SegmentAllocator allocator;
+  const core::DeploymentPlan relocated = allocator.segment_relocation(configured).value();
+  std::size_t gpus = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    core::DeploymentPlan plan = relocated;
+    state.ResumeTiming();
+    gpus = allocator.allocation_optimization(std::move(plan), configured).gpus_in_use();
+    benchmark::DoNotOptimize(gpus);
+  }
+  state.counters["gpus_before"] = static_cast<double>(relocated.gpus_in_use());
+  state.counters["gpus_after"] = static_cast<double>(gpus);
+}
+BENCHMARK(BM_AllocationOptimizationS7Fold)
+    ->Arg(60)->Arg(300)->Arg(700)->Unit(benchmark::kMicrosecond);
+
+// Reconfigurer::update_service (§III-F) on S7 x60: a seeded stream of 200
+// SLO/rate changes, each relative to the fleet's own spec (rate x U(0.7,
+// 1.3) or SLO x U(1.0, 1.5)) so the stream never drifts. Time is per
+// update.
+void BM_UpdateServiceS7x60(benchmark::State& state) {
+  const Scenario fleet = scale_scenario(llm_scenario(), 60);
+  core::ParvaGpuScheduler scheduler(llm_profiles());
+  if (!scheduler.schedule(fleet.services).ok()) {
+    state.SkipWithError("S7 x60 did not schedule");
+    return;
+  }
+  core::DeploymentPlan plan = scheduler.last_plan();
+  std::vector<core::ConfiguredService> configured = scheduler.last_configured();
+  Rng rng(60);
+  std::vector<core::ServiceSpec> updates;
+  for (int u = 0; u < 200; ++u) {
+    core::ServiceSpec spec =
+        fleet.services[static_cast<std::size_t>(rng.uniform_int(0, fleet.services.size() - 1))];
+    if (rng.next_double() < 0.5) {
+      spec.request_rate *= rng.uniform(0.7, 1.3);
+    } else {
+      spec.slo_latency_ms *= rng.uniform(1.0, 1.5);
+    }
+    updates.push_back(std::move(spec));
+  }
+  const core::Reconfigurer reconfigurer{core::SegmentConfigurator(), core::SegmentAllocator()};
+  std::size_t next = 0;
+  for (auto _ : state) {
+    const auto stats = reconfigurer.update_service(plan, configured, updates[next],
+                                                   llm_surfaces());
+    if (!stats.ok()) {
+      state.SkipWithError("update_service failed");
+      break;
+    }
+    benchmark::DoNotOptimize(stats);
+    next = (next + 1) % updates.size();
+  }
+  state.counters["gpus"] = static_cast<double>(plan.gpus_in_use());
+}
+BENCHMARK(BM_UpdateServiceS7x60)->Unit(benchmark::kMicrosecond);
 
 void BM_Scheduler(benchmark::State& state, Framework framework, const char* scenario_name) {
   const Scenario& sc = scenario(scenario_name);

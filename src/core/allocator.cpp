@@ -1,9 +1,43 @@
 #include "core/allocator.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <optional>
 
 namespace parva::core {
+namespace {
+
+/// Service lookup by id for one Allocation Optimization pass. The first
+/// 2*bit_width(n) lookups scan the list front to back; the next one sorts
+/// an (id, position) index once and every later one binary-searches it. A
+/// pass that looks up few segments (an S5 update, 1-8 candidate GPUs)
+/// never pays for the sort, and one that looks up many never pays O(n)
+/// per lookup; either way a repeated id resolves to its first position.
+class ServiceLookup {
+ public:
+  explicit ServiceLookup(std::span<const ConfiguredService> services)
+      : services_(services), scans_left_(2 * std::bit_width(services.size())) {}
+
+  const ConfiguredService* find(int id) {
+    if (scans_left_ > 0) {
+      --scans_left_;
+      const auto it = std::find_if(services_.begin(), services_.end(),
+                                   [id](const ConfiguredService& s) { return s.spec.id == id; });
+      return it == services_.end() ? nullptr : &*it;
+    }
+    if (!index_.has_value()) index_ = ServiceIdIndex::for_configured(services_);
+    const auto position = index_->find(id);
+    return position.has_value() ? &services_[*position] : nullptr;
+  }
+
+ private:
+  std::span<const ConfiguredService> services_;
+  std::size_t scans_left_;
+  std::optional<ServiceIdIndex> index_;
+};
+
+}  // namespace
 
 void SegmentAllocator::enqueue(SegmentQueues& queues, int service_id, const Triplet& triplet) {
   queues[triplet.gpcs].push_back(Segment{service_id, triplet});
@@ -19,16 +53,17 @@ void SegmentAllocator::enqueue_service(SegmentQueues& queues, const ConfiguredSe
 }
 
 void SegmentAllocator::run_allocation(SegmentQueues& queues, DeploymentPlan& plan,
-                                      std::vector<std::size_t>* placed_on) {
+                                      FitCursors& cursors, std::vector<std::size_t>* placed_on) {
   // Largest-size queues first (std::greater key order), first-fit front to
   // back across GPUs; find_start_slot applies the slot-preference rules.
   // ALLOCATION only fills slots, and whether a size fits is monotone in the
-  // occupied mask, so a GPU that cannot take size k now never can later in
-  // this call. Each queue's search therefore resumes at the GPU where its
-  // previous segment landed: the same GPU a scan from 0 would pick, at
-  // O(sizes x GPUs + segments) instead of O(segments x GPUs).
+  // occupied mask, so a GPU that cannot take size k now never can later.
+  // Each queue's search therefore resumes at its size's cursor, which ends
+  // on the GPU where the previous segment of that size landed: the same
+  // GPU a scan from 0 would pick, at O(sizes x GPUs + segments) instead of
+  // O(segments x GPUs).
   for (const auto& [gpcs, queue] : queues) {
-    std::size_t cursor = 0;
+    std::size_t& cursor = cursors.at(static_cast<std::size_t>(gpcs));
     for (const Segment& segment : queue) {
       cursor = plan.place_first_fit(segment.service_id, segment.triplet, cursor);
       if (placed_on != nullptr) placed_on->push_back(cursor);
@@ -48,7 +83,8 @@ Result<DeploymentPlan> SegmentAllocator::segment_relocation(
     enqueue_service(queues, service);
   }
   DeploymentPlan plan;
-  run_allocation(queues, plan);
+  FitCursors cursors{};
+  run_allocation(queues, plan, cursors);
   return plan;
 }
 
@@ -93,19 +129,13 @@ std::vector<Triplet> SegmentAllocator::small_segments(const ConfiguredService& s
 
 DeploymentPlan SegmentAllocator::allocation_optimization(
     DeploymentPlan plan, std::span<const ConfiguredService> services) const {
-  auto find_service = [&](int id) -> const ConfiguredService* {
-    for (const ConfiguredService& service : services) {
-      if (service.spec.id == id) return &service;
-    }
-    return nullptr;
-  };
-
+  ServiceLookup lookup(services);
   const std::size_t before = plan.gpus_in_use();
 
   // Undo journal, replayed only when the optimized map would use more GPUs
   // than the input: the GPU index of every small segment ALLOCATION placed,
-  // in order, and each dissolved GPU as it was before its strip, with the
-  // number of placements made before it.
+  // in order, and each dissolved GPU as it was just before its first
+  // segment left, with the number of placements made before it.
   struct Dissolved {
     std::size_t gpu;
     std::size_t placements_before;
@@ -118,32 +148,48 @@ DeploymentPlan SegmentAllocator::allocation_optimization(
   // GPU's re-expression carries (as a negative balance) into the next.
   std::map<int, double> freed_rate;
 
+  // One first-fit cursor per size for the whole pass (see the header).
+  FitCursors cursors{};
+
   for (std::size_t gi = plan.gpu_count(); gi-- > 0;) {
     GpuPlan& gpu = plan.gpu(gi);
     if (gpu.empty()) continue;
     if (gpu.allocated_gpcs() > options_.optimization_threshold_gpcs) continue;
 
-    dissolved.push_back(Dissolved{gi, placed_on.size(), gpu});
     SegmentQueues queues;
+    bool stripped = false;
     // Free segments whose service can be re-expressed with small triplets;
     // segments of services lacking size-1/2 triplets stay in place.
     for (std::size_t si = gpu.segments().size(); si-- > 0;) {
-      const PlacedSegment& placed = gpu.segments()[si];
-      const ConfiguredService* service = find_service(placed.service_id);
+      const ConfiguredService* service = lookup.find(gpu.segments()[si].service_id);
       if (service == nullptr) continue;
       if (!service->opt_tri_array[0].has_value() && !service->opt_tri_array[1].has_value()) {
         continue;  // SMALLSEGMENTS would come back empty; keep the segment
       }
+      if (!stripped) {  // journal the GPU as it is, before its first removal
+        dissolved.push_back(Dissolved{gi, placed_on.size(), gpu});
+        stripped = true;
+      }
       const PlacedSegment freed = gpu.remove_segment(si);
-      freed_rate[service->spec.id] += freed.triplet.throughput;
-      for (const Triplet& small : small_segments(*service, freed_rate[service->spec.id])) {
-        freed_rate[service->spec.id] -= small.throughput;
+      double& rate = freed_rate[service->spec.id];
+      rate += freed.triplet.throughput;
+      for (const Triplet& small : small_segments(*service, rate)) {
+        rate -= small.throughput;
         enqueue(queues, service->spec.id, small);
       }
     }
-    // Reallocate the small segments; ALLOCATION scans from the front, so
-    // they sink into earlier gaps when any exist.
-    run_allocation(queues, plan, &placed_on);
+    // Nothing left this GPU: it is as it was, and nothing is re-placed.
+    if (!stripped) continue;
+    // The strip is the pass's only removal; pull back every cursor beyond
+    // gi for each size gi now fits. Done before any placement, which may
+    // append a GPU and leave `gpu` dangling.
+    for (const int size : gpu::kInstanceSizes) {
+      std::size_t& cursor = cursors[static_cast<std::size_t>(size)];
+      if (cursor > gi && gpu.can_fit(size)) cursor = gi;
+    }
+    // Reallocate the small segments; first fit from the front, so they
+    // sink into earlier gaps when any exist.
+    run_allocation(queues, plan, cursors, &placed_on);
   }
 
   if (plan.gpus_in_use() > before) {
@@ -182,7 +228,8 @@ Status SegmentAllocator::place_service(DeploymentPlan& plan,
                                        const ConfiguredService& service) const {
   SegmentQueues queues;
   enqueue_service(queues, service);
-  run_allocation(queues, plan);
+  FitCursors cursors{};
+  run_allocation(queues, plan, cursors);
   return Status::Ok();
 }
 

@@ -13,14 +13,29 @@
 // freed throughput as size-1/2 segments from the service's optimal-triplet
 // array, and re-run ALLOCATION so the small segments sink into earlier
 // gaps. Surplus small-segment capacity carries to the next freed GPU
-// through the freed_rate ledger. The pass edits the map in place and keeps
-// an undo journal (each dissolved GPU as it was, the GPU of each placed
-// small segment); when the result would use more GPUs than the input, the
-// journal is replayed backwards and the input map is returned. That does
-// happen: a lone 4g segment whose only small triplet is a 1g at a tenth of
-// its rate re-expresses as ten 1g segments, which need a second GPU.
+// through the freed_rate ledger. The pass costs what it can change, not
+// the size of the fleet:
+//   * One first-fit cursor per segment size lasts for the whole pass: no
+//     GPU before cursor[k] fits size k. Placements only fill slots, so
+//     that holds from one ALLOCATION call to the next; the one removal is
+//     the strip of the visited GPU, after which each cursor beyond it is
+//     pulled back to it for every size it now fits.
+//   * The pass edits the map in place and keeps an undo journal: each GPU
+//     as it was just before its first segment left, and the GPU of each
+//     placed small segment. A candidate that nothing leaves (its services
+//     have no small triplet) is not journaled; what lands on it is popped
+//     like any placement. When the result would use more GPUs than the
+//     input, the journal is replayed backwards and the input map is
+//     returned. That does happen: a lone 4g segment whose only small
+//     triplet is a 1g at a tenth of its rate re-expresses as ten 1g
+//     segments, which need a second GPU.
+//   * Each freed segment finds its service by a front-to-back scan for the
+//     first 2*bit_width(n) lookups of a pass, then through one sorted
+//     (id, position) index: never much dearer than the cheaper of the two.
+//     Either way a repeated id resolves to its first service.
 #pragma once
 
+#include <array>
 #include <map>
 #include <span>
 #include <vector>
@@ -68,11 +83,16 @@ class SegmentAllocator {
   /// Size-indexed segment queues (key = gpcs, drained in descending order).
   using SegmentQueues = std::map<int, std::vector<Segment>, std::greater<int>>;
 
+  /// First-fit cursor per segment size, indexed by GPC count: no GPU
+  /// before `cursors[k]` fits a size-k segment. All zero is always valid.
+  using FitCursors = std::array<std::size_t, gpu::kGpcSlots + 1>;
+
   static void enqueue(SegmentQueues& queues, int service_id, const Triplet& triplet);
   static void enqueue_service(SegmentQueues& queues, const ConfiguredService& service);
-  /// The ALLOCATION function: drains queues into the plan, appending the
-  /// GPU index of every placed segment to `placed_on` when given.
-  static void run_allocation(SegmentQueues& queues, DeploymentPlan& plan,
+  /// The ALLOCATION function: drains queues into the plan, each size's
+  /// first-fit search starting at (and advancing) its cursor, and appends
+  /// the GPU index of every placed segment to `placed_on` when given.
+  static void run_allocation(SegmentQueues& queues, DeploymentPlan& plan, FitCursors& cursors,
                              std::vector<std::size_t>* placed_on = nullptr);
 
   AllocatorOptions options_;

@@ -9,8 +9,18 @@ namespace parva::core {
 
 Result<ConfiguredService> SegmentConfigurator::triplet_decision(
     const ServiceSpec& spec, const profiler::ProfileSurface& surface) const {
-  PARVA_REQUIRE(spec.slo_latency_ms > 0.0, "service SLO latency must be positive");
-  PARVA_REQUIRE(spec.request_rate >= 0.0, "service request rate must be non-negative");
+  // Negated comparisons, so a NaN fails them too. An infinite rate passes
+  // here and is refused by demand_matching.
+  if (!(std::isfinite(spec.slo_latency_ms) && spec.slo_latency_ms > 0.0)) {
+    return Error(ErrorCode::kInvalidArgument,
+                 "service " + std::to_string(spec.id) + " (" + spec.model +
+                     "): SLO latency must be finite and positive");
+  }
+  if (!(spec.request_rate >= 0.0)) {
+    return Error(ErrorCode::kInvalidArgument,
+                 "service " + std::to_string(spec.id) + " (" + spec.model +
+                     "): request rate must be non-negative");
+  }
 
   const double latency_bound = spec.slo_latency_ms * options_.internal_latency_factor;
 

@@ -32,7 +32,9 @@ class SegmentConfigurator {
   /// maximum-throughput point whose latency fits the internal bound (ties
   /// resolve as a first-wins scan of the profile table would; differential
   /// coverage in tests/core/configurator_test.cpp). Fails with
-  /// kCapacityExceeded when no instance size can meet the SLO at all.
+  /// kInvalidArgument, naming the service, when the SLO is not finite and
+  /// positive or the rate is NaN or negative, and with kCapacityExceeded
+  /// when no instance size can meet the SLO at all.
   [[nodiscard]] Result<ConfiguredService> triplet_decision(const ServiceSpec& spec,
                                              const profiler::ProfileSurface& surface) const;
 

@@ -65,6 +65,15 @@ Deployment ParvaGpuScheduler::to_deployment(const DeploymentPlan& plan,
 Result<ScheduleResult> ParvaGpuScheduler::schedule(std::span<const ServiceSpec> services) {
   const auto start = std::chrono::steady_clock::now();
 
+  // Every later stage keys on the id, so a repeated one is refused before
+  // anything is planned.
+  const ServiceIdIndex by_id(services);
+  if (const auto repeat = by_id.first_repeat()) {
+    return Error(ErrorCode::kInvalidArgument,
+                 "service " + std::to_string(services[*repeat].id) + " at position " +
+                     std::to_string(*repeat) + " repeats an earlier service's id");
+  }
+
   auto configured = configurator_.configure(services, surfaces_);
   if (!configured.ok()) return configured.error();
   auto plan = allocator_.allocate(configured.value());
@@ -77,7 +86,6 @@ Result<ScheduleResult> ParvaGpuScheduler::schedule(std::span<const ServiceSpec> 
   result.deployment = to_deployment(last_plan_, name());
   // Configuration keeps the input order, so a position in `services` is
   // also the position of that service's configuration.
-  const ServiceIdIndex by_id(services);
   for (auto& unit : result.deployment.units) {
     if (const auto pos = by_id.find(unit.service_id)) unit.model = services[*pos].model;
   }

@@ -40,6 +40,8 @@ class ParvaGpuScheduler final : public Scheduler {
   ParvaGpuScheduler(const profiler::ProfileSet& profiles, ParvaGpuOptions options = {});
 
   std::string name() const override;
+  /// Configures and allocates `services`. Returns kInvalidArgument, before
+  /// configuring anything, when two services share an id.
   [[nodiscard]] Result<ScheduleResult> schedule(std::span<const ServiceSpec> services) override;
 
   /// The last run's internals, for the Deployer and reconfiguration path.

@@ -87,9 +87,35 @@ int instance_size_from_index(int index) {
 ServiceIdIndex::ServiceIdIndex(std::span<const ServiceSpec> services) {
   by_id_.reserve(services.size());
   for (std::size_t i = 0; i < services.size(); ++i) by_id_.emplace_back(services[i].id, i);
+  sort_by_id();
+}
+
+ServiceIdIndex ServiceIdIndex::for_configured(std::span<const ConfiguredService> services) {
+  ServiceIdIndex index(std::span<const ServiceSpec>{});
+  index.by_id_.reserve(services.size());
+  for (std::size_t i = 0; i < services.size(); ++i) {
+    index.by_id_.emplace_back(services[i].spec.id, i);
+  }
+  index.sort_by_id();
+  return index;
+}
+
+void ServiceIdIndex::sort_by_id() {
   // Positions are unique, so sorting the pairs orders equal ids by
   // position: the stable order by id, without stable_sort's extra buffer.
   std::sort(by_id_.begin(), by_id_.end());
+}
+
+std::optional<std::size_t> ServiceIdIndex::first_repeat() const {
+  // Equal ids sit side by side in position order, so every entry that
+  // follows one with its id is a repeat.
+  std::optional<std::size_t> first;
+  for (std::size_t i = 1; i < by_id_.size(); ++i) {
+    if (by_id_[i].first == by_id_[i - 1].first && (!first || by_id_[i].second < *first)) {
+      first = by_id_[i].second;
+    }
+  }
+  return first;
 }
 
 std::optional<std::size_t> ServiceIdIndex::find(int id) const {

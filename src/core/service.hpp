@@ -121,11 +121,19 @@ struct Segment {
 class ServiceIdIndex {
  public:
   explicit ServiceIdIndex(std::span<const ServiceSpec> services);
+  /// The same index over configured services, keyed on `spec.id`.
+  static ServiceIdIndex for_configured(std::span<const ConfiguredService> services);
 
   /// Position of the first service with `id`; nullopt when none has it.
   std::optional<std::size_t> find(int id) const;
 
+  /// The first position, in list order, whose id an earlier service
+  /// already has; nullopt when every id is unique.
+  std::optional<std::size_t> first_repeat() const;
+
  private:
+  void sort_by_id();
+
   std::vector<std::pair<int, std::size_t>> by_id_;
 };
 

@@ -9,7 +9,8 @@
 //     places exactly as a first-fit scan from GPU 0 for every segment,
 //   * in-place Allocation Optimization, with its undo journal, returns
 //     exactly what running it on a copy of the map and keeping the copy
-//     only when it uses no more GPUs returns, at several thresholds.
+//     only when it uses no more GPUs returns, at several thresholds (also
+//     on the relocated S7 LLM folds).
 #include <gtest/gtest.h>
 
 #include <functional>
@@ -115,6 +116,43 @@ TEST(AllocatorCursorTest, RelocationMatchesLinearScanOracleAtFleetScale) {
     EXPECT_EQ(relocated.value().to_string(),
               linear_scan_relocation(configured.value()).to_string())
         << "fold " << fold;
+  }
+}
+
+TEST(AllocatorCursorTest, OptimizationMatchesCopyThenOptimizeOnS7Folds) {
+  // S7 leaves most GPUs light, so nearly every GPU is a candidate and the
+  // pass's first-fit cursors, lazily journaled GPUs and service lookups
+  // (past the linear budget from x10 on) all get exercised. Folds x1, x10
+  // and x60 in catalog order, plus x60 shuffled, at three thresholds.
+  SegmentConfigurator configurator;
+  SegmentAllocator allocator;
+  struct Fold {
+    int fold;
+    bool shuffled;
+  };
+  for (const Fold f : {Fold{1, false}, Fold{10, false}, Fold{60, false}, Fold{60, true}}) {
+    std::vector<ServiceSpec> services =
+        scenarios::scale_scenario(scenarios::llm_scenario(), f.fold).services;
+    if (f.shuffled) {
+      Rng rng(60);
+      for (std::size_t i = services.size(); i > 1; --i) {
+        std::swap(services[i - 1], services[rng.uniform_int(0, i - 1)]);
+      }
+    }
+    const std::string label = "fold " + std::to_string(f.fold) + (f.shuffled ? " shuffled" : "");
+    auto configured = configurator.configure(services, testing::llm_surfaces());
+    ASSERT_TRUE(configured.ok()) << label;
+    const auto relocated = allocator.segment_relocation(configured.value());
+    ASSERT_TRUE(relocated.ok()) << label;
+    for (const int threshold : {2, 4, 7}) {
+      AllocatorOptions options;
+      options.optimization_threshold_gpcs = threshold;
+      EXPECT_EQ(testing::dump(SegmentAllocator(options).allocation_optimization(
+                    relocated.value(), configured.value())),
+                testing::dump(testing::copy_then_optimize(relocated.value(), configured.value(),
+                                                          threshold)))
+          << label << " threshold " << threshold;
+    }
   }
 }
 

@@ -245,6 +245,69 @@ TEST(AllocatorTest, RollbackRestoresAGpuThatTookSmallSegmentsBeforeDissolving) {
   EXPECT_EQ(dump(optimized), dump(copy_then_optimize(plan, services)));
 }
 
+TEST(AllocatorTest, RollbackPopsSmallSegmentsFromACandidateNothingLeft) {
+  // GPU0 is full (7g anchor B). GPU2 holds N's lone 3g; N has no 1g/2g
+  // triplet, so the pass visits GPU2 first, frees nothing and journals
+  // nothing. GPU1's A (3g at 100 req/s; 1g at `small_rate`) then dissolves
+  // and its 1g segments fill GPU1, spill into GPU2's four free slots, and
+  // beyond. At 5 req/s that is twenty 1g segments and five GPUs against
+  // three, so the pass rolls back: the segments on the un-journaled GPU2
+  // are popped like any placement and the input comes back exactly. At
+  // 10 req/s the ten segments fit GPU1 and GPU2 and the result is kept.
+  for (const double small_rate : {5.0, 10.0}) {
+    const std::vector<ConfiguredService> services = {
+        configured(0, 3, 100, 1, std::nullopt, triplet(1, small_rate)),
+        configured(1, 7, 2000, 1),
+        configured(2, 3, 750, 1),
+    };
+    DeploymentPlan plan;
+    for (int id = 0; id < 3; ++id) plan.gpus().emplace_back(id);
+    ASSERT_TRUE(plan.gpu(0).try_place_at(1, triplet(7, 2000), 0));
+    ASSERT_TRUE(plan.gpu(1).try_place_at(0, triplet(3, 100), 4));
+    ASSERT_TRUE(plan.gpu(2).try_place_at(2, triplet(3, 750), 4));
+
+    const DeploymentPlan optimized = SegmentAllocator().allocation_optimization(plan, services);
+    expect_valid(optimized);
+    EXPECT_EQ(dump(optimized), dump(copy_then_optimize(plan, services))) << small_rate;
+    if (small_rate == 5.0) {
+      EXPECT_EQ(dump(optimized), dump(plan));
+    } else {
+      EXPECT_EQ(optimized.to_string(),
+                "GPU0{s1:7@0} GPU1{s0:1@0 s0:1@1 s0:1@2 s0:1@3 s0:1@4 s0:1@5 s0:1@6} "
+                "GPU2{s2:3@4 s0:1@0 s0:1@1 s0:1@2}");
+    }
+  }
+}
+
+TEST(AllocatorTest, RepeatedIdResolvesToTheFirstServiceOnEitherLookupPath) {
+  // Service id 0 appears twice: first with 1g/2g triplets, last with none.
+  // GPU0 holds id 0's lone 3g; behind it, `fillers` GPUs each hold a 4g of
+  // a service without small triplets, so the pass looks up every filler
+  // (and frees nothing) before it reaches GPU0. With no fillers, id 0 is
+  // found by the front-to-back scan; with 30, the 32 services give a scan
+  // budget of 2 * bit_width(32) = 12 lookups, and id 0 is found through
+  // the sorted index. Either way the first service wins, as in
+  // copy_then_optimize: its 3g re-expresses as a 2g and a 1g on GPU0.
+  for (const int fillers : {0, 30}) {
+    std::vector<ConfiguredService> services = {
+        configured(0, 3, 750, 1, std::nullopt, triplet(1, 260), triplet(2, 540))};
+    DeploymentPlan plan;
+    plan.gpus().emplace_back(0);
+    ASSERT_TRUE(plan.gpu(0).try_place_at(0, triplet(3, 750), 4));
+    for (int f = 1; f <= fillers; ++f) {
+      services.push_back(configured(f, 4, 900, 1));
+      plan.gpus().emplace_back(f);
+      ASSERT_TRUE(plan.gpu(static_cast<std::size_t>(f)).try_place_at(f, triplet(4, 900), 0));
+    }
+    services.push_back(configured(0, 3, 750, 1));
+
+    const DeploymentPlan optimized = SegmentAllocator().allocation_optimization(plan, services);
+    EXPECT_EQ(dump(optimized), dump(copy_then_optimize(plan, services))) << fillers;
+    ASSERT_EQ(optimized.gpu_count(), static_cast<std::size_t>(fillers) + 1);
+    EXPECT_EQ(optimized.gpu(0).to_string(), "GPU0{s0:2@0 s0:1@2}") << fillers;
+  }
+}
+
 TEST(AllocatorTest, ThresholdZeroDisablesDissolution) {
   std::vector<ConfiguredService> services = {
       configured(0, 3, 750, 1, std::nullopt, triplet(1, 260), triplet(2, 540))};

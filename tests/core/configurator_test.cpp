@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <limits>
+#include <string>
 
 #include "core/parvagpu.hpp"
 #include "scenarios/scenarios.hpp"
@@ -15,6 +16,8 @@ namespace {
 
 using testing::builtin_profiles;
 using testing::builtin_surfaces;
+using testing::llm_profiles;
+using testing::llm_surfaces;
 using testing::service;
 
 class ConfiguratorTest : public ::testing::Test {
@@ -168,12 +171,31 @@ TEST_F(ConfiguratorTest, UnknownModelFailsCleanly) {
   EXPECT_EQ(configured.error().code(), ErrorCode::kNotFound);
 }
 
-TEST_F(ConfiguratorTest, PreconditionsThrow) {
+// An SLO that is not finite and positive, or a NaN or negative rate, is
+// refused with an Error naming the service, by triplet_decision and by
+// schedule() through it. (An infinite rate passes triplet_decision and is
+// refused by demand_matching; see HugeOrInfiniteRateIsRefusedNotUnderProvisioned.)
+TEST_F(ConfiguratorTest, InvalidSloOrRateIsRefused) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
   const auto surface = builtin_surfaces().find("resnet-50");
-  EXPECT_THROW((void)configurator_.triplet_decision(service(0, "resnet-50", 0, 10), *surface),
-               std::logic_error);
-  EXPECT_THROW((void)configurator_.triplet_decision(service(0, "resnet-50", 100, -1), *surface),
-               std::logic_error);
+  ParvaGpuScheduler scheduler(builtin_profiles());
+  for (const ServiceSpec& spec :
+       {service(7, "resnet-50", 0, 10), service(7, "resnet-50", 100, -1),
+        service(7, "resnet-50", nan, 10), service(7, "resnet-50", inf, 10),
+        service(7, "resnet-50", -5, 10), service(7, "resnet-50", 100, nan)}) {
+    const std::string what =
+        "slo=" + std::to_string(spec.slo_latency_ms) + " rate=" + std::to_string(spec.request_rate);
+    const auto decided = configurator_.triplet_decision(spec, *surface);
+    ASSERT_FALSE(decided.ok()) << what;
+    EXPECT_EQ(decided.error().code(), ErrorCode::kInvalidArgument) << what;
+    EXPECT_NE(decided.error().message().find("service 7"), std::string::npos) << what;
+
+    const std::vector<ServiceSpec> one = {spec};
+    const auto planned = scheduler.schedule(one);
+    ASSERT_FALSE(planned.ok()) << what;
+    EXPECT_EQ(planned.error().code(), ErrorCode::kInvalidArgument) << what;
+  }
 }
 
 TEST_F(ConfiguratorTest, DemandMatchingBeforeDecisionIsInternalError) {
@@ -264,22 +286,6 @@ TEST_F(ConfiguratorTest, HugeOrInfiniteRateIsRefusedNotUnderProvisioned) {
 // Differential coverage of the indexed-surface path: it must be
 // bit-identical to the reference table scan (tests/core/configurator_oracle.hpp).
 // ---------------------------------------------------------------------------
-
-/// Profiles of the LLM-extended catalog: the built-in models plus the llama
-/// rows that S7 serves.
-const profiler::ProfileSet& llm_profiles() {
-  static const profiler::ProfileSet profiles = [] {
-    perfmodel::AnalyticalPerfModel perf(perfmodel::ModelCatalog::with_llm());
-    profiler::Profiler profiler(perf);
-    return profiler.profile_all(perfmodel::ModelCatalog::with_llm().names());
-  }();
-  return profiles;
-}
-
-const profiler::ProfileSurfaceSet& llm_surfaces() {
-  static const profiler::ProfileSurfaceSet surfaces{llm_profiles()};
-  return surfaces;
-}
 
 void expect_same_triplet(const Triplet& got, const Triplet& want) {
   EXPECT_EQ(got.gpcs, want.gpcs);

@@ -76,6 +76,28 @@ TEST(ParvaGpuSchedulerTest, UnitsCarryTheirServicesModel) {
   }
 }
 
+TEST(ParvaGpuSchedulerTest, RepeatedServiceIdIsRefusedBeforePlanning) {
+  ParvaGpuScheduler scheduler(builtin_profiles());
+  ASSERT_TRUE(scheduler.schedule(sample_services()).ok());
+  const std::string plan_before = scheduler.last_plan().to_string();
+
+  // Positions 3 and 5 both repeat an earlier id; the first repeat is named.
+  std::vector<ServiceSpec> services = sample_services();
+  services.push_back(service(9, "vgg-16", 400, 410));
+  services[3].id = 1;
+  services[5].id = 0;
+  const auto result = scheduler.schedule(services);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.error().code(), ErrorCode::kInvalidArgument);
+  EXPECT_NE(result.error().message().find("service 1 at position 3"), std::string::npos)
+      << result.error().message();
+  EXPECT_EQ(scheduler.last_plan().to_string(), plan_before);
+
+  services[3].id = 3;
+  services[5].id = 5;
+  EXPECT_TRUE(scheduler.schedule(services).ok());
+}
+
 TEST(ParvaGpuSchedulerTest, UnitsRespectSloLatencyBound) {
   ParvaGpuScheduler scheduler(builtin_profiles());
   const auto services = sample_services();

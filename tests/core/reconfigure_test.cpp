@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <map>
+#include <string>
 
 #include "common/rng.hpp"
 #include "core/parvagpu.hpp"
@@ -109,6 +111,28 @@ TEST_F(ReconfigureTest, InfeasibleUpdateLeavesPlanUsable) {
   EXPECT_GE(capacity_of(0) + 1e-6, 829.0);
 }
 
+TEST_F(ReconfigureTest, InvalidSloOrRateIsRefusedAndChangesNothing) {
+  schedule({service(0, "resnet-50", 205, 829), service(1, "vgg-19", 397, 354)});
+  const std::string plan_before = testing::dump(plan_);
+  const std::vector<ConfiguredService> configured_before = configured_;
+  for (const ServiceSpec& bad :
+       {service(0, "resnet-50", std::numeric_limits<double>::quiet_NaN(), 829),
+        service(0, "resnet-50", std::numeric_limits<double>::infinity(), 829),
+        service(1, "vgg-19", 397, -1), service(5, "vgg-19", -5, 354)}) {
+    const auto stats = reconfigurer_.update_service(plan_, configured_, bad, builtin_surfaces());
+    ASSERT_FALSE(stats.ok());
+    EXPECT_EQ(stats.error().code(), ErrorCode::kInvalidArgument);
+    EXPECT_EQ(testing::dump(plan_), plan_before);
+    ASSERT_EQ(configured_.size(), configured_before.size());
+    for (std::size_t i = 0; i < configured_.size(); ++i) {
+      EXPECT_EQ(configured_[i].spec.id, configured_before[i].spec.id);
+      EXPECT_EQ(configured_[i].spec.slo_latency_ms, configured_before[i].spec.slo_latency_ms);
+      EXPECT_EQ(configured_[i].spec.request_rate, configured_before[i].spec.request_rate);
+      EXPECT_EQ(configured_[i].total_gpcs(), configured_before[i].total_gpcs());
+    }
+  }
+}
+
 TEST_F(ReconfigureTest, RateDecreaseShrinksFootprint) {
   schedule({service(0, "mobilenetv2", 167, 7513), service(1, "vgg-19", 397, 354)});
   const int before = plan_.total_allocated_gpcs();
@@ -153,6 +177,44 @@ TEST(ReconfigureStreamTest, MatchesCopyThenOptimizeOracleOverASeededStream) {
     ASSERT_EQ(plan.to_string(), oracle_plan.to_string()) << "update " << u;
   }
   EXPECT_GT(applied, 250);
+  EXPECT_EQ(testing::dump(plan), testing::dump(oracle_plan));
+}
+
+TEST(ReconfigureStreamTest, S7MatchesCopyThenOptimizeOracleOverASeededStream) {
+  // 150 seeded SLO/rate updates on S7 x60 (300 LLM services), where nearly
+  // every GPU is an Allocation Optimization candidate and each pass looks
+  // up more services than its linear budget; checked against the
+  // table-scan, copy-then-optimize oracle on the LLM profiles.
+  const auto fleet = scenarios::scale_scenario(scenarios::llm_scenario(), 60);
+  ParvaGpuScheduler scheduler(testing::llm_profiles());
+  ASSERT_TRUE(scheduler.schedule(fleet.services).ok());
+  DeploymentPlan plan = scheduler.last_plan();
+  std::vector<ConfiguredService> configured = scheduler.last_configured();
+  DeploymentPlan oracle_plan = plan;
+  std::vector<ConfiguredService> oracle_configured = configured;
+  const Reconfigurer reconfigurer{SegmentConfigurator(), SegmentAllocator()};
+
+  Rng rng(60);
+  int applied = 0;
+  for (int u = 0; u < 150; ++u) {
+    ServiceSpec spec =
+        fleet.services[static_cast<std::size_t>(rng.uniform_int(0, fleet.services.size() - 1))];
+    spec.request_rate *= rng.uniform(0.3, 3.0);
+    spec.slo_latency_ms *= rng.uniform(0.8, 1.5);
+    const auto stats =
+        reconfigurer.update_service(plan, configured, spec, testing::llm_surfaces());
+    const auto expected = testing::reference_update(oracle_plan, oracle_configured, spec,
+                                                    testing::llm_profiles());
+    ASSERT_EQ(stats.ok(), expected.ok()) << "update " << u;
+    if (stats.ok()) {
+      ++applied;
+      EXPECT_EQ(stats.value().segments_removed, expected.value().segments_removed) << u;
+      EXPECT_EQ(stats.value().segments_added, expected.value().segments_added) << u;
+      EXPECT_EQ(stats.value().segments_untouched, expected.value().segments_untouched) << u;
+    }
+    ASSERT_EQ(plan.to_string(), oracle_plan.to_string()) << "update " << u;
+  }
+  EXPECT_GT(applied, 120);
   EXPECT_EQ(testing::dump(plan), testing::dump(oracle_plan));
 }
 

@@ -1,6 +1,6 @@
-// Shared fixtures for the core tests: the built-in profile set and its
-// indexed surfaces (each computed once per process), and helpers to build
-// services/triplets.
+// Shared fixtures for the core tests: the built-in and LLM-extended
+// profile sets and their indexed surfaces (each computed once per
+// process), and helpers to build services/triplets.
 #pragma once
 
 #include <string>
@@ -23,6 +23,22 @@ inline const profiler::ProfileSet& builtin_profiles() {
 
 inline const profiler::ProfileSurfaceSet& builtin_surfaces() {
   static const profiler::ProfileSurfaceSet surfaces{builtin_profiles()};
+  return surfaces;
+}
+
+/// Profiles of the LLM-extended catalog: the built-in models plus the llama
+/// rows that S7 serves.
+inline const profiler::ProfileSet& llm_profiles() {
+  static const profiler::ProfileSet profiles = [] {
+    perfmodel::AnalyticalPerfModel perf(perfmodel::ModelCatalog::with_llm());
+    profiler::Profiler profiler(perf);
+    return profiler.profile_all(perfmodel::ModelCatalog::with_llm().names());
+  }();
+  return profiles;
+}
+
+inline const profiler::ProfileSurfaceSet& llm_surfaces() {
+  static const profiler::ProfileSurfaceSet surfaces{llm_profiles()};
   return surfaces;
 }
 

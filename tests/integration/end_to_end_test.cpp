@@ -4,7 +4,9 @@
 // invariants.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
+#include <vector>
 
 #include "core/deployer.hpp"
 #include "core/metrics.hpp"
@@ -138,6 +140,29 @@ TEST(EndToEndTest, SchedulingScalesNearLinearly) {
   const double d100 = median(fold100);
   EXPECT_LT(d100, 30.0 * std::max(d10, 0.005))
       << "ParvaGPU's delay must grow near-linearly with service count";
+}
+
+// S7 leaves most GPUs light, so Allocation Optimization visits nearly every
+// GPU and re-places small segments on many of them: planning stays
+// near-linear only if each placement resumes a first-fit cursor instead of
+// scanning from GPU 0 (with a scan per dissolved GPU the ratio read
+// 22-64x on a 4-vCPU VM, against 8-14x with the cursors).
+TEST(EndToEndTest, LlmSchedulingScalesNearLinearly) {
+  const auto fold10 = scenarios::scale_scenario(scenarios::llm_scenario(), 10);
+  const auto fold100 = scenarios::scale_scenario(scenarios::llm_scenario(), 100);
+  core::ParvaGpuScheduler scheduler(core::testing::llm_profiles());
+  auto median = [&](const scenarios::Scenario& sc) {
+    std::vector<double> delays;
+    for (int i = 0; i < 7; ++i) {
+      delays.push_back(scheduler.schedule(sc.services).value().scheduling_delay_ms);
+    }
+    std::sort(delays.begin(), delays.end());
+    return delays[delays.size() / 2];
+  };
+  const double d10 = median(fold10);
+  const double d100 = median(fold100);
+  EXPECT_LT(d100, 20.0 * std::max(d10, 0.005))
+      << "S7 x10 median " << d10 << " ms, x100 median " << d100 << " ms";
 }
 
 // === Deterministic serving capacity: the DES measured rate matches the
