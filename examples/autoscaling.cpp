@@ -3,6 +3,7 @@
 // compare GPU-hours against static peak provisioning.
 //
 //   $ ./examples/autoscaling [--epoch-minutes 30]
+#include <cmath>
 #include <iostream>
 
 #include "common/cli.hpp"
@@ -14,6 +15,18 @@
 int main(int argc, char** argv) {
   using namespace parva;
   const CliArgs args(argc, argv);
+
+  serving::AutoscalerOptions options;
+  if (args.has("epoch-minutes")) {
+    double value = 0.0;
+    if (!parse_double(args.get("epoch-minutes", ""), value) || !std::isfinite(value) ||
+        value <= 0.0) {
+      std::cerr << "bad --epoch-minutes '" << args.get("epoch-minutes", "")
+                << "' (want a finite positive number)\n";
+      return 1;
+    }
+    options.epoch_minutes = value;
+  }
 
   perfmodel::AnalyticalPerfModel perf(perfmodel::ModelCatalog::builtin());
   profiler::Profiler profiler(perf);
@@ -27,8 +40,6 @@ int main(int argc, char** argv) {
       {4, "bert-large", 6434, 120},
   };
 
-  serving::AutoscalerOptions options;
-  options.epoch_minutes = args.get_double("epoch-minutes", 30.0);
   serving::Autoscaler autoscaler(profiles, perf, options);
   const auto report = autoscaler.run_day(services, serving::RateTrace::diurnal());
   if (!report.ok()) {

@@ -10,6 +10,9 @@
 namespace parva::baselines {
 namespace {
 
+/// gpulet sizes partitions in 10% steps of a GPU.
+constexpr double kFractionQuantum = 0.10;
+
 /// One gpulet: a chunk of a service assigned to one MPS partition.
 struct Chunk {
   const core::ServiceSpec* spec = nullptr;
@@ -30,6 +33,10 @@ struct GpuletGpu {
 Result<core::ScheduleResult> GpuletScheduler::schedule(
     std::span<const core::ServiceSpec> services) {
   const auto start = std::chrono::steady_clock::now();
+  if (Status unique = core::check_unique_ids(services, core::ServiceIdIndex(services));
+      !unique.ok()) {
+    return unique.error();
+  }
   // Per-run memo: the fraction/batch sweeps below revisit the same
   // operating points across services sharing a model.
   const perfmodel::CachedPerfModel cache(*perf_);
@@ -43,13 +50,13 @@ Result<core::ScheduleResult> GpuletScheduler::schedule(
     if (traits == nullptr) {
       return Error(ErrorCode::kNotFound, "unknown model " + spec.model);
     }
-    const double latency_cap = spec.slo_latency_ms * options_.internal_latency_factor;
+    const double latency_cap = spec.slo_latency_ms * core::kInternalLatencyFactor;
 
     // Most efficient bulk fraction.
     std::optional<PartitionPoint> bulk;
-    const int steps = static_cast<int>(1.0 / options_.fraction_quantum + 0.5);
+    const int steps = static_cast<int>(1.0 / kFractionQuantum + 0.5);
     for (int i = 1; i <= steps; ++i) {
-      const double fraction = options_.fraction_quantum * static_cast<double>(i);
+      const double fraction = kFractionQuantum * static_cast<double>(i);
       auto point = best_partition_point(cache, *traits, fraction, latency_cap, 0.0);
       if (!point.has_value()) continue;
       if (!bulk.has_value() ||
@@ -69,7 +76,7 @@ Result<core::ScheduleResult> GpuletScheduler::schedule(
     }
     if (remaining > 0.0) {
       auto last = smallest_fraction_for_rate(cache, *traits, remaining, latency_cap,
-                                             options_.fraction_quantum, 0.0);
+                                             kFractionQuantum, 0.0);
       if (!last.has_value()) last = bulk;  // bulk always covers the remainder
       chunks.push_back(Chunk{&spec, traits, remaining, last->gpu_fraction, *last});
     }
@@ -95,10 +102,8 @@ Result<core::ScheduleResult> GpuletScheduler::schedule(
       // Predicted feasibility for both, second granted the full remainder.
       const perfmodel::CoRunner second_as_corunner{chunk.traits, remainder};
       const perfmodel::CoRunner first_as_corunner{first.traits, gpu.granted.front()};
-      const double first_cap =
-          first.spec->slo_latency_ms * options_.internal_latency_factor;
-      const double chunk_cap =
-          chunk.spec->slo_latency_ms * options_.internal_latency_factor;
+      const double first_cap = first.spec->slo_latency_ms * core::kInternalLatencyFactor;
+      const double chunk_cap = chunk.spec->slo_latency_ms * core::kInternalLatencyFactor;
       const double first_inflation =
           perfmodel::gpulet_predicted_interference(*first.traits, {&second_as_corunner, 1});
       const double chunk_inflation =
@@ -145,14 +150,11 @@ Result<core::ScheduleResult> GpuletScheduler::schedule(
         others.push_back({gpu.partitions[qi].traits, gpu.granted[qi]});
       }
       const double true_inflation = perfmodel::true_interference(*chunk.traits, others);
-      const double latency_cap =
-          chunk.spec->slo_latency_ms * options_.internal_latency_factor;
       // The deployed process keeps the batch gpulet chose; compute its real
       // behaviour at that batch (which may now exceed the latency cap —
       // that is exactly gpulet's misprediction).
       auto actual = cache.evaluate_mps_share(*chunk.traits, granted, chunk.point.batch, 1,
                                               true_inflation);
-      (void)latency_cap;
 
       core::DeployedUnit unit;
       unit.service_id = chunk.spec->id;

@@ -18,23 +18,15 @@
 
 namespace parva::baselines {
 
-struct GpuletOptions {
-  double fraction_quantum = 0.10;      ///< gpulet sizes partitions in 10% steps
-  double internal_latency_factor = 0.5;
-};
-
 class GpuletScheduler final : public core::Scheduler {
  public:
-  explicit GpuletScheduler(const perfmodel::AnalyticalPerfModel& perf,
-                           GpuletOptions options = {})
-      : perf_(&perf), options_(options) {}
+  explicit GpuletScheduler(const perfmodel::AnalyticalPerfModel& perf) : perf_(&perf) {}
 
   std::string name() const override { return "gpulet"; }
   [[nodiscard]] Result<core::ScheduleResult> schedule(std::span<const core::ServiceSpec> services) override;
 
  private:
   const perfmodel::AnalyticalPerfModel* perf_;
-  GpuletOptions options_;
 };
 
 }  // namespace parva::baselines

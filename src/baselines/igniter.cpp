@@ -10,6 +10,15 @@
 namespace parva::baselines {
 namespace {
 
+/// Partitions are sized in 5% steps of a GPU.
+constexpr double kFractionQuantum = 0.05;
+/// Relative padding applied to the predicted required fraction.
+constexpr double kPaddingFactor = 0.15;
+/// Absolute padding (fraction of a GPU).
+constexpr double kPaddingBias = 0.025;
+/// Maximum co-located workloads per GPU iGniter will attempt.
+constexpr int kMaxPartitionsPerGpu = 4;
+
 struct SizedService {
   const core::ServiceSpec* spec = nullptr;
   const perfmodel::WorkloadTraits* traits = nullptr;
@@ -27,6 +36,10 @@ struct IgniterGpu {
 Result<core::ScheduleResult> IgniterScheduler::schedule(
     std::span<const core::ServiceSpec> services) {
   const auto start = std::chrono::steady_clock::now();
+  if (Status unique = core::check_unique_ids(services, core::ServiceIdIndex(services));
+      !unique.ok()) {
+    return unique.error();
+  }
   // Per-run memo: the fraction/batch sweeps below revisit the same
   // operating points across services sharing a model.
   const perfmodel::CachedPerfModel cache(*perf_);
@@ -38,7 +51,7 @@ Result<core::ScheduleResult> IgniterScheduler::schedule(
     if (traits == nullptr) {
       return Error(ErrorCode::kNotFound, "unknown model " + spec.model);
     }
-    const double latency_cap = spec.slo_latency_ms * options_.internal_latency_factor;
+    const double latency_cap = spec.slo_latency_ms * core::kInternalLatencyFactor;
 
     // iGniter assumes a nominal co-location environment when sizing; its
     // predictor supplies the expected inflation for one average co-runner.
@@ -47,7 +60,7 @@ Result<core::ScheduleResult> IgniterScheduler::schedule(
         perfmodel::igniter_predicted_interference(*traits, {&nominal, 1});
 
     auto required = smallest_fraction_for_rate(cache, *traits, spec.request_rate, latency_cap,
-                                               options_.fraction_quantum, predicted_inflation);
+                                               kFractionQuantum, predicted_inflation);
     if (!required.has_value()) {
       // The published system cannot split a service across partitions; at
       // high request rates it simply cannot run (paper: fails S5/S6).
@@ -56,11 +69,10 @@ Result<core::ScheduleResult> IgniterScheduler::schedule(
                        std::to_string(spec.request_rate) + " req/s within one GPU partition");
     }
 
-    double padded = required->gpu_fraction * (1.0 + options_.padding_factor) +
-                    options_.padding_bias;
+    double padded = required->gpu_fraction * (1.0 + kPaddingFactor) + kPaddingBias;
     padded = std::min(1.0, padded);
     // Quantize up to the 5% grid.
-    padded = std::ceil(padded / options_.fraction_quantum - 1e-9) * options_.fraction_quantum;
+    padded = std::ceil(padded / kFractionQuantum - 1e-9) * kFractionQuantum;
 
     auto padded_point =
         best_partition_point(cache, *traits, padded, latency_cap, predicted_inflation);
@@ -78,7 +90,7 @@ Result<core::ScheduleResult> IgniterScheduler::schedule(
   for (const SizedService& service : sized) {
     bool placed = false;
     for (IgniterGpu& gpu : gpus) {
-      if (static_cast<int>(gpu.partitions.size()) >= options_.max_partitions_per_gpu) continue;
+      if (static_cast<int>(gpu.partitions.size()) >= kMaxPartitionsPerGpu) continue;
       if (gpu.used_fraction + service.padded_fraction > 1.0 + 1e-9) continue;
 
       // Predicted feasibility for every member including the newcomer.
@@ -91,7 +103,7 @@ Result<core::ScheduleResult> IgniterScheduler::schedule(
         }
         const double inflation =
             perfmodel::igniter_predicted_interference(*member.traits, others);
-        const double cap = member.spec->slo_latency_ms * options_.internal_latency_factor;
+        const double cap = member.spec->slo_latency_ms * core::kInternalLatencyFactor;
         auto point =
             best_partition_point(cache, *member.traits, member.padded_fraction, cap, inflation);
         return point.has_value() && point->throughput >= member.spec->request_rate;

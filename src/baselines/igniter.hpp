@@ -16,29 +16,15 @@
 
 namespace parva::baselines {
 
-struct IgniterOptions {
-  double fraction_quantum = 0.05;
-  double internal_latency_factor = 0.5;
-  /// Relative padding applied to the predicted required fraction.
-  double padding_factor = 0.15;
-  /// Absolute padding (fraction of a GPU).
-  double padding_bias = 0.025;
-  /// Maximum co-located workloads per GPU iGniter will attempt.
-  int max_partitions_per_gpu = 4;
-};
-
 class IgniterScheduler final : public core::Scheduler {
  public:
-  explicit IgniterScheduler(const perfmodel::AnalyticalPerfModel& perf,
-                            IgniterOptions options = {})
-      : perf_(&perf), options_(options) {}
+  explicit IgniterScheduler(const perfmodel::AnalyticalPerfModel& perf) : perf_(&perf) {}
 
   std::string name() const override { return "iGniter"; }
   [[nodiscard]] Result<core::ScheduleResult> schedule(std::span<const core::ServiceSpec> services) override;
 
  private:
   const perfmodel::AnalyticalPerfModel* perf_;
-  IgniterOptions options_;
 };
 
 }  // namespace parva::baselines

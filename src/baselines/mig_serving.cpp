@@ -4,22 +4,30 @@
 #include <array>
 #include <chrono>
 #include <cmath>
+#include <cstdint>
 #include <map>
 
 #include "common/rng.hpp"
-
 #include "core/parvagpu.hpp"
 #include "core/plan.hpp"
+#include "gpu/arch.hpp"
 
 namespace parva::baselines {
 namespace {
 
-constexpr std::array<int, 5> kSizes = {1, 2, 3, 4, 7};
+using gpu::kInstanceSizes;
+
+/// Demand safety factor of the greedy scorer.
+constexpr double kDemandSafety = 1.5;
+/// Maximum refinement rounds of the fast algorithm.
+constexpr int kMaxRefinementRounds = 8;
+/// Seed of the slow algorithm's annealing stream.
+constexpr std::uint64_t kAnnealingSeed = 1;
 
 /// Per-service best single-process operating point per instance size.
 struct ServiceProfile {
   const core::ServiceSpec* spec = nullptr;
-  std::array<std::optional<core::Triplet>, 5> best;  ///< by size index
+  std::array<std::optional<core::Triplet>, kInstanceSizes.size()> best;  ///< by size index
 };
 
 /// The greedy's current sizing decision for one service.
@@ -29,8 +37,8 @@ struct Sizing {
 };
 
 int size_to_index(int gpcs) {
-  for (std::size_t i = 0; i < kSizes.size(); ++i) {
-    if (kSizes[i] == gpcs) return static_cast<int>(i);
+  for (std::size_t i = 0; i < kInstanceSizes.size(); ++i) {
+    if (kInstanceSizes[i] == gpcs) return static_cast<int>(i);
   }
   return -1;
 }
@@ -73,6 +81,10 @@ core::DeploymentPlan pack(const std::vector<ServiceProfile>& profiles,
 Result<core::ScheduleResult> MigServingScheduler::schedule(
     std::span<const core::ServiceSpec> services) {
   const auto start = std::chrono::steady_clock::now();
+  if (Status unique = core::check_unique_ids(services, core::ServiceIdIndex(services));
+      !unique.ok()) {
+    return unique.error();
+  }
 
   // Collect the best single-process point per (service, size).
   std::vector<ServiceProfile> profiles;
@@ -83,7 +95,7 @@ Result<core::ScheduleResult> MigServingScheduler::schedule(
     }
     ServiceProfile profile;
     profile.spec = &spec;
-    const double cap = spec.slo_latency_ms * options_.internal_latency_factor;
+    const double cap = spec.slo_latency_ms * core::kInternalLatencyFactor;
     bool any = false;
     for (const profiler::ProfilePoint& point : table->points()) {
       if (point.oom || point.procs != 1) continue;  // MIG-serving: no MPS
@@ -108,18 +120,18 @@ Result<core::ScheduleResult> MigServingScheduler::schedule(
   auto sizing_for = [&](const ServiceProfile& profile, int idx) -> std::optional<Sizing> {
     const auto& triplet = profile.best[static_cast<std::size_t>(idx)];
     if (!triplet.has_value()) return std::nullopt;
-    const double demand = options_.demand_safety * profile.spec->request_rate;
+    const double demand = kDemandSafety * profile.spec->request_rate;
     const int count = std::max(1, static_cast<int>(std::ceil(demand / triplet->throughput)));
     return Sizing{idx, count};
   };
   auto cost_of = [&](const Sizing& sizing) {
-    return sizing.count * kSizes[static_cast<std::size_t>(sizing.size_index)];
+    return sizing.count * kInstanceSizes[static_cast<std::size_t>(sizing.size_index)];
   };
 
   std::vector<Sizing> sizing(profiles.size());
   for (std::size_t si = 0; si < profiles.size(); ++si) {
     std::optional<Sizing> best;
-    for (std::size_t idx = 0; idx < kSizes.size(); ++idx) {
+    for (std::size_t idx = 0; idx < kInstanceSizes.size(); ++idx) {
       auto candidate = sizing_for(profiles[si], static_cast<int>(idx));
       if (!candidate.has_value()) continue;
       if (!best.has_value() || cost_of(*candidate) < cost_of(*best) ||
@@ -135,10 +147,10 @@ Result<core::ScheduleResult> MigServingScheduler::schedule(
   // re-pack per candidate move is what makes the fast algorithm's
   // scheduling overhead grow steeply with the service count.
   core::DeploymentPlan plan = pack(profiles, sizing);
-  for (int round = 0; round < options_.max_refinement_rounds; ++round) {
+  for (int round = 0; round < kMaxRefinementRounds; ++round) {
     bool improved = false;
     for (std::size_t si = 0; si < profiles.size(); ++si) {
-      for (std::size_t idx = 0; idx < kSizes.size(); ++idx) {
+      for (std::size_t idx = 0; idx < kInstanceSizes.size(); ++idx) {
         if (static_cast<int>(idx) == sizing[si].size_index) continue;
         auto candidate = sizing_for(profiles[si], static_cast<int>(idx));
         if (!candidate.has_value()) continue;
@@ -159,7 +171,7 @@ Result<core::ScheduleResult> MigServingScheduler::schedule(
   // seeded from the fast solution. Cost = (GPUs, then allocated GPCs).
   // Bounded by iteration count; the published variants run for hours.
   if (options_.mode == MigServingMode::kSlow && !profiles.empty()) {
-    Rng rng(options_.annealing_seed);
+    Rng rng(kAnnealingSeed);
     auto cost = [](const core::DeploymentPlan& p) {
       return static_cast<double>(p.gpu_count()) * 1000.0 +
              static_cast<double>(p.total_allocated_gpcs());
@@ -172,7 +184,7 @@ Result<core::ScheduleResult> MigServingScheduler::schedule(
       const double temperature =
           1.0 - static_cast<double>(iter) / static_cast<double>(options_.annealing_iterations);
       const auto si = static_cast<std::size_t>(rng.uniform_int(0, profiles.size() - 1));
-      const auto idx = static_cast<std::size_t>(rng.uniform_int(0, kSizes.size() - 1));
+      const auto idx = static_cast<std::size_t>(rng.uniform_int(0, kInstanceSizes.size() - 1));
       auto candidate = sizing_for(profiles[si], static_cast<int>(idx));
       if (!candidate.has_value()) continue;
       std::vector<Sizing> trial = current;
@@ -194,29 +206,27 @@ Result<core::ScheduleResult> MigServingScheduler::schedule(
   }
 
   // Anti-fragmentation scoring: absorb leftover slots by adding extra
-  // instances (over-allocation) for the most demanding services.
-  if (options_.absorb_free_slots) {
-    // Order services by request rate, descending, for replica absorption.
-    std::vector<std::size_t> by_demand(profiles.size());
-    for (std::size_t i = 0; i < by_demand.size(); ++i) by_demand[i] = i;
-    std::sort(by_demand.begin(), by_demand.end(), [&](std::size_t a, std::size_t b) {
-      return profiles[a].spec->request_rate > profiles[b].spec->request_rate;
-    });
-    for (auto& gpu : plan.gpus()) {
-      bool grew = true;
-      while (grew) {
-        grew = false;
-        // Largest instance size that still fits on this GPU.
-        for (auto it = kSizes.rbegin(); it != kSizes.rend() && !grew; ++it) {
-          if (!gpu.can_fit(*it)) continue;
-          for (std::size_t si : by_demand) {
-            const auto& triplet = profiles[si].best[static_cast<std::size_t>(size_to_index(*it))];
-            if (!triplet.has_value()) continue;
-            const bool placed = gpu.try_place(profiles[si].spec->id, *triplet);
-            PARVA_CHECK(placed, "can_fit/try_place disagree");
-            grew = true;
-            break;
-          }
+  // instances (over-allocation) for the most demanding services, taken by
+  // request rate, descending.
+  std::vector<std::size_t> by_demand(profiles.size());
+  for (std::size_t i = 0; i < by_demand.size(); ++i) by_demand[i] = i;
+  std::sort(by_demand.begin(), by_demand.end(), [&](std::size_t a, std::size_t b) {
+    return profiles[a].spec->request_rate > profiles[b].spec->request_rate;
+  });
+  for (auto& gpu : plan.gpus()) {
+    bool grew = true;
+    while (grew) {
+      grew = false;
+      // Largest instance size that still fits on this GPU.
+      for (auto it = kInstanceSizes.rbegin(); it != kInstanceSizes.rend() && !grew; ++it) {
+        if (!gpu.can_fit(*it)) continue;
+        for (std::size_t si : by_demand) {
+          const auto& triplet = profiles[si].best[static_cast<std::size_t>(size_to_index(*it))];
+          if (!triplet.has_value()) continue;
+          const bool placed = gpu.try_place(profiles[si].spec->id, *triplet);
+          PARVA_CHECK(placed, "can_fit/try_place disagree");
+          grew = true;
+          break;
         }
       }
     }

@@ -27,17 +27,8 @@ enum class MigServingMode { kFast, kSlow };
 
 struct MigServingOptions {
   MigServingMode mode = MigServingMode::kFast;
-  double internal_latency_factor = 0.5;
-  /// Demand safety factor of the greedy scorer.
-  double demand_safety = 1.5;
-  /// Maximum refinement rounds of the fast algorithm.
-  int max_refinement_rounds = 8;
   /// Annealing iterations of the slow algorithm.
   int annealing_iterations = 4000;
-  std::uint64_t annealing_seed = 1;
-  /// Absorb leftover slots with extra instances (the anti-fragmentation
-  /// scoring behaviour).
-  bool absorb_free_slots = true;
 };
 
 class MigServingScheduler final : public core::Scheduler {

@@ -1,40 +1,19 @@
 #include "common/thread_pool.hpp"
 
+#include <algorithm>
+#include <memory>
 #include <utility>
 
 namespace parva {
-
-namespace {
-
-/// Which pool (if any) owns the calling thread, and the worker's index in
-/// it. Function-local thread_local: each worker thread binds itself once
-/// at startup, so reads never race and no namespace-scope state exists.
-struct WorkerSlot {
-  const ThreadPool* pool = nullptr;
-  std::size_t id = 0;
-};
-
-WorkerSlot& worker_slot() {
-  thread_local WorkerSlot slot;
-  return slot;
-}
-
-}  // namespace
 
 ThreadPool::ThreadPool(std::size_t threads) {
   if (threads == 0) {
     threads = std::thread::hardware_concurrency();
     if (threads == 0) threads = 1;
   }
-  {
-    // Workers may start running before the constructor returns; size the
-    // deque table under the lock they will read it under.
-    MutexLock lock(mutex_);
-    local_.resize(threads);
-  }
   workers_.reserve(threads);
   for (std::size_t i = 0; i < threads; ++i) {
-    workers_.emplace_back([this, i] { worker_loop(i); });
+    workers_.emplace_back([this] { worker_loop(); });
   }
 }
 
@@ -47,58 +26,7 @@ ThreadPool::~ThreadPool() {
   for (auto& worker : workers_) worker.join();
 }
 
-bool ThreadPool::on_worker_thread() const { return worker_slot().pool == this; }
-
-void ThreadPool::enqueue(Task task) {
-  const WorkerSlot& slot = worker_slot();
-  {
-    MutexLock lock(mutex_);
-    if (slot.pool == this) {
-      // Child task of a running worker: own deque, popped LIFO by the
-      // owner (cache-hot continuation) and stolen FIFO by siblings.
-      local_[slot.id].push_back(std::move(task));
-    } else {
-      injector_.push_back(std::move(task));
-    }
-  }
-  cv_.notify_one();
-}
-
-bool ThreadPool::have_task_locked() const {
-  if (!injector_.empty()) return true;
-  for (const auto& deque : local_) {
-    if (!deque.empty()) return true;
-  }
-  return false;
-}
-
-ThreadPool::Task ThreadPool::take_task_locked(std::size_t id) {
-  // Own deque newest-first, then the injector, then steal the oldest task
-  // of the nearest sibling (round-robin from id+1 keeps thieves spread).
-  if (!local_[id].empty()) {
-    Task task = std::move(local_[id].back());
-    local_[id].pop_back();
-    return task;
-  }
-  if (!injector_.empty()) {
-    Task task = std::move(injector_.front());
-    injector_.pop_front();
-    return task;
-  }
-  const std::size_t n = local_.size();
-  for (std::size_t k = 1; k < n; ++k) {
-    std::deque<Task>& victim = local_[(id + k) % n];
-    if (!victim.empty()) {
-      Task task = std::move(victim.front());
-      victim.pop_front();
-      return task;
-    }
-  }
-  return {};
-}
-
-void ThreadPool::worker_loop(std::size_t id) {
-  worker_slot() = {this, id};
+void ThreadPool::worker_loop() {
   while (true) {
     Task task;
     {
@@ -107,13 +35,13 @@ void ThreadPool::worker_loop(std::size_t id) {
       // function that touches guarded members without visibly holding the
       // capability.
       MutexLock lock(mutex_);
-      while (!stopping_ && !have_task_locked()) cv_.wait(lock);
-      if (stopping_ && !have_task_locked()) break;
-      task = take_task_locked(id);
+      while (!stopping_ && queue_.empty()) cv_.wait(lock);
+      if (queue_.empty()) break;  // stopping, and nothing left to run
+      task = std::move(queue_.front());
+      queue_.pop_front();
     }
-    if (task) task();
+    task();
   }
-  worker_slot() = {};
 }
 
 void ThreadPool::drain(ForJob& job) {
@@ -144,7 +72,11 @@ void ThreadPool::parallel_for(std::size_t n, const std::function<void(std::size_
   // are harmless no-ops holding a reference to the job.
   const std::size_t helpers = std::min(n - 1, size());
   for (std::size_t h = 0; h < helpers; ++h) {
-    enqueue([job] { drain(*job); });
+    {
+      MutexLock lock(mutex_);
+      queue_.emplace_back([job] { drain(*job); });
+    }
+    cv_.notify_one();
   }
   drain(*job);
   MutexLock lock(job->mutex);

@@ -1,36 +1,24 @@
-// Nesting-safe work-stealing thread pool for the parallel sweeps and the
-// sharded DES engine (profiling grids, multi-seed simulations, shard
-// windows). Two properties distinguish it from the fixed-queue pool it
-// replaced:
+// Nesting-safe thread pool for the sharded DES engine and seed sweeps
+// (shard windows, multi-seed simulations). Its one entry point is
+// parallel_for, and its caller is a full participant: it claims indices
+// from the same atomic cursor as the recruited workers, so the loop
+// completes even if every worker is busy — including when the caller IS a
+// pool worker executing an outer parallel_for task. Nested fork-join of
+// any depth on one shared pool cannot deadlock, because each level's
+// caller can always drain its own range
+// (tests/serving/nested_pool_test.cpp stresses this under tsan).
 //
-//   * Work stealing. Each worker owns a deque: tasks submitted from a
-//     worker thread push onto its own deque and are popped LIFO (children
-//     run hot, right after their parent), tasks submitted from outside
-//     land in a shared injector queue, and an idle worker steals the
-//     OLDEST task of a sibling's deque. All queues hang off one mutex —
-//     tasks here are coarse (whole simulations, shard windows), so the
-//     scheduling policy matters and lock-free deques would not.
-//
-//   * Nesting-safe parallel_for. The caller is a full participant: it
-//     claims indices from the same atomic cursor as the recruited workers,
-//     so the loop completes even if every worker is busy — including when
-//     the caller IS a pool worker executing an outer parallel_for task.
-//     Nested fork-join of any depth on one shared pool cannot deadlock,
-//     because each level's caller can always drain its own range
-//     (tests/serving/nested_pool_test.cpp stresses this under tsan).
-//
-// The remaining sharp edge is submit() + future.get() from inside a pool
-// task: the future is opaque, so a blocked parent cannot help run its
-// children. Fork-join code must use parallel_for; submit() is for callers
-// outside the pool.
+// Recruited helpers wait in one FIFO queue behind one mutex: tasks here
+// are coarse (whole simulations, shard windows), so a lock-free queue
+// would not pay.
 #pragma once
 
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
+#include <exception>
 #include <functional>
-#include <future>
 #include <thread>
 #include <vector>
 
@@ -49,20 +37,6 @@ class ThreadPool {
 
   std::size_t size() const { return workers_.size(); }
 
-  /// Enqueues a task; the returned future observes its completion/value.
-  /// From a worker of this pool the task lands on that worker's own deque
-  /// (LIFO, stealable); from any other thread it lands in the injector
-  /// queue. Do not block on the future from inside a pool task — use
-  /// parallel_for for fork-join.
-  template <typename F>
-  auto submit(F&& fn) -> std::future<std::invoke_result_t<F>> {
-    using R = std::invoke_result_t<F>;
-    auto task = std::make_shared<std::packaged_task<R()>>(std::forward<F>(fn));
-    std::future<R> future = task->get_future();
-    enqueue([task]() { (*task)(); });
-    return future;
-  }
-
   /// Runs fn(i) for i in [0, n) and waits for completion. The calling
   /// thread participates (it claims indices alongside the recruited
   /// workers), so this is safe to call from inside a pool task — nested
@@ -70,9 +44,6 @@ class ThreadPool {
   /// Every index is attempted even after a failure; the first exception
   /// (in completion order) is rethrown once all indices finished.
   void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn);
-
-  /// True iff the calling thread is one of this pool's workers.
-  bool on_worker_thread() const;
 
  private:
   using Task = std::function<void()>;
@@ -95,21 +66,15 @@ class ThreadPool {
     std::exception_ptr error PARVA_GUARDED_BY(mutex);
   };
 
-  void enqueue(Task task);
-  void worker_loop(std::size_t id);
+  void worker_loop();
   /// Claims indices of `job` until the range is exhausted; records the
   /// first error and signals the job's cv as the last index completes.
   static void drain(ForJob& job);
-  bool have_task_locked() const PARVA_REQUIRES(mutex_);
-  Task take_task_locked(std::size_t id) PARVA_REQUIRES(mutex_);
 
   // Written only by the constructor (before any worker can observe it) and
   // joined by the destructor; size() reads it lock-free on that basis.
   std::vector<std::thread> workers_;  // parva-audit: allow(R7)
-  /// Per-worker deques (owner pops back, thieves steal front) plus the
-  /// injector queue for external submissions, all behind one lock.
-  std::vector<std::deque<Task>> local_ PARVA_GUARDED_BY(mutex_);
-  std::deque<Task> injector_ PARVA_GUARDED_BY(mutex_);
+  std::deque<Task> queue_ PARVA_GUARDED_BY(mutex_);
   Mutex mutex_;
   // condition_variable_any: waits on MutexLock (the annotated scoped guard).
   std::condition_variable_any cv_;

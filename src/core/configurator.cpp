@@ -22,7 +22,7 @@ Result<ConfiguredService> SegmentConfigurator::triplet_decision(
                      "): request rate must be non-negative");
   }
 
-  const double latency_bound = spec.slo_latency_ms * options_.internal_latency_factor;
+  const double latency_bound = spec.slo_latency_ms * kInternalLatencyFactor;
 
   ConfiguredService configured;
   configured.spec = spec;

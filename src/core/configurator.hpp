@@ -13,10 +13,6 @@
 namespace parva::core {
 
 struct ConfiguratorOptions {
-  /// Fraction of the SLO latency usable inside the GPU; the other half is
-  /// reserved for request queueing on the server (paper Section IV-A,
-  /// following Nexus [12]).
-  double internal_latency_factor = 0.5;
   /// Cap on MPS processes considered; 1 reproduces ParvaGPU-single.
   int max_processes = 3;
 };

@@ -4,8 +4,22 @@
 #include <string>
 
 #include "common/logging.hpp"
+#include "gpu/fault_plan.hpp"
 
 namespace parva::core {
+namespace {
+
+/// Retry discipline for transient control-plane failures.
+constexpr int kMaxCreateAttempts = 8;  ///< attempts per slot before the next slot
+constexpr double kInitialBackoffMs = 10.0;
+constexpr double kBackoffMultiplier = 2.0;
+constexpr double kMaxBackoffMs = 500.0;  ///< cap of the exponential backoff
+
+// The convergence guarantee: the injector stops failing a retry loop
+// strictly before the Deployer stops retrying it.
+static_assert(gpu::kMaxConsecutiveTransientFailures < kMaxCreateAttempts);
+
+}  // namespace
 
 gpu::NvmlReturn Deployer::create_instance_with_retry(const DeployedUnit& unit,
                                                      gpu::GlobalInstanceId* out,
@@ -14,9 +28,9 @@ gpu::NvmlReturn Deployer::create_instance_with_retry(const DeployedUnit& unit,
   const int gpcs = unit.placement->gpcs;
 
   auto attempt_slot = [&](int start_slot) {
-    double backoff = retry_.initial_backoff_ms;
+    double backoff = kInitialBackoffMs;
     gpu::NvmlReturn ret = gpu::NvmlReturn::kErrorInUse;
-    for (int attempt = 0; attempt < std::max(1, retry_.max_attempts); ++attempt) {
+    for (int attempt = 0; attempt < kMaxCreateAttempts; ++attempt) {
       ret = nvml_->create_gpu_instance_with_placement(device, gpcs, start_slot, out);
       if (!gpu::nvml_is_transient(ret)) return ret;
       // Transient: back off (simulated — the accounting is what matters)
@@ -27,13 +41,13 @@ gpu::NvmlReturn Deployer::create_instance_with_retry(const DeployedUnit& unit,
         telemetry_->events().record(telemetry::EventKind::kCreateRetry, nvml_->time_ms(),
                                     unit.gpu_index, unit.service_id, backoff);
       }
-      backoff = std::min(backoff * retry_.backoff_multiplier, retry_.max_backoff_ms);
+      backoff = std::min(backoff * kBackoffMultiplier, kMaxBackoffMs);
     }
     return ret;
   };
 
   gpu::NvmlReturn ret = attempt_slot(unit.placement->start_slot);
-  if (ret == gpu::NvmlReturn::kSuccess || !retry_.allow_fallback_placement) return ret;
+  if (ret == gpu::NvmlReturn::kSuccess) return ret;
   if (ret == gpu::NvmlReturn::kErrorGpuIsLost) return ret;  // nothing to fall back to
 
   // The planned slot stayed blocked: try the other legal start slots on the

@@ -5,11 +5,12 @@
 //
 // Robustness: instance creation can fail transiently (NVML_ERROR_IN_USE
 // while the driver finishes a teardown). The Deployer retries such
-// failures with bounded exponential backoff; when a placement stays
-// blocked past the retry budget it falls back to an alternate legal slot
-// on the same device. Retries and backoff are accounted in DeployStats so
-// transient faults are invisible in the produced deployment and visible
-// only in the metrics.
+// failures with bounded exponential backoff (8 attempts per slot, 10 ms
+// doubling up to 500 ms); when a placement stays blocked it falls back to
+// the other legal slots on the same device, in the paper's preference
+// order. Retries and backoff are
+// accounted in DeployStats so transient faults are invisible in the
+// produced deployment and visible only in the metrics.
 #pragma once
 
 #include <map>
@@ -22,15 +23,6 @@
 #include "telemetry/telemetry.hpp"
 
 namespace parva::core {
-
-/// Retry discipline for transient control-plane failures.
-struct RetryPolicy {
-  int max_attempts = 8;            ///< attempts per placement before fallback
-  double initial_backoff_ms = 10.0;
-  double backoff_multiplier = 2.0;
-  double max_backoff_ms = 500.0;   ///< cap of the exponential backoff
-  bool allow_fallback_placement = true;  ///< try alternate legal slots after retries
-};
 
 /// Accounting of one deploy() call's fault handling.
 struct DeployStats {
@@ -52,9 +44,8 @@ struct DeployedState {
 
 class Deployer {
  public:
-  Deployer(gpu::NvmlSim& nvml, const perfmodel::AnalyticalPerfModel& perf,
-           RetryPolicy retry = {})
-      : nvml_(&nvml), perf_(&perf), retry_(retry) {}
+  Deployer(gpu::NvmlSim& nvml, const perfmodel::AnalyticalPerfModel& perf)
+      : nvml_(&nvml), perf_(&perf) {}
 
   /// Applies a MIG-backed deployment to the cluster. The cluster must have
   /// enough devices (elastic clusters grow automatically). Every call,
@@ -71,8 +62,6 @@ class Deployer {
   const DeployStats& last_deploy_stats() const { return last_stats_; }
   /// Cumulative fault accounting across this Deployer's lifetime.
   const DeployStats& total_stats() const { return total_stats_; }
-
-  const RetryPolicy& retry_policy() const { return retry_; }
 
   /// Observability sink (nullptr = disabled). Instance create/destroy,
   /// retry, backoff and fallback decisions are mirrored into it; the
@@ -96,7 +85,6 @@ class Deployer {
   gpu::NvmlSim* nvml_;
   const perfmodel::AnalyticalPerfModel* perf_;
   telemetry::Telemetry* telemetry_ = nullptr;
-  RetryPolicy retry_;
   DeployStats last_stats_;
   DeployStats total_stats_;
 };

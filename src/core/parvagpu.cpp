@@ -8,7 +8,6 @@ namespace {
 
 ConfiguratorOptions make_configurator_options(const ParvaGpuOptions& options) {
   ConfiguratorOptions out;
-  out.internal_latency_factor = options.internal_latency_factor;
   out.max_processes = options.use_mps ? 3 : 1;
   return out;
 }
@@ -65,14 +64,9 @@ Deployment ParvaGpuScheduler::to_deployment(const DeploymentPlan& plan,
 Result<ScheduleResult> ParvaGpuScheduler::schedule(std::span<const ServiceSpec> services) {
   const auto start = std::chrono::steady_clock::now();
 
-  // Every later stage keys on the id, so a repeated one is refused before
-  // anything is planned.
+  // The index also serves the model fill below, so the list is sorted once.
   const ServiceIdIndex by_id(services);
-  if (const auto repeat = by_id.first_repeat()) {
-    return Error(ErrorCode::kInvalidArgument,
-                 "service " + std::to_string(services[*repeat].id) + " at position " +
-                     std::to_string(*repeat) + " repeats an earlier service's id");
-  }
+  if (Status unique = check_unique_ids(services, by_id); !unique.ok()) return unique.error();
 
   auto configured = configurator_.configure(services, surfaces_);
   if (!configured.ok()) return configured.error();

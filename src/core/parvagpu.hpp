@@ -23,7 +23,6 @@ struct ParvaGpuOptions {
   bool use_mps = true;
   /// false reproduces ParvaGPU-unoptimized: relocation only.
   bool optimize_allocation = true;
-  double internal_latency_factor = 0.5;
   int optimization_threshold_gpcs = 4;
   /// Observability sink (nullptr = disabled, the default). schedule() emits
   /// a completion event plus run counters; plans are identical either way.
@@ -52,7 +51,6 @@ class ParvaGpuScheduler final : public Scheduler {
   /// isolation means actual == planned for every unit.
   static Deployment to_deployment(const DeploymentPlan& plan, std::string framework_name);
 
-  const ParvaGpuOptions& parva_options() const { return options_; }
   /// The indexed profile surfaces the scheduler plans against.
   const profiler::ProfileSurfaceSet& surfaces() const { return surfaces_; }
 

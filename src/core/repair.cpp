@@ -133,7 +133,7 @@ Result<RepairReport> RepairCoordinator::handle_gpu_loss(Deployment& current,
   // Drive the transition through the live updater: survivors stay
   // untouched, only the replacements are created.
   const DeployStats before = deployer_->total_stats();
-  auto update = updater_->apply(survivors, survivor_state, target, options_.strategy);
+  auto update = updater_->apply(survivors, survivor_state, target, UpdateStrategy::kInPlace);
   if (!update.ok()) return update.error();
   const DeployStats after = deployer_->total_stats();
   report.deploy_stats.transient_retries = after.transient_retries - before.transient_retries;
@@ -142,7 +142,7 @@ Result<RepairReport> RepairCoordinator::handle_gpu_loss(Deployment& current,
       after.fallback_placements - before.fallback_placements;
 
   report.update = std::move(update).value();
-  report.recovery_ms = options_.detection_latency_ms + report.update.makespan_ms +
+  report.recovery_ms = kDetectionLatencyMs + report.update.makespan_ms +
                        report.deploy_stats.backoff_ms;
   report.deployment = target;
 

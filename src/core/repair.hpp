@@ -23,14 +23,11 @@
 
 namespace parva::core {
 
-struct RepairOptions {
-  /// Time from the failure until the health watch surfaces it (a DCGM
-  /// polling interval; production loops poll at 100 ms - 1 s).
-  double detection_latency_ms = 500.0;
-  /// How the replacement units come up. kInPlace is the default: the lost
-  /// units are already dark, shadowing buys nothing for them.
-  UpdateStrategy strategy = UpdateStrategy::kInPlace;
+/// Time from the failure until the health watch surfaces it (a DCGM
+/// polling interval; production loops poll at 100 ms - 1 s).
+inline constexpr double kDetectionLatencyMs = 500.0;
 
+struct RepairOptions {
   /// Observability sink (nullptr = disabled). Displacement and repair
   /// completion are mirrored into it; reports are identical either way.
   telemetry::Telemetry* telemetry = nullptr;
@@ -61,8 +58,6 @@ class RepairCoordinator {
   RepairCoordinator(Deployer& deployer, LiveUpdater& updater, RepairOptions options = {})
       : deployer_(&deployer), updater_(&updater), options_(options) {}
 
-  const RepairOptions& options() const { return options_; }
-
   /// Indices into `deployment.units` of units whose device the control
   /// plane reports lost.
   std::vector<std::size_t> detect_lost_units(const Deployment& deployment) const;
@@ -70,8 +65,9 @@ class RepairCoordinator {
   /// Handles the loss of `lost_gpu`: drops its units from `current`/`state`
   /// (they are already gone on the hardware), computes replacement
   /// placements on surviving GPUs for the displaced demand, and drives the
-  /// LiveUpdater to create them. On success `current` and `state` describe
-  /// the repaired deployment.
+  /// LiveUpdater to create them in place (the lost units are already
+  /// dark, so shadowing buys nothing for them). On success `current` and
+  /// `state` describe the repaired deployment.
   [[nodiscard]] Result<RepairReport> handle_gpu_loss(Deployment& current, DeployedState& state,
                                        int lost_gpu);
 

@@ -118,6 +118,14 @@ std::optional<std::size_t> ServiceIdIndex::first_repeat() const {
   return first;
 }
 
+Status check_unique_ids(std::span<const ServiceSpec> services, const ServiceIdIndex& by_id) {
+  const auto repeat = by_id.first_repeat();
+  if (!repeat) return Status::Ok();
+  return Status(ErrorCode::kInvalidArgument,
+                "service " + std::to_string(services[*repeat].id) + " at position " +
+                    std::to_string(*repeat) + " repeats an earlier service's id");
+}
+
 std::optional<std::size_t> ServiceIdIndex::find(int id) const {
   const auto it = std::lower_bound(by_id_.begin(), by_id_.end(), id,
                                    [](const std::pair<int, std::size_t>& entry, int key) {

@@ -32,6 +32,12 @@ struct LlmWorkload {
   double kv_bytes_per_token = 0.0;
 };
 
+/// Fraction of the SLO latency usable inside the GPU; the other half is
+/// reserved for request queueing on the server (paper Section IV-A,
+/// following Nexus [12]). ParvaGPU and every baseline size against
+/// `slo_latency_ms * kInternalLatencyFactor`.
+inline constexpr double kInternalLatencyFactor = 0.5;
+
 /// A client-registered inference service: model + SLO + request rate.
 struct ServiceSpec {
   int id = -1;
@@ -136,5 +142,12 @@ class ServiceIdIndex {
 
   std::vector<std::pair<int, std::size_t>> by_id_;
 };
+
+/// Refuses a service list in which two services share an id, because every
+/// stage after it keys on the id: kInvalidArgument naming the first repeat
+/// (`by_id.first_repeat()`), ok otherwise. `by_id` must index `services`.
+/// Every scheduler calls this before it plans anything.
+[[nodiscard]] Status check_unique_ids(std::span<const ServiceSpec> services,
+                                      const ServiceIdIndex& by_id);
 
 }  // namespace parva::core

@@ -6,7 +6,6 @@ const char* to_string(HealthEventKind kind) {
   switch (kind) {
     case HealthEventKind::kDeviceLost: return "device_lost";
     case HealthEventKind::kTransientCreateFailure: return "transient_create_failure";
-    case HealthEventKind::kSlowReconfig: return "slow_reconfig";
   }
   return "unknown";
 }

@@ -38,7 +38,6 @@ struct GlobalInstanceIdLess {
 enum class HealthEventKind {
   kDeviceLost,             ///< XID-style whole-GPU loss (fatal)
   kTransientCreateFailure, ///< NVML_ERROR_IN_USE on instance creation
-  kSlowReconfig,           ///< control-plane latency above the nominal cost
 };
 
 const char* to_string(HealthEventKind kind);

@@ -16,8 +16,6 @@
 //   * transient create fault <-> NVML_ERROR_IN_USE from
 //                                nvmlDeviceCreateGpuInstance /
 //                                nvmlGpuInstanceCreateComputeInstance.
-//   * slow-reconfig latency  <-> the "milliseconds to a few seconds"
-//                                reconfiguration tail of Section III-F.
 #pragma once
 
 #include <cstdint>
@@ -27,6 +25,13 @@
 #include "common/rng.hpp"
 
 namespace parva::gpu {
+
+/// Upper bound on back-to-back transient create failures of the same retry
+/// loop, mirroring the real driver (IN_USE clears once teardown completes).
+/// The Deployer's retry budget is larger (a static_assert in deployer.cpp),
+/// so retries always converge and transient faults never change the final
+/// deployment (they only show in retry metrics).
+inline constexpr int kMaxConsecutiveTransientFailures = 4;
 
 /// Scheduled whole-device loss at a simulated time (XID-style).
 struct GpuFailureEvent {
@@ -50,30 +55,8 @@ struct FaultPlan {
   /// create_compute_instance call fails transiently (NVML_ERROR_IN_USE).
   double transient_create_failure_prob = 0.0;
 
-  /// Upper bound on back-to-back transient failures of the same retry loop,
-  /// mirroring the real driver (IN_USE clears once teardown completes).
-  /// Keeping this below the Deployer's max_attempts guarantees retries
-  /// always converge, making transient faults invisible in the final
-  /// deployment (they only show in retry metrics).
-  int max_consecutive_transient_failures = 4;
-
-  /// Additive control-plane latency injected into each successful instance
-  /// creation (slow-reconfig tail), in milliseconds.
-  double extra_create_latency_ms = 0.0;
-
-  /// Multiplier on control-plane operation latencies (1.0 = nominal).
-  double slow_reconfig_factor = 1.0;
-
-  bool has_faults() const {
-    return !gpu_failures.empty() || transient_create_failure_prob > 0.0 ||
-           extra_create_latency_ms > 0.0 || slow_reconfig_factor != 1.0;
-  }
-
   /// Failures sorted by time (the plan itself may list them in any order).
   std::vector<GpuFailureEvent> sorted_gpu_failures() const;
-
-  /// Earliest scheduled device loss, or a negative time when none.
-  double first_failure_ms() const;
 };
 
 /// Runtime interpreter of a FaultPlan. Owns the derived RNG stream and the
@@ -87,18 +70,12 @@ class FaultInjector {
 
   /// Decides whether the next instance-creation call fails transiently.
   /// Deterministic given the plan seed and call sequence; never returns
-  /// true more than `max_consecutive_transient_failures` times in a row.
+  /// true more than kMaxConsecutiveTransientFailures times in a row.
   bool next_create_fails();
 
   /// Call after a create succeeds (or was not attempted) to close a retry
   /// run; resets the consecutive-failure bound.
   void note_create_succeeded() { consecutive_failures_ = 0; }
-
-  /// Latency to add to one successful create op under the plan's
-  /// slow-reconfig injection, given the nominal cost of the op.
-  double create_latency_ms(double nominal_ms) const {
-    return nominal_ms * (plan_.slow_reconfig_factor - 1.0) + plan_.extra_create_latency_ms;
-  }
 
   int transient_failures_injected() const { return transient_failures_injected_; }
 

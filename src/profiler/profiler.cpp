@@ -4,7 +4,7 @@ namespace parva::profiler {
 
 ProfileTable Profiler::profile(const perfmodel::WorkloadTraits& traits) const {
   ProfileTable table(traits.name);
-  for (int gpcs : options_.instance_sizes) {
+  for (int gpcs : gpu::kInstanceSizes) {
     for (int batch : options_.batch_sizes) {
       for (int procs = 1; procs <= options_.max_processes; ++procs) {
         ProfilePoint point;
@@ -31,16 +31,6 @@ ProfileTable Profiler::profile(const perfmodel::WorkloadTraits& traits) const {
 
 ProfileTable Profiler::profile(const std::string& model_name) const {
   return profile(model_->catalog().at(model_name));
-}
-
-ProfileSet Profiler::profile_all(const std::vector<std::string>& model_names,
-                                 ThreadPool& pool) const {
-  std::vector<ProfileTable> tables(model_names.size());
-  pool.parallel_for(model_names.size(),
-                    [&](std::size_t i) { tables[i] = profile(model_names[i]); });
-  ProfileSet set;
-  for (auto& table : tables) set.add(std::move(table));
-  return set;
 }
 
 ProfileSet Profiler::profile_all(const std::vector<std::string>& model_names) const {

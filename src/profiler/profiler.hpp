@@ -8,7 +8,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "common/thread_pool.hpp"
+#include "gpu/arch.hpp"
 #include "perfmodel/analytical_model.hpp"
 #include "profiler/profile_types.hpp"
 
@@ -19,8 +19,6 @@ struct ProfilerOptions {
   std::vector<int> batch_sizes = {1, 2, 4, 8, 16, 32, 64, 128};
   /// MPS process counts to explore (paper limits to 3 for OOM headroom).
   int max_processes = 3;
-  /// Instance sizes; defaults to the five legal MIG sizes.
-  std::vector<int> instance_sizes = {1, 2, 3, 4, 7};
 };
 
 class Profiler {
@@ -28,23 +26,19 @@ class Profiler {
   Profiler(const perfmodel::AnalyticalPerfModel& model, ProfilerOptions options = {})
       : model_(&model), options_(std::move(options)) {}
 
-  const ProfilerOptions& options() const { return options_; }
-
-  /// Profiles one model over the full grid. OOM points are recorded (not
-  /// skipped) so downstream consumers can reproduce the holes in Figure 3.
+  /// Profiles one model over the full grid: every legal MIG instance size
+  /// (gpu::kInstanceSizes) x batch x process count. OOM points are recorded
+  /// (not skipped) so downstream consumers can reproduce the holes in
+  /// Figure 3.
   ProfileTable profile(const perfmodel::WorkloadTraits& traits) const;
   ProfileTable profile(const std::string& model_name) const;
 
-  /// Profiles several models, one per pool task (the profiling runs are
-  /// independent; on real hardware they would occupy separate instances).
-  ProfileSet profile_all(const std::vector<std::string>& model_names, ThreadPool& pool) const;
-
-  /// Serial variant.
+  /// Profiles several models, in order.
   ProfileSet profile_all(const std::vector<std::string>& model_names) const;
 
   /// Grid size |I| * |B| * P; used by the overhead accounting tests.
   std::size_t grid_points() const {
-    return options_.instance_sizes.size() * options_.batch_sizes.size() *
+    return gpu::kInstanceSizes.size() * options_.batch_sizes.size() *
            static_cast<std::size_t>(options_.max_processes);
   }
 

@@ -2,14 +2,29 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <string>
 
 namespace parva::serving {
+namespace {
+
+/// Capacity must stay within [rate * kBandLow, rate * kBandHigh]; outside
+/// the band the service is reconfigured (the high bound prevents slack, the
+/// low bound prevents violations).
+constexpr double kBandLow = 1.0;
+constexpr double kBandHigh = 1.6;
+/// Seed of the stream that seeds each epoch's verification run.
+constexpr std::uint64_t kVerifySeed = 7;
+
+}  // namespace
 
 Result<AutoscaleReport> Autoscaler::run_day(std::span<const core::ServiceSpec> base_services,
                                             const RateTrace& trace) const {
-  PARVA_REQUIRE(options_.epoch_minutes > 0.0, "epoch must be positive");
-  PARVA_REQUIRE(options_.band_high > options_.band_low, "band must be non-empty");
+  if (!std::isfinite(options_.epoch_minutes) || options_.epoch_minutes <= 0.0) {
+    return Error(ErrorCode::kInvalidArgument,
+                 "autoscaler epoch must be finite and positive, got " +
+                     std::to_string(options_.epoch_minutes) + " minutes");
+  }
 
   // Initial deployment at the first epoch's rates.
   std::vector<core::ServiceSpec> current = {base_services.begin(), base_services.end()};
@@ -36,12 +51,7 @@ Result<AutoscaleReport> Autoscaler::run_day(std::span<const core::ServiceSpec> b
   }
 
   const double epoch_hours = options_.epoch_minutes / 60.0;
-  Rng seed_stream(options_.seed);
-
-  // Pending device losses, by wall time from 0 h.
-  std::vector<gpu::GpuFailureEvent> failures;
-  if (options_.fault_plan != nullptr) failures = options_.fault_plan->sorted_gpu_failures();
-  std::size_t next_failure = 0;
+  Rng seed_stream(kVerifySeed);
 
   for (double t = 0.0; t < 24.0 - 1e-9; t += epoch_hours) {
     const double multiplier = trace.multiplier_at(t);
@@ -49,22 +59,6 @@ Result<AutoscaleReport> Autoscaler::run_day(std::span<const core::ServiceSpec> b
     EpochRecord record;
     record.t_hours = t;
     record.multiplier = multiplier;
-
-    // Execute device losses whose time falls inside this epoch: the failed
-    // GPU's segments vanish, so the band check below sees the displaced
-    // services as under-provisioned — lost capacity is a surge.
-    const double epoch_end_ms = (t + epoch_hours) * 3'600'000.0;
-    for (; next_failure < failures.size() && failures[next_failure].at_ms < epoch_end_ms;
-         ++next_failure) {
-      if (plan.gpus_in_use() == 0) break;
-      // Map the physical index onto the (compacted) plan fleet.
-      const auto victim = static_cast<std::size_t>(failures[next_failure].gpu_index) %
-                          plan.gpu_count();
-      core::GpuPlan& lost = plan.gpu(victim);
-      while (!lost.empty()) (void)lost.remove_segment(0);
-      ++record.gpus_lost;
-      ++report.total_gpu_failures;
-    }
 
     // Update offered rates; reconfigure services out of the capacity band.
     for (std::size_t i = 0; i < current.size(); ++i) {
@@ -76,8 +70,8 @@ Result<AutoscaleReport> Autoscaler::run_day(std::span<const core::ServiceSpec> b
       for (const auto& [gpu_index, segment] : plan.all_segments()) {
         if (segment->service_id == spec.id) capacity += segment->triplet.throughput;
       }
-      const bool starving = capacity < spec.request_rate * options_.band_low;
-      const bool bloated = capacity > spec.request_rate * options_.band_high;
+      const bool starving = capacity < spec.request_rate * kBandLow;
+      const bool bloated = capacity > spec.request_rate * kBandHigh;
       if (!starving && !bloated) continue;
       auto stats = reconfigurer.update_service(plan, configured, spec, scheduler.surfaces());
       if (!stats.ok()) return stats.error();
@@ -89,23 +83,21 @@ Result<AutoscaleReport> Autoscaler::run_day(std::span<const core::ServiceSpec> b
     report.gpu_hours += record.gpus * epoch_hours;
     report.peak_gpus = std::max(report.peak_gpus, static_cast<double>(record.gpus));
 
-    if (options_.verify_with_simulation) {
-      core::Deployment deployment = core::ParvaGpuScheduler::to_deployment(plan, "ParvaGPU");
-      for (auto& unit : deployment.units) {
-        for (const auto& spec : current) {
-          if (spec.id == unit.service_id) unit.model = spec.model;
-        }
+    core::Deployment deployment = core::ParvaGpuScheduler::to_deployment(plan, "ParvaGPU");
+    for (auto& unit : deployment.units) {
+      for (const auto& spec : current) {
+        if (spec.id == unit.service_id) unit.model = spec.model;
       }
-      ClusterSimulation sim(deployment, current, *perf_);
-      SimulationOptions sim_options;
-      sim_options.duration_ms = options_.verify_duration_ms;
-      sim_options.warmup_ms = options_.verify_duration_ms * 0.1;
-      sim_options.seed = seed_stream.next_u64();
-      sim_options.telemetry = options_.telemetry;
-      const SimulationResult result = sim.run(sim_options);
-      record.slo_compliance = result.overall_compliance();
-      record.internal_slack = result.internal_slack;
     }
+    ClusterSimulation sim(deployment, current, *perf_);
+    SimulationOptions sim_options;
+    sim_options.duration_ms = options_.verify_duration_ms;
+    sim_options.warmup_ms = options_.verify_duration_ms * 0.1;
+    sim_options.seed = seed_stream.next_u64();
+    sim_options.telemetry = options_.telemetry;
+    const SimulationResult result = sim.run(sim_options);
+    record.slo_compliance = result.overall_compliance();
+    record.internal_slack = result.internal_slack;
     if (options_.telemetry != nullptr) {
       telemetry::MetricsRegistry& m = options_.telemetry->metrics();
       m.counter("parva_autoscaler_epochs_total", "Autoscaler epochs evaluated").inc();
@@ -117,8 +109,7 @@ Result<AutoscaleReport> Autoscaler::run_day(std::span<const core::ServiceSpec> b
       options_.telemetry->events().record(
           telemetry::EventKind::kEpochDecision, t * 3'600'000.0, /*gpu=*/-1,
           /*service_id=*/-1, static_cast<double>(record.gpus),
-          "reconfigured=" + std::to_string(record.services_reconfigured) +
-              " lost=" + std::to_string(record.gpus_lost));
+          "reconfigured=" + std::to_string(record.services_reconfigured));
     }
     report.epochs.push_back(record);
   }

@@ -3,10 +3,10 @@
 // The paper motivates minimal GPU fleets under *fluctuating* cloud demand;
 // this module closes the loop: each epoch it reads the offered rates from a
 // trace, re-runs the Segment Configurator for services whose provisioned
-// capacity has drifted out of band, re-places only those services
-// (Section III-F), and verifies the epoch in the discrete-event simulator.
-// Comparing the integral of GPUs over the day against static peak
-// provisioning quantifies the elasticity win.
+// capacity has drifted out of the band [rate, 1.6 x rate], re-places only
+// those services (Section III-F), and verifies the epoch in the
+// discrete-event simulator. Comparing the integral of GPUs over the day
+// against static peak provisioning quantifies the elasticity win.
 #pragma once
 
 #include <vector>
@@ -19,23 +19,10 @@
 namespace parva::serving {
 
 struct AutoscalerOptions {
+  /// Epoch length; must be finite and positive.
   double epoch_minutes = 30.0;
-  /// Capacity must stay within [rate * low, rate * high]; outside the band
-  /// the service is reconfigured (high bound prevents slack, low bound
-  /// prevents violations).
-  double band_low = 1.0;
-  double band_high = 1.6;
-  /// Verify each epoch with a short simulation.
-  bool verify_with_simulation = true;
+  /// Length of the simulation that verifies each epoch.
   double verify_duration_ms = 2'000.0;
-  std::uint64_t seed = 7;
-
-  /// Scheduled device losses over the day (nullptr = healthy fleet). Each
-  /// GpuFailureEvent's at_ms is wall time from 0 h (hours x 3.6e6); at the
-  /// epoch containing it the failed GPU's segments vanish from the plan, so
-  /// the capacity-band check sees the deficit exactly like a demand surge
-  /// and re-places the displaced services on the remaining fleet.
-  const gpu::FaultPlan* fault_plan = nullptr;
 
   /// Observability sink (nullptr = disabled). Each epoch emits a decision
   /// event plus fleet-size/reconfiguration counters; reports are identical
@@ -49,9 +36,8 @@ struct EpochRecord {
   int gpus = 0;
   int services_reconfigured = 0;
   double offered_total = 0.0;  ///< sum of offered rates, req/s
-  double slo_compliance = 1.0; ///< 1.0 when verification is off
+  double slo_compliance = 1.0; ///< from the epoch's verification run
   double internal_slack = 0.0;
-  int gpus_lost = 0;           ///< device losses executed this epoch
 };
 
 struct AutoscaleReport {
@@ -60,7 +46,6 @@ struct AutoscaleReport {
   double peak_gpus = 0.0;
   double static_gpu_hours = 0.0; ///< 24 h x the static peak-provisioned fleet
   int total_reconfigurations = 0;
-  int total_gpu_failures = 0;    ///< device losses executed over the day
 
   double saving_vs_static() const {
     return static_gpu_hours <= 0.0 ? 0.0 : 1.0 - gpu_hours / static_gpu_hours;
@@ -73,7 +58,8 @@ class Autoscaler {
              AutoscalerOptions options = {})
       : profiles_(&profiles), perf_(&perf), options_(options) {}
 
-  /// Runs one simulated day of the base services under the trace.
+  /// Runs one simulated day of the base services under the trace. Returns
+  /// kInvalidArgument when the epoch is not finite and positive.
   [[nodiscard]] Result<AutoscaleReport> run_day(std::span<const core::ServiceSpec> base_services,
                                   const RateTrace& trace) const;
 

@@ -2,18 +2,20 @@
 
 namespace parva::serving {
 
-std::vector<SimulationResult> run_simulations(std::span<const SimulationJob> jobs,
-                                              ThreadPool& pool) {
-  std::vector<SimulationResult> results(jobs.size());
-  pool.parallel_for(jobs.size(), [&](std::size_t i) {
-    const SimulationJob& job = jobs[i];
-    PARVA_REQUIRE(job.deployment != nullptr && job.perf != nullptr,
-                  "simulation job missing deployment or perf model");
-    ClusterSimulation sim(*job.deployment, job.services, *job.perf);
-    SimulationOptions options = job.options;
+std::vector<SimulationResult> run_seeds(const core::Deployment& deployment,
+                                        std::span<const core::ServiceSpec> services,
+                                        const perfmodel::AnalyticalPerfModel& perf,
+                                        const SimulationOptions& base,
+                                        std::span<const std::uint64_t> seeds,
+                                        ThreadPool& pool) {
+  std::vector<SimulationResult> results(seeds.size());
+  pool.parallel_for(seeds.size(), [&](std::size_t i) {
+    ClusterSimulation sim(deployment, services, perf);
+    SimulationOptions options = base;
+    options.seed = seeds[i];
     if (options.shards > 1 && options.shard_pool == nullptr) {
       // Nested fork-join on the sweep pool itself: parallel_for is
-      // cooperative, so the shard windows of this job recruit idle sweep
+      // cooperative, so the shard windows of this run recruit idle sweep
       // workers and never deadlock. Sequential-shard outputs are
       // byte-identical, so this only changes where the work runs.
       options.shard_pool = &pool;
@@ -21,20 +23,6 @@ std::vector<SimulationResult> run_simulations(std::span<const SimulationJob> job
     results[i] = sim.run(options);
   });
   return results;
-}
-
-std::vector<SimulationResult> run_seeds(const core::Deployment& deployment,
-                                        std::span<const core::ServiceSpec> services,
-                                        const perfmodel::AnalyticalPerfModel& perf,
-                                        const SimulationOptions& base,
-                                        std::span<const std::uint64_t> seeds,
-                                        ThreadPool& pool) {
-  std::vector<SimulationJob> jobs(seeds.size());
-  for (std::size_t i = 0; i < seeds.size(); ++i) {
-    jobs[i] = SimulationJob{&deployment, services, &perf, base};
-    jobs[i].options.seed = seeds[i];
-  }
-  return run_simulations(jobs, pool);
 }
 
 }  // namespace parva::serving

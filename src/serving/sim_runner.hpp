@@ -1,20 +1,18 @@
-// Concurrent simulation driver: runs independent ClusterSimulation jobs
-// (seed sweeps, scenario sweeps) across the shared thread pool.
+// Concurrent seed sweep: runs one ClusterSimulation per seed across the
+// shared thread pool.
 //
 // ClusterSimulation::run is a pure function of (deployment, services,
-// options) — every random stream derives from options.seed — so jobs
+// options) — every random stream derives from options.seed — so the runs
 // parallelize with no shared mutable state: each task owns its engine and
-// writes one pre-sized result slot, merged at the join. Results are in job
+// writes one pre-sized result slot, merged at the join. Results are in seed
 // order and bit-identical to a serial loop (tests/serving/sim_runner_test).
 //
-// Sharded jobs share the sweep pool: a job with options.shards > 1 and no
-// dedicated shard_pool runs its shard windows on `pool` itself.
+// Sharded runs share the sweep pool: with options.shards > 1 and no
+// dedicated shard_pool, each run's shard windows execute on `pool` itself.
 // ThreadPool::parallel_for is nesting-safe (the caller claims indices from
-// the same cursor as the recruited workers, so a parent task blocked at a
-// window barrier still drives its own shards), which is what retired the
-// old rule that the shard pool must be distinct from the sweep pool.
-// Outputs are byte-identical either way
-// (tests/serving/nested_pool_test.cpp, under tsan).
+// the same cursor as the recruited workers, so a sweep task blocked at a
+// window barrier still drives its own shards). Outputs are byte-identical
+// either way (tests/serving/nested_pool_test.cpp, under tsan).
 #pragma once
 
 #include <cstdint>
@@ -26,22 +24,10 @@
 
 namespace parva::serving {
 
-/// One independent simulation to run.
-struct SimulationJob {
-  const core::Deployment* deployment = nullptr;
-  std::span<const core::ServiceSpec> services;
-  const perfmodel::AnalyticalPerfModel* perf = nullptr;
-  SimulationOptions options;
-};
-
-/// Runs every job concurrently on `pool`; results land in job order. A
-/// sharded job (options.shards > 1) that names no shard_pool of its own
-/// has its shards executed on `pool` too — one pool drives both levels.
-std::vector<SimulationResult> run_simulations(std::span<const SimulationJob> jobs,
-                                              ThreadPool& pool);
-
 /// Seed sweep of one simulation: `base` with each seed substituted, run
-/// concurrently; results in seed order.
+/// concurrently on `pool`; results in seed order. A sharded `base`
+/// (shards > 1) that names no shard_pool of its own has its shards
+/// executed on `pool` too — one pool drives both levels.
 std::vector<SimulationResult> run_seeds(const core::Deployment& deployment,
                                         std::span<const core::ServiceSpec> services,
                                         const perfmodel::AnalyticalPerfModel& perf,

@@ -10,16 +10,12 @@
 // or consumes randomness.
 #pragma once
 
-#include <cstddef>
-
 #include "telemetry/event_log.hpp"
 #include "telemetry/metrics_registry.hpp"
 
 namespace parva::telemetry {
 
 struct TelemetryOptions {
-  /// Event-log capacity; appends beyond it are counted, not stored.
-  std::size_t max_events = 65536;
   /// Emit per-batch serving events (kBatchCompleted). High volume — a DES
   /// run serves millions of batches — so off by default; counters and the
   /// latency histogram always aggregate regardless.
@@ -28,8 +24,7 @@ struct TelemetryOptions {
 
 class Telemetry {
  public:
-  explicit Telemetry(TelemetryOptions options = {})
-      : options_(options), events_(options.max_events) {}
+  explicit Telemetry(TelemetryOptions options = {}) : options_(options) {}
 
   MetricsRegistry& metrics() { return metrics_; }
   const MetricsRegistry& metrics() const { return metrics_; }

@@ -61,9 +61,8 @@ TEST_F(MigServingTest, OverAllocatesDemand) {
 }
 
 TEST_F(MigServingTest, AbsorbsFreeSlotsIntoReplicas) {
-  // With absorption on, every used GPU ends with no legal room for even a
-  // 1-GPC instance (fragmentation converted to slack, as the paper's
-  // scoring does).
+  // Every used GPU ends with no legal room for even a 1-GPC instance
+  // (fragmentation converted to slack, as the paper's scoring does).
   const auto result = scheduler_.schedule(scenarios::scenario("S2").services).value();
   std::map<int, std::uint8_t> masks;
   for (const auto& unit : result.deployment.units) {
@@ -74,17 +73,6 @@ TEST_F(MigServingTest, AbsorbsFreeSlotsIntoReplicas) {
   }
 }
 
-TEST_F(MigServingTest, WithoutAbsorptionFragmentsRemain) {
-  MigServingOptions options;
-  options.absorb_free_slots = false;
-  MigServingScheduler bare(builtin_profiles(), options);
-  const auto absorbed = scheduler_.schedule(scenarios::scenario("S2").services).value();
-  const auto unabsorbed = bare.schedule(scenarios::scenario("S2").services).value();
-  EXPECT_LE(unabsorbed.deployment.total_granted_gpcs(),
-            absorbed.deployment.total_granted_gpcs());
-  EXPECT_EQ(unabsorbed.deployment.gpu_count, absorbed.deployment.gpu_count);
-}
-
 TEST_F(MigServingTest, UsesMoreGpusThanParvaGpu) {
   core::ParvaGpuScheduler parva(builtin_profiles());
   for (const char* name : {"S2", "S5"}) {
@@ -93,16 +81,6 @@ TEST_F(MigServingTest, UsesMoreGpusThanParvaGpu) {
     const auto ours = parva.schedule(services).value();
     EXPECT_GT(mig.deployment.gpu_count, ours.deployment.gpu_count) << name;
   }
-}
-
-TEST_F(MigServingTest, RefinementReducesOrKeepsGpuCount) {
-  MigServingOptions no_refine;
-  no_refine.max_refinement_rounds = 0;
-  MigServingScheduler greedy_only(builtin_profiles(), no_refine);
-  const auto& services = scenarios::scenario("S5").services;
-  const auto refined = scheduler_.schedule(services).value();
-  const auto greedy = greedy_only.schedule(services).value();
-  EXPECT_LE(refined.deployment.gpu_count, greedy.deployment.gpu_count);
 }
 
 TEST_F(MigServingTest, SlowModeNeverWorseThanFast) {

@@ -27,7 +27,7 @@ inline Result<ConfiguredService> scan_triplet_decision(const SegmentConfigurator
   PARVA_REQUIRE(spec.slo_latency_ms > 0.0, "service SLO latency must be positive");
   PARVA_REQUIRE(spec.request_rate >= 0.0, "service request rate must be non-negative");
 
-  const double latency_bound = spec.slo_latency_ms * options.internal_latency_factor;
+  const double latency_bound = spec.slo_latency_ms * kInternalLatencyFactor;
 
   ConfiguredService configured;
   configured.spec = spec;

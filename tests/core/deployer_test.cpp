@@ -90,6 +90,64 @@ TEST_F(DeployerTest, UnknownModelFails) {
   EXPECT_EQ(state.error().code(), ErrorCode::kNotFound);
 }
 
+TEST_F(DeployerTest, BlockedPlannedSlotFallsBackToTheNextFreePreferredSlot) {
+  // 2g units prefer start slots 0, 2, 4. Slots 0 and 2 are taken, so a unit
+  // planned at 2g@0 must land at 2g@4, count one fallback and emit one
+  // kFallbackPlacement event naming the slot.
+  telemetry::Telemetry telemetry;
+  deployer_.set_telemetry(&telemetry);
+  Deployment occupied;
+  occupied.uses_mig = true;
+  occupied.gpu_count = 1;
+  occupied.units = {mig_unit(0, "resnet-50", 0, 2, 0), mig_unit(0, "resnet-50", 0, 2, 2)};
+  ASSERT_TRUE(deployer_.deploy(occupied).ok());
+
+  Deployment blocked;
+  blocked.uses_mig = true;
+  blocked.gpu_count = 1;
+  blocked.units = {mig_unit(1, "vgg-19", 0, 2, 0)};
+  const auto state = deployer_.deploy(blocked);
+  ASSERT_TRUE(state.ok()) << state.error().to_string();
+  const gpu::MigInstance* instance = cluster_.find_instance(state.value().unit_instances[0]);
+  ASSERT_NE(instance, nullptr);
+  EXPECT_EQ(instance->placement, (gpu::Placement{2, 4}));
+  EXPECT_EQ(deployer_.last_deploy_stats().fallback_placements, 1);
+  EXPECT_EQ(deployer_.last_deploy_stats().transient_retries, 0);
+  EXPECT_EQ(deployer_.total_stats().fallback_placements, 1);
+
+  int fallback_events = 0;
+  for (const telemetry::Event& event : telemetry.events().snapshot()) {
+    if (event.kind != telemetry::EventKind::kFallbackPlacement) continue;
+    ++fallback_events;
+    EXPECT_EQ(event.gpu, 0);
+    EXPECT_EQ(event.service_id, 1);
+    EXPECT_DOUBLE_EQ(event.value, 4.0);
+  }
+  EXPECT_EQ(fallback_events, 1);
+}
+
+TEST_F(DeployerTest, PlannedSlotOnALostGpuFailsWithoutTryingOtherSlots) {
+  ASSERT_EQ(nvml_.fail_device(0), gpu::NvmlReturn::kSuccess);
+  Deployment deployment;
+  deployment.uses_mig = true;
+  deployment.gpu_count = 1;
+  deployment.units = {mig_unit(0, "resnet-50", 0, 1, 0)};
+  nvml_.clear_operation_log();
+  const auto state = deployer_.deploy(deployment);
+  ASSERT_FALSE(state.ok());
+  EXPECT_NE(state.error().to_string().find(
+                gpu::nvml_error_string(gpu::NvmlReturn::kErrorGpuIsLost)),
+            std::string::npos)
+      << state.error().to_string();
+  int creates = 0;
+  for (const std::string& op : nvml_.operation_log()) {
+    if (op.find("create_gi_placed") != std::string::npos) ++creates;
+  }
+  EXPECT_EQ(creates, 1);  // the planned slot only: no retry, no fallback
+  EXPECT_EQ(deployer_.last_deploy_stats().fallback_placements, 0);
+  EXPECT_EQ(deployer_.last_deploy_stats().transient_retries, 0);
+}
+
 TEST(DeployerFailureTest, FailedDeployKeepsItsAccountingAndReleasesTheFailedUnit) {
   // Four 7g units under p=0.6 transient create faults; the last one names a
   // model the catalog lacks. The deploy fails, yet the retries it spent on

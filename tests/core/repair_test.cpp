@@ -195,8 +195,7 @@ TEST_F(RepairTest, RepairSucceedsUnderTransientFaults) {
   ASSERT_TRUE(repaired.ok()) << repaired.error().to_string();
   // The report's recovery time includes any backoff the retries spent.
   EXPECT_GE(repaired.value().recovery_ms,
-            repaired.value().update.makespan_ms +
-                repairer.options().detection_latency_ms);
+            repaired.value().update.makespan_ms + kDetectionLatencyMs);
 }
 
 TEST_F(RepairTest, OneGpuRepairCostsLessThanDeployingTheFleet) {

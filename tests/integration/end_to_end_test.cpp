@@ -4,7 +4,10 @@
 // invariants.
 #include <gtest/gtest.h>
 
+#include <time.h>
+
 #include <algorithm>
+#include <limits>
 #include <map>
 #include <vector>
 
@@ -121,48 +124,54 @@ TEST(EndToEndTest, ReconfigurationKeepsClusterServing) {
   EXPECT_DOUBLE_EQ(result.worst_compliance(), 1.0);
 }
 
+/// Fastest of 7 `schedule()` calls, in CPU milliseconds of the calling
+/// thread. Thread CPU time leaves out the time a loaded host gives to other
+/// processes, which wall clock would count, and the fastest run is the one
+/// least disturbed by cache and frequency noise.
+double fastest_schedule_cpu_ms(core::ParvaGpuScheduler& scheduler,
+                               const scenarios::Scenario& sc) {
+  double fastest = std::numeric_limits<double>::infinity();
+  for (int i = 0; i < 7; ++i) {
+    timespec start{};
+    timespec stop{};
+    clock_gettime(CLOCK_THREAD_CPUTIME_ID, &start);
+    const auto result = scheduler.schedule(sc.services);
+    clock_gettime(CLOCK_THREAD_CPUTIME_ID, &stop);
+    EXPECT_TRUE(result.ok()) << sc.name;
+    const double ms = static_cast<double>(stop.tv_sec - start.tv_sec) * 1e3 +
+                      static_cast<double>(stop.tv_nsec - start.tv_nsec) * 1e-6;
+    fastest = std::min(fastest, ms);
+  }
+  return fastest;
+}
+
 // === Paper claim: two-stage scheduling stays fast as services scale
 //     (Fig. 11): 10x the services (110 -> 1,100) must cost well under
 //     the 100x a quadratic allocator pays. ===
 TEST(EndToEndTest, SchedulingScalesNearLinearly) {
   const auto fold10 = scenarios::scale_scenario(scenarios::scenario("S5"), 10);
   const auto fold100 = scenarios::scale_scenario(scenarios::scenario("S5"), 100);
-  auto median = [&](const scenarios::Scenario& sc) {
-    std::vector<double> delays;
-    for (int i = 0; i < 7; ++i) {
-      delays.push_back(
-          run_experiment(context(), Framework::kParvaGpu, sc).scheduling_delay_ms);
-    }
-    std::sort(delays.begin(), delays.end());
-    return delays[delays.size() / 2];
-  };
-  const double d10 = median(fold10);
-  const double d100 = median(fold100);
+  core::ParvaGpuScheduler scheduler(builtin_profiles());
+  const double d10 = fastest_schedule_cpu_ms(scheduler, fold10);
+  const double d100 = fastest_schedule_cpu_ms(scheduler, fold100);
   EXPECT_LT(d100, 30.0 * std::max(d10, 0.005))
-      << "ParvaGPU's delay must grow near-linearly with service count";
+      << "ParvaGPU's delay must grow near-linearly with service count (S5 x10 " << d10
+      << " ms, x100 " << d100 << " ms CPU)";
 }
 
 // S7 leaves most GPUs light, so Allocation Optimization visits nearly every
 // GPU and re-places small segments on many of them: planning stays
 // near-linear only if each placement resumes a first-fit cursor instead of
-// scanning from GPU 0 (with a scan per dissolved GPU the ratio read
-// 22-64x on a 4-vCPU VM, against 8-14x with the cursors).
+// scanning from GPU 0 (a first-fit that restarts from GPU 0 read 71-75x on
+// a 4-vCPU VM, against 8-13x with the cursors).
 TEST(EndToEndTest, LlmSchedulingScalesNearLinearly) {
   const auto fold10 = scenarios::scale_scenario(scenarios::llm_scenario(), 10);
   const auto fold100 = scenarios::scale_scenario(scenarios::llm_scenario(), 100);
   core::ParvaGpuScheduler scheduler(core::testing::llm_profiles());
-  auto median = [&](const scenarios::Scenario& sc) {
-    std::vector<double> delays;
-    for (int i = 0; i < 7; ++i) {
-      delays.push_back(scheduler.schedule(sc.services).value().scheduling_delay_ms);
-    }
-    std::sort(delays.begin(), delays.end());
-    return delays[delays.size() / 2];
-  };
-  const double d10 = median(fold10);
-  const double d100 = median(fold100);
+  const double d10 = fastest_schedule_cpu_ms(scheduler, fold10);
+  const double d100 = fastest_schedule_cpu_ms(scheduler, fold100);
   EXPECT_LT(d100, 20.0 * std::max(d10, 0.005))
-      << "S7 x10 median " << d10 << " ms, x100 median " << d100 << " ms";
+      << "S7 x10 fastest " << d10 << " ms, x100 fastest " << d100 << " ms CPU";
 }
 
 // === Deterministic serving capacity: the DES measured rate matches the

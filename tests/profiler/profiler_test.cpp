@@ -83,32 +83,18 @@ TEST_F(ProfilerTest, ProfileAllCoversCatalog) {
   EXPECT_EQ(set.find("nope"), nullptr);
 }
 
-TEST_F(ProfilerTest, ParallelProfileMatchesSerial) {
-  const auto names = perfmodel::ModelCatalog::builtin().names();
-  ThreadPool pool(4);
-  const ProfileSet parallel = profiler_.profile_all(names, pool);
-  const ProfileSet serial = profiler_.profile_all(names);
-  ASSERT_EQ(parallel.size(), serial.size());
-  for (const auto& name : names) {
-    const ProfileTable* a = parallel.find(name);
-    const ProfileTable* b = serial.find(name);
-    ASSERT_EQ(a->size(), b->size());
-    for (std::size_t i = 0; i < a->size(); ++i) {
-      EXPECT_DOUBLE_EQ(a->points()[i].throughput, b->points()[i].throughput);
-    }
-  }
-}
-
 TEST_F(ProfilerTest, CustomGridOptions) {
   ProfilerOptions options;
   options.batch_sizes = {4, 16};
   options.max_processes = 2;
-  options.instance_sizes = {1, 7};
   Profiler custom(perf_, options);
-  EXPECT_EQ(custom.grid_points(), 2u * 2u * 2u);
+  // Every legal instance size x the two batches x two process counts.
+  EXPECT_EQ(custom.grid_points(), 5u * 2u * 2u);
   const ProfileTable table = custom.profile("resnet-50");
-  EXPECT_EQ(table.size(), 8u);
-  EXPECT_EQ(table.find(2, 4, 1), nullptr);  // size 2 not profiled
+  EXPECT_EQ(table.size(), 20u);
+  EXPECT_NE(table.find(2, 4, 1), nullptr);
+  EXPECT_EQ(table.find(2, 8, 1), nullptr);  // batch 8 not profiled
+  EXPECT_EQ(table.find(2, 4, 3), nullptr);  // 3 processes not profiled
 }
 
 }  // namespace

@@ -35,6 +35,22 @@ TEST(ExperimentTest, MakeSchedulerProducesDistinctInstances) {
   EXPECT_EQ(a->name(), "ParvaGPU");
 }
 
+TEST(ExperimentTest, EveryFrameworkRefusesARepeatedServiceId) {
+  // Service 0 appears twice. Every later stage keys on the id, so every
+  // framework must refuse the list rather than merge the two services.
+  const std::vector<core::ServiceSpec> services = {{0, "resnet-50", 205, 800, {}},
+                                                   {0, "bert-large", 6434, 80, {}},
+                                                   {2, "vgg-19", 397, 300, {}}};
+  for (const Framework framework : all_frameworks()) {
+    const auto result = context().make_scheduler(framework)->schedule(services);
+    ASSERT_FALSE(result.ok()) << framework_name(framework);
+    EXPECT_EQ(result.error().code(), ErrorCode::kInvalidArgument) << framework_name(framework);
+    EXPECT_NE(result.error().to_string().find("service 0 at position 1 repeats"),
+              std::string::npos)
+        << result.error().to_string();
+  }
+}
+
 TEST(ExperimentTest, RunWithoutSimulation) {
   const auto result = run_experiment(context(), Framework::kParvaGpu, scenario("S1"));
   ASSERT_TRUE(result.feasible);

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "tests/core/test_support.hpp"
 
 namespace parva::serving {
@@ -76,24 +78,16 @@ TEST_F(AutoscalerTest, SurgeGrowsAndShrinksTheFleet) {
   EXPECT_LE(after, before + 1);  // the fleet contracts again after the surge
 }
 
-TEST_F(AutoscalerTest, VerificationCanBeDisabled) {
-  AutoscalerOptions options = fast_options();
-  options.verify_with_simulation = false;
-  Autoscaler autoscaler(builtin_profiles(), perf_, options);
-  const auto report = autoscaler.run_day(base_services(), RateTrace::diurnal());
-  ASSERT_TRUE(report.ok());
-  for (const EpochRecord& epoch : report.value().epochs) {
-    EXPECT_DOUBLE_EQ(epoch.slo_compliance, 1.0);
-    EXPECT_DOUBLE_EQ(epoch.internal_slack, 0.0);
+TEST_F(AutoscalerTest, InvalidEpochIsRefused) {
+  for (const double epoch_minutes : {0.0, -1.0, std::numeric_limits<double>::quiet_NaN(),
+                                     std::numeric_limits<double>::infinity()}) {
+    AutoscalerOptions bad = fast_options();
+    bad.epoch_minutes = epoch_minutes;
+    Autoscaler autoscaler(builtin_profiles(), perf_, bad);
+    const auto report = autoscaler.run_day(base_services(), RateTrace::diurnal());
+    ASSERT_FALSE(report.ok()) << "epoch " << epoch_minutes;
+    EXPECT_EQ(report.error().code(), ErrorCode::kInvalidArgument) << "epoch " << epoch_minutes;
   }
-}
-
-TEST_F(AutoscalerTest, InvalidOptionsThrow) {
-  AutoscalerOptions bad = fast_options();
-  bad.epoch_minutes = 0.0;
-  Autoscaler autoscaler(builtin_profiles(), perf_, bad);
-  EXPECT_THROW((void)autoscaler.run_day(base_services(), RateTrace::diurnal()),
-               std::logic_error);
 }
 
 }  // namespace

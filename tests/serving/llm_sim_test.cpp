@@ -252,7 +252,7 @@ TEST_F(LlmSimTest, EvictionThenCompletionInOneDecodeStepKeepsEmissionOrder) {
       core::LlmWorkload{100.0, 0.0, 2048, 20.0, 0.0, 2048, ledger_bytes / 210.0})};
   ClusterSimulation sim(deployment, services, perf_);
 
-  telemetry::Telemetry telemetry({.max_events = 1 << 16, .request_events = true});
+  telemetry::Telemetry telemetry({.request_events = true});
   SimulationOptions opts = fast_options();
   opts.warmup_ms = 0.0;
   opts.llm.admission = LlmAdmissionPolicy::kEvict;

@@ -1,7 +1,7 @@
 // Nested-pool stress battery (runs under the tsan preset): sharded
-// simulation jobs now execute their shard windows on the SAME pool that
-// runs the sweep — run_simulations auto-assigns shard_pool = &pool when a
-// job names none — so the fork-join nests. ThreadPool::parallel_for is
+// simulation jobs execute their shard windows on the SAME pool that runs
+// the sweep — run_seeds assigns shard_pool = &pool when the options name
+// none — so the fork-join nests. ThreadPool::parallel_for is
 // cooperative (the caller claims indices from the shared cursor), which is
 // what makes this safe: a sweep task blocked at a window barrier drives
 // its own shards, so even a 1-worker pool saturated with sharded jobs
@@ -71,12 +71,12 @@ class NestedPoolTest : public ::testing::Test {
 TEST_F(NestedPoolTest, ShardedSweepOnSharedPoolMatchesSerial) {
   // More sharded jobs than workers: every worker ends up inside a sweep
   // task when the shard-level parallel_for fans out, so all shard work is
-  // claimed cooperatively or stolen — the exact regime the old
-  // distinct-pool rule forbade.
+  // claimed cooperatively — the exact regime the old distinct-pool rule
+  // forbade.
   ThreadPool pool(2);
   const std::vector<std::uint64_t> seeds = {3, 14, 15, 92, 65, 35};
   SimulationOptions base = base_;
-  base.shards = 4;  // no shard_pool: run_simulations shares `pool`
+  base.shards = 4;  // no shard_pool: run_seeds shares `pool`
   const auto swept = run_seeds(deployment_, services_, perf_, base, seeds, pool);
   ASSERT_EQ(swept.size(), seeds.size());
   for (std::size_t i = 0; i < seeds.size(); ++i) {
@@ -110,58 +110,52 @@ TEST_F(NestedPoolTest, FaultedShardedJobsShareTheSweepPool) {
   gpu::FaultPlan plan;
   plan.gpu_failures = {{400.0, 0, 79}};
   ThreadPool pool(3);
-  std::vector<SimulationJob> jobs;
-  for (const int shards : {1, 2, 4, 7}) {
-    SimulationJob job;
-    job.deployment = &deployment_;
-    job.services = services_;
-    job.perf = &perf_;
-    job.options = base_;
-    job.options.fault_plan = &plan;
-    job.options.seed = 21;
-    job.options.shards = shards;
-    jobs.push_back(job);
-  }
-  const auto results = run_simulations(jobs, pool);
-  ASSERT_EQ(results.size(), jobs.size());
+  const std::vector<int> shard_counts = {1, 2, 4, 7};
+  std::vector<SimulationResult> results(shard_counts.size());
+  pool.parallel_for(shard_counts.size(), [&](std::size_t i) {
+    SimulationOptions options = base_;
+    options.fault_plan = &plan;
+    options.seed = 21;
+    options.shards = shard_counts[i];
+    options.shard_pool = &pool;
+    ClusterSimulation sim(deployment_, services_, perf_);
+    results[i] = sim.run(options);
+  });
   SimulationOptions serial_opts = base_;
   serial_opts.fault_plan = &plan;
   serial_opts.seed = 21;
   const std::vector<std::uint64_t> serial = serial_fingerprint(serial_opts);
   for (std::size_t i = 0; i < results.size(); ++i) {
-    EXPECT_EQ(fingerprint(results[i]), serial)
-        << "shards " << jobs[i].options.shards;
+    EXPECT_EQ(fingerprint(results[i]), serial) << "shards " << shard_counts[i];
   }
   EXPECT_GT(results[0].requests_shed, 0u);  // the fault actually bites
 }
 
 TEST_F(NestedPoolTest, ExplicitShardPoolIsStillHonoured) {
-  // A job that names its own shard pool keeps it — auto-sharing only fills
-  // the nullptr default — and may even name the sweep pool explicitly.
+  // A sweep whose options name a shard pool keeps it — sharing the sweep
+  // pool only fills the nullptr default — and may even name the sweep pool
+  // explicitly.
   ThreadPool sweep_pool(2);
   ThreadPool dedicated(2);
-  std::vector<SimulationJob> jobs(2);
-  for (SimulationJob& job : jobs) {
-    job.deployment = &deployment_;
-    job.services = services_;
-    job.perf = &perf_;
-    job.options = base_;
-    job.options.seed = 8;
-    job.options.shards = 4;
+  const std::vector<std::uint64_t> seeds = {8, 9};
+  SimulationOptions base = base_;
+  base.shards = 4;
+  for (ThreadPool* shard_pool : {&dedicated, &sweep_pool}) {
+    base.shard_pool = shard_pool;
+    const auto swept = run_seeds(deployment_, services_, perf_, base, seeds, sweep_pool);
+    ASSERT_EQ(swept.size(), seeds.size());
+    for (std::size_t i = 0; i < seeds.size(); ++i) {
+      SimulationOptions options = base_;
+      options.seed = seeds[i];
+      EXPECT_EQ(fingerprint(swept[i]), serial_fingerprint(options))
+          << "seed " << seeds[i] << (shard_pool == &sweep_pool ? " (self-nesting)" : "");
+    }
   }
-  jobs[0].options.shard_pool = &dedicated;
-  jobs[1].options.shard_pool = &sweep_pool;  // explicit self-nesting
-  const auto results = run_simulations(jobs, sweep_pool);
-  SimulationOptions serial_opts = base_;
-  serial_opts.seed = 8;
-  const std::vector<std::uint64_t> serial = serial_fingerprint(serial_opts);
-  EXPECT_EQ(fingerprint(results[0]), serial);
-  EXPECT_EQ(fingerprint(results[1]), serial);
 }
 
 TEST_F(NestedPoolTest, RepeatedSweepsAreStable) {
-  // Back-to-back sweeps on one pool (workers re-used, deques drained and
-  // refilled) return identical bytes every time.
+  // Back-to-back sweeps on one pool (workers re-used, the queue drained
+  // and refilled) return identical bytes every time.
   ThreadPool pool(2);
   SimulationOptions base = base_;
   base.shards = 4;

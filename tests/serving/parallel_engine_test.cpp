@@ -227,7 +227,7 @@ TEST_F(ParallelEngineFaultTest, TelemetryExportsAreByteIdentical) {
   // per-batch events enabled (the highest-volume record stream).
   ClusterSimulation sim(deployment_, services_, perf_);
   auto exports_for = [&](int shards, ThreadPool* pool) {
-    telemetry::Telemetry telemetry({.max_events = 1 << 16, .request_events = true});
+    telemetry::Telemetry telemetry({.request_events = true});
     SimulationOptions opts = fault_options();
     opts.telemetry = &telemetry;
     opts.shards = shards;
@@ -272,7 +272,7 @@ TEST(ParallelEngineTest, OrphanUnitActivationIsByteIdentical) {
   const std::size_t orphan_index = deployment.units.size() - 1;
   ClusterSimulation sim(deployment, scenario.services, perf);
   auto run = [&](int shards) {
-    telemetry::Telemetry telemetry({.max_events = 1 << 16, .request_events = true});
+    telemetry::Telemetry telemetry({.request_events = true});
     SimulationOptions opts = base_options();
     opts.activations = {{orphan_index, 500.0}};
     opts.telemetry = &telemetry;

@@ -65,29 +65,22 @@ TEST_F(SimRunnerTest, SeedSweepMatchesSerialLoop) {
   }
 }
 
-TEST_F(SimRunnerTest, JobListMatchesSerialLoop) {
+TEST_F(SimRunnerTest, PoissonSweepMatchesSerialLoop) {
   SimulationOptions poisson = base_;
   poisson.arrivals = ArrivalProcess::kPoisson;
-  std::vector<SimulationJob> jobs;
-  for (const SimulationOptions& options : {base_, poisson}) {
-    SimulationJob job;
-    job.deployment = &deployment_;
-    job.services = services_;
-    job.perf = &perf_;
-    job.options = options;
-    jobs.push_back(job);
-  }
-  const auto parallel = run_simulations(jobs, pool_);
-  ASSERT_EQ(parallel.size(), jobs.size());
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
+  const std::vector<std::uint64_t> seeds = {poisson.seed, 5};
+  const auto parallel = run_seeds(deployment_, services_, perf_, poisson, seeds, pool_);
+  ASSERT_EQ(parallel.size(), seeds.size());
+  for (std::size_t i = 0; i < seeds.size(); ++i) {
     ClusterSimulation sim(deployment_, services_, perf_);
-    EXPECT_EQ(fingerprint(parallel[i]), fingerprint(sim.run(jobs[i].options)));
+    SimulationOptions options = poisson;
+    options.seed = seeds[i];
+    EXPECT_EQ(fingerprint(parallel[i]), fingerprint(sim.run(options))) << "seed " << seeds[i];
   }
 }
 
 TEST_F(SimRunnerTest, EmptySweepIsEmpty) {
   EXPECT_TRUE(run_seeds(deployment_, services_, perf_, base_, {}, pool_).empty());
-  EXPECT_TRUE(run_simulations({}, pool_).empty());
 }
 
 }  // namespace

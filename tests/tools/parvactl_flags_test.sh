@@ -2,23 +2,29 @@
 # Regression test for parvactl simulate's numeric flags: a malformed or
 # out-of-range --seed, --duration-ms, --inject-fault or --transient-p value
 # must exit 1 with a message naming the flag, never run with a silently
-# substituted value. A valid short simulation must still exit 0.
+# substituted value. A valid short simulation must still exit 0. The
+# autoscaling example's --epoch-minutes gets the same treatment.
 #
-# Usage: parvactl_flags_test.sh <parvactl_binary>
+# Usage: parvactl_flags_test.sh <parvactl_binary> <autoscaling_binary>
 #
 # Each run is capped at 20 s: an accepted infinite duration never ends.
 set -u
 
 PARVACTL="$1"
+AUTOSCALING="$2"
 FAILURES=0
 
 run() { timeout 20 "${PARVACTL}" simulate --scenario S2 "$@"; }
+run_autoscaling() { timeout 20 "${AUTOSCALING}" "$@"; }
 
-expect_rejected() {
-  local flag="$1"
-  shift
+# expect_rejected_by RUNNER FLAG ARGS...: RUNNER ARGS... must exit 1 with a
+# message naming FLAG.
+expect_rejected_by() {
+  local runner="$1"
+  local flag="$2"
+  shift 2
   local err
-  err="$(run "$@" 2>&1 >/dev/null)"
+  err="$("${runner}" "$@" 2>&1 >/dev/null)"
   local rc=$?
   if [[ "${rc}" -eq 1 && "${err}" == *"${flag}"* ]]; then
     echo "ok: $* (exit 1)"
@@ -27,6 +33,8 @@ expect_rejected() {
     FAILURES=$((FAILURES + 1))
   fi
 }
+
+expect_rejected() { expect_rejected_by run "$@"; }
 
 expect_rejected --duration-ms --duration-ms abc
 expect_rejected --duration-ms --duration-ms 5000x
@@ -40,6 +48,9 @@ expect_rejected --inject-fault --inject-fault gpu=0@t=nan
 expect_rejected --inject-fault --inject-fault gpu=0@t=inf
 expect_rejected --inject-fault --inject-fault gpu=1.9@t=5000
 expect_rejected --transient-p --transient-p nan
+for epoch in nan 0 -5 inf abc; do
+  expect_rejected_by run_autoscaling --epoch-minutes --epoch-minutes "${epoch}"
+done
 
 run --seed 7 --duration-ms 1000 --inject-fault gpu=0@t=500 >/dev/null 2>&1
 rc=$?
