@@ -1,12 +1,13 @@
 // google-benchmark microbenchmarks of the building blocks: MIG geometry
-// enumeration, the Segment Configurator, the Segment Allocator stages and
-// single-service updates on an LLM fleet, the end-to-end schedulers,
-// deploying and repairing a fleet, and the discrete-event simulator:
-// throughput, cost per event across fleet sizes, and how much of a shard's
-// time pooled execution adds.
+// enumeration, the Segment Configurator, the Segment Allocator stages,
+// single-service updates on an LLM fleet and on S5 x150, the end-to-end
+// schedulers (S5 x150 among them), deploying and repairing a fleet, and the
+// discrete-event simulator: throughput, cost per event across fleet sizes,
+// and how much of a shard's time pooled execution adds.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
+#include <cstdint>
 #include <map>
 #include <memory>
 #include <numeric>
@@ -112,24 +113,16 @@ void BM_AllocationOptimizationS7Fold(benchmark::State& state) {
 BENCHMARK(BM_AllocationOptimizationS7Fold)
     ->Arg(60)->Arg(300)->Arg(700)->Unit(benchmark::kMicrosecond);
 
-// Reconfigurer::update_service (§III-F) on S7 x60: a seeded stream of 200
-// SLO/rate changes, each relative to the fleet's own spec (rate x U(0.7,
-// 1.3) or SLO x U(1.0, 1.5)) so the stream never drifts. Time is per
-// update.
-void BM_UpdateServiceS7x60(benchmark::State& state) {
-  const Scenario fleet = scale_scenario(llm_scenario(), 60);
-  core::ParvaGpuScheduler scheduler(llm_profiles());
-  if (!scheduler.schedule(fleet.services).ok()) {
-    state.SkipWithError("S7 x60 did not schedule");
-    return;
-  }
-  core::DeploymentPlan plan = scheduler.last_plan();
-  std::vector<core::ConfiguredService> configured = scheduler.last_configured();
-  Rng rng(60);
+/// A seeded stream of 200 SLO/rate changes to `services`, each relative to
+/// the fleet's own spec (rate x U(0.7, 1.3) or SLO x U(1.0, 1.5)) so the
+/// stream never drifts.
+std::vector<core::ServiceSpec> update_stream(const std::vector<core::ServiceSpec>& services,
+                                             std::uint64_t seed) {
+  Rng rng(seed);
   std::vector<core::ServiceSpec> updates;
   for (int u = 0; u < 200; ++u) {
     core::ServiceSpec spec =
-        fleet.services[static_cast<std::size_t>(rng.uniform_int(0, fleet.services.size() - 1))];
+        services[static_cast<std::size_t>(rng.uniform_int(0, services.size() - 1))];
     if (rng.next_double() < 0.5) {
       spec.request_rate *= rng.uniform(0.7, 1.3);
     } else {
@@ -137,11 +130,25 @@ void BM_UpdateServiceS7x60(benchmark::State& state) {
     }
     updates.push_back(std::move(spec));
   }
+  return updates;
+}
+
+/// Reconfigurer::update_service (§III-F) on the plan `scheduler` made of
+/// `services`, cycling through `updates`. Time is per update.
+void run_updates(benchmark::State& state, core::ParvaGpuScheduler& scheduler,
+                 const std::vector<core::ServiceSpec>& services,
+                 const std::vector<core::ServiceSpec>& updates) {
+  if (!scheduler.schedule(services).ok()) {
+    state.SkipWithError("the fleet did not schedule");
+    return;
+  }
+  core::DeploymentPlan plan = scheduler.last_plan();
+  std::vector<core::ConfiguredService> configured = scheduler.last_configured();
   const core::Reconfigurer reconfigurer{core::SegmentConfigurator(), core::SegmentAllocator()};
   std::size_t next = 0;
   for (auto _ : state) {
     const auto stats = reconfigurer.update_service(plan, configured, updates[next],
-                                                   llm_surfaces());
+                                                   scheduler.surfaces());
     if (!stats.ok()) {
       state.SkipWithError("update_service failed");
       break;
@@ -150,6 +157,13 @@ void BM_UpdateServiceS7x60(benchmark::State& state) {
     next = (next + 1) % updates.size();
   }
   state.counters["gpus"] = static_cast<double>(plan.gpus_in_use());
+}
+
+// 200 SLO/rate updates on S7 x60 (300 LLM services).
+void BM_UpdateServiceS7x60(benchmark::State& state) {
+  const Scenario fleet = scale_scenario(llm_scenario(), 60);
+  core::ParvaGpuScheduler scheduler(llm_profiles());
+  run_updates(state, scheduler, fleet.services, update_stream(fleet.services, 60));
 }
 BENCHMARK(BM_UpdateServiceS7x60)->Unit(benchmark::kMicrosecond);
 
@@ -185,6 +199,30 @@ const core::Deployment& s5_deployment(int fold) {
   }
   return it->second;
 }
+
+// ParvaGpuScheduler::schedule of S5 x150 (1,650 services, the parvabench
+// fleet_plan fleet) on one scheduler: the full plan through the Deployment.
+void BM_ScheduleS5x150(benchmark::State& state) {
+  const Scenario& fleet = s5_fleet(150);
+  core::ParvaGpuScheduler scheduler(context().profiles());
+  for (auto _ : state) {
+    auto result = scheduler.schedule(fleet.services);
+    if (!result.ok()) {
+      state.SkipWithError("S5 x150 did not schedule");
+      break;
+    }
+    benchmark::DoNotOptimize(result);
+  }
+}
+BENCHMARK(BM_ScheduleS5x150)->Unit(benchmark::kMicrosecond);
+
+// 200 SLO/rate updates on S5 x150, the same stream shape as S7 x60's.
+void BM_UpdateServiceS5x150(benchmark::State& state) {
+  const Scenario& fleet = s5_fleet(150);
+  core::ParvaGpuScheduler scheduler(context().profiles());
+  run_updates(state, scheduler, fleet.services, update_stream(fleet.services, 150));
+}
+BENCHMARK(BM_UpdateServiceS5x150)->Unit(benchmark::kMicrosecond);
 
 /// A fresh simulated cluster with its control plane, deployer and repair
 /// loop; rebuilt outside the timed region for every iteration.

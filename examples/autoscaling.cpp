@@ -2,7 +2,7 @@
 // day, reconfiguring only drifted services each epoch (Section III-F), and
 // compare GPU-hours against static peak provisioning.
 //
-//   $ ./examples/autoscaling [--epoch-minutes 30]
+//   $ ./examples/autoscaling [--epoch-minutes 30]   (at least 1)
 #include <cmath>
 #include <iostream>
 
@@ -20,9 +20,10 @@ int main(int argc, char** argv) {
   if (args.has("epoch-minutes")) {
     double value = 0.0;
     if (!parse_double(args.get("epoch-minutes", ""), value) || !std::isfinite(value) ||
-        value <= 0.0) {
+        value < serving::kMinEpochMinutes) {
       std::cerr << "bad --epoch-minutes '" << args.get("epoch-minutes", "")
-                << "' (want a finite positive number)\n";
+                << "' (want a finite number of minutes, at least "
+                << serving::kMinEpochMinutes << ")\n";
       return 1;
     }
     options.epoch_minutes = value;

@@ -9,11 +9,11 @@ namespace parva::core {
 namespace {
 
 /// Service lookup by id for one Allocation Optimization pass. The first
-/// 2*bit_width(n) lookups scan the list front to back; the next one sorts
-/// an (id, position) index once and every later one binary-searches it. A
-/// pass that looks up few segments (an S5 update, 1-8 candidate GPUs)
-/// never pays for the sort, and one that looks up many never pays O(n)
-/// per lookup; either way a repeated id resolves to its first position.
+/// 2*bit_width(n) lookups scan the list front to back; the next one builds
+/// the id table (ServiceIdIndex) once and every later one reads it. A pass
+/// that looks up few segments (an S5 update, 1-8 candidate GPUs) never pays
+/// for the build, and one that looks up many never pays O(n) per lookup;
+/// either way a repeated id resolves to its first position.
 class ServiceLookup {
  public:
   explicit ServiceLookup(std::span<const ConfiguredService> services)

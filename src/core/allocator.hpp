@@ -30,9 +30,9 @@
 //     triplet is a 1g at a tenth of its rate re-expresses as ten 1g
 //     segments, which need a second GPU.
 //   * Each freed segment finds its service by a front-to-back scan for the
-//     first 2*bit_width(n) lookups of a pass, then through one sorted
-//     (id, position) index: never much dearer than the cheaper of the two.
-//     Either way a repeated id resolves to its first service.
+//     first 2*bit_width(n) lookups of a pass, then through one id table
+//     (ServiceIdIndex, built once): never much dearer than the cheaper of
+//     the two. Either way a repeated id resolves to its first service.
 #pragma once
 
 #include <array>

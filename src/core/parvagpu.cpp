@@ -64,7 +64,7 @@ Deployment ParvaGpuScheduler::to_deployment(const DeploymentPlan& plan,
 Result<ScheduleResult> ParvaGpuScheduler::schedule(std::span<const ServiceSpec> services) {
   const auto start = std::chrono::steady_clock::now();
 
-  // The index also serves the model fill below, so the list is sorted once.
+  // The index also serves the model fill below, so the id table is built once.
   const ServiceIdIndex by_id(services);
   if (Status unique = check_unique_ids(services, by_id); !unique.ok()) return unique.error();
 

@@ -1,7 +1,9 @@
 #include "core/service.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <set>
 
@@ -84,38 +86,44 @@ int instance_size_from_index(int index) {
   }
 }
 
-ServiceIdIndex::ServiceIdIndex(std::span<const ServiceSpec> services) {
-  by_id_.reserve(services.size());
-  for (std::size_t i = 0; i < services.size(); ++i) by_id_.emplace_back(services[i].id, i);
-  sort_by_id();
-}
+namespace {
 
-ServiceIdIndex ServiceIdIndex::for_configured(std::span<const ConfiguredService> services) {
-  ServiceIdIndex index(std::span<const ServiceSpec>{});
-  index.by_id_.reserve(services.size());
-  for (std::size_t i = 0; i < services.size(); ++i) {
-    index.by_id_.emplace_back(services[i].spec.id, i);
-  }
-  index.sort_by_id();
-  return index;
-}
+/// 2^64 over the golden ratio: multiplying by it and keeping the top bits
+/// spreads ids that differ only in high bits or by a power-of-two stride.
+constexpr std::uint64_t kIdHashMultiplier = 0x9E3779B97F4A7C15ull;
 
-void ServiceIdIndex::sort_by_id() {
-  // Positions are unique, so sorting the pairs orders equal ids by
-  // position: the stable order by id, without stable_sort's extra buffer.
-  std::sort(by_id_.begin(), by_id_.end());
-}
+}  // namespace
 
-std::optional<std::size_t> ServiceIdIndex::first_repeat() const {
-  // Equal ids sit side by side in position order, so every entry that
-  // follows one with its id is a repeat.
-  std::optional<std::size_t> first;
-  for (std::size_t i = 1; i < by_id_.size(); ++i) {
-    if (by_id_[i].first == by_id_[i - 1].first && (!first || by_id_[i].second < *first)) {
-      first = by_id_[i].second;
+template <typename IdOf>
+ServiceIdIndex::ServiceIdIndex(std::size_t count, IdOf id_of)
+    : slots_(std::bit_ceil(std::max<std::size_t>(2, 2 * count))),
+      shift_(64 - std::countr_zero(slots_.size())) {
+  for (std::size_t position = 0; position < count; ++position) {
+    const int id = id_of(position);
+    Slot& slot = slots_[probe(id)];
+    if (slot.position == kEmpty) {
+      slot = Slot{id, position};
+    } else if (!first_repeat_) {
+      first_repeat_ = position;
     }
   }
-  return first;
+}
+
+ServiceIdIndex::ServiceIdIndex(std::span<const ServiceSpec> services)
+    : ServiceIdIndex(services.size(), [services](std::size_t i) { return services[i].id; }) {}
+
+ServiceIdIndex ServiceIdIndex::for_configured(std::span<const ConfiguredService> services) {
+  return ServiceIdIndex(services.size(),
+                        [services](std::size_t i) { return services[i].spec.id; });
+}
+
+std::size_t ServiceIdIndex::probe(int id) const {
+  const std::size_t mask = slots_.size() - 1;
+  std::size_t slot = static_cast<std::size_t>(
+      (static_cast<std::uint64_t>(static_cast<std::uint32_t>(id)) * kIdHashMultiplier) >>
+      shift_);
+  while (slots_[slot].position != kEmpty && slots_[slot].id != id) slot = (slot + 1) & mask;
+  return slot;
 }
 
 Status check_unique_ids(std::span<const ServiceSpec> services, const ServiceIdIndex& by_id) {
@@ -127,12 +135,9 @@ Status check_unique_ids(std::span<const ServiceSpec> services, const ServiceIdIn
 }
 
 std::optional<std::size_t> ServiceIdIndex::find(int id) const {
-  const auto it = std::lower_bound(by_id_.begin(), by_id_.end(), id,
-                                   [](const std::pair<int, std::size_t>& entry, int key) {
-                                     return entry.first < key;
-                                   });
-  if (it == by_id_.end() || it->first != id) return std::nullopt;
-  return it->second;
+  const Slot& slot = slots_[probe(id)];
+  if (slot.position == kEmpty) return std::nullopt;
+  return slot.position;
 }
 
 }  // namespace parva::core

@@ -121,9 +121,12 @@ struct Segment {
   Triplet triplet;
 };
 
-/// Service id -> position in a service list, through (id, position) pairs
-/// sorted once: O(n log n) to build, O(log n) per lookup. When ids repeat,
-/// the first position wins, as a front-to-back scan would.
+/// Service id -> position in a service list, through one open-addressed
+/// table: power-of-two slots at a load of at most 1/2, a fixed
+/// multiplicative hash of the id (so the layout is deterministic) and
+/// linear probing. O(n) to build, O(1) expected per lookup. Ids are
+/// inserted in list order, so when ids repeat the first position wins, as
+/// a front-to-back scan would, and the first repeat is noted on the way.
 class ServiceIdIndex {
  public:
   explicit ServiceIdIndex(std::span<const ServiceSpec> services);
@@ -135,12 +138,27 @@ class ServiceIdIndex {
 
   /// The first position, in list order, whose id an earlier service
   /// already has; nullopt when every id is unique.
-  std::optional<std::size_t> first_repeat() const;
+  std::optional<std::size_t> first_repeat() const { return first_repeat_; }
 
  private:
-  void sort_by_id();
+  /// Sizes the table for `count` ids and inserts id_of(0), id_of(1), ...
+  template <typename IdOf>
+  ServiceIdIndex(std::size_t count, IdOf id_of);
 
-  std::vector<std::pair<int, std::size_t>> by_id_;
+  /// The slot holding `id`, or the empty slot where probing for it stops.
+  std::size_t probe(int id) const;
+
+  /// Position of a slot no id occupies; a list cannot be this long.
+  static constexpr std::size_t kEmpty = static_cast<std::size_t>(-1);
+
+  struct Slot {
+    int id = 0;
+    std::size_t position = kEmpty;
+  };
+
+  std::vector<Slot> slots_;
+  int shift_ = 0;  ///< 64 - log2(slots_.size()): keeps the hash's top bits
+  std::optional<std::size_t> first_repeat_;
 };
 
 /// Refuses a service list in which two services share an id, because every

@@ -18,7 +18,9 @@
 // per-profile memory grants within the 8 memory slices, no two placements
 // of the same profile overlapping -- is discharged by static_assert at
 // compile time. Runtime placement code (and parva_audit rule R8 enforces
-// this) consults these tables instead of re-hardcoding slot lists.
+// this) consults these tables instead of re-hardcoding slot lists; slot
+// fitting itself is one read of kStartSlotTable, generated at compile time
+// from the preference order and proved equal to its scan.
 #pragma once
 
 #include <array>
@@ -160,15 +162,50 @@ constexpr bool is_legal_placement(const Placement& placement) {
   return false;
 }
 
-/// Given the current slot occupancy mask, returns the first preferred start
-/// slot at which an instance of `gpcs` fits, or nullopt.
-constexpr std::optional<int> find_start_slot(std::uint8_t occupied_mask, int gpcs) {
+namespace detail {
+
+/// The preference-order scan: the first start of preferred_start_slots(gpcs)
+/// whose window lies on the die and misses `occupied_mask`, or nullopt. It
+/// generates kStartSlotTable and is the oracle of the proof below; being
+/// consteval, it never runs at run time.
+consteval std::optional<int> scan_start_slot(std::uint8_t occupied_mask, int gpcs) {
   for (int start : preferred_start_slots(gpcs)) {
     const Placement candidate{gpcs, start};
     if (candidate.start_slot + candidate.span() > kGpcSlots) continue;
     if ((occupied_mask & candidate.slot_mask()) == 0) return start;
   }
   return std::nullopt;
+}
+
+/// Marks a (size, mask) cell of kStartSlotTable where nothing fits.
+inline constexpr std::int8_t kNoStartSlot = -1;
+
+/// First preferred start slot by instance size 0-7 and occupancy of the 7
+/// GPC slots: scan_start_slot evaluated once per cell at compile time.
+/// Sizes without a profile (0, 5, 6) hold kNoStartSlot throughout.
+inline constexpr auto kStartSlotTable = []() consteval {
+  std::array<std::array<std::int8_t, std::size_t{1} << kGpcSlots>, 8> table{};
+  for (std::size_t gpcs = 0; gpcs < table.size(); ++gpcs) {
+    for (std::size_t mask = 0; mask < table[gpcs].size(); ++mask) {
+      const auto start =
+          scan_start_slot(static_cast<std::uint8_t>(mask), static_cast<int>(gpcs));
+      table[gpcs][mask] = start ? static_cast<std::int8_t>(*start) : kNoStartSlot;
+    }
+  }
+  return table;
+}();
+
+}  // namespace detail
+
+/// Given the current slot occupancy mask, returns the first preferred start
+/// slot at which an instance of `gpcs` fits, or nullopt: one read of
+/// kStartSlotTable. Bit 7 of the mask lies off the die and is ignored.
+constexpr std::optional<int> find_start_slot(std::uint8_t occupied_mask, int gpcs) {
+  if (static_cast<unsigned>(gpcs) >= detail::kStartSlotTable.size()) return std::nullopt;
+  const std::int8_t start =
+      detail::kStartSlotTable[static_cast<std::size_t>(gpcs)][occupied_mask & 0x7f];
+  if (start == detail::kNoStartSlot) return std::nullopt;
+  return start;
 }
 
 // ---------------------------------------------------------------------------
@@ -270,6 +307,20 @@ constexpr bool start_slot_views_agree() {
   return true;
 }
 
+/// find_start_slot's table read equals the preference-order scan for every
+/// size from -1 to 8 and every 8-bit mask (bit 7 ignored by both).
+consteval bool start_slot_table_matches_scan() {
+  for (int gpcs = -1; gpcs <= 8; ++gpcs) {
+    for (int mask = 0; mask <= 0xff; ++mask) {
+      const auto occupied = static_cast<std::uint8_t>(mask);
+      if (find_start_slot(occupied, gpcs) != detail::scan_start_slot(occupied, gpcs)) {
+        return false;
+      }
+    }
+  }
+  return true;
+}
+
 }  // namespace proof
 
 static_assert(proof::placements_fit_die(),
@@ -284,6 +335,8 @@ static_assert(proof::no_intra_profile_overlap(),
               "MIG geometry: same-profile placements must be disjoint and ascending");
 static_assert(proof::start_slot_views_agree(),
               "MIG geometry: start-slot views disagree with kPlacementTable");
+static_assert(proof::start_slot_table_matches_scan(),
+              "MIG geometry: the start-slot table disagrees with the preference scan");
 static_assert(kProfileTable.size() + kPlacementTable.size() == 19,
               "MIG geometry: the A100 has 5 profiles and 14 placements (Fig. 1)");
 static_assert(find_start_slot(0, 3).has_value() && *find_start_slot(0, 3) == 4,

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <sstream>
 #include <string>
 
 namespace parva::serving {
@@ -20,10 +21,11 @@ constexpr std::uint64_t kVerifySeed = 7;
 
 Result<AutoscaleReport> Autoscaler::run_day(std::span<const core::ServiceSpec> base_services,
                                             const RateTrace& trace) const {
-  if (!std::isfinite(options_.epoch_minutes) || options_.epoch_minutes <= 0.0) {
-    return Error(ErrorCode::kInvalidArgument,
-                 "autoscaler epoch must be finite and positive, got " +
-                     std::to_string(options_.epoch_minutes) + " minutes");
+  if (!std::isfinite(options_.epoch_minutes) || options_.epoch_minutes < kMinEpochMinutes) {
+    std::ostringstream message;
+    message << "autoscaler epoch must be a finite number of minutes, at least "
+            << kMinEpochMinutes << ", got " << options_.epoch_minutes;
+    return Error(ErrorCode::kInvalidArgument, message.str());
   }
 
   // Initial deployment at the first epoch's rates.

@@ -18,8 +18,13 @@
 
 namespace parva::serving {
 
+/// Shortest epoch the autoscaler accepts. A day holds at most 1,440 such
+/// epochs, each verified by its own simulation; a shorter epoch would only
+/// multiply that work, and near 1e-300 minutes `t += epoch` stops advancing.
+inline constexpr double kMinEpochMinutes = 1.0;
+
 struct AutoscalerOptions {
-  /// Epoch length; must be finite and positive.
+  /// Epoch length; must be finite and at least kMinEpochMinutes.
   double epoch_minutes = 30.0;
   /// Length of the simulation that verifies each epoch.
   double verify_duration_ms = 2'000.0;
@@ -59,7 +64,8 @@ class Autoscaler {
       : profiles_(&profiles), perf_(&perf), options_(options) {}
 
   /// Runs one simulated day of the base services under the trace. Returns
-  /// kInvalidArgument when the epoch is not finite and positive.
+  /// kInvalidArgument, before any epoch runs, when the epoch is not finite
+  /// or shorter than kMinEpochMinutes.
   [[nodiscard]] Result<AutoscaleReport> run_day(std::span<const core::ServiceSpec> base_services,
                                   const RateTrace& trace) const;
 

@@ -990,6 +990,12 @@ SimulationResult ClusterSimulation::run(const SimulationOptions& options) const 
   }
   PARVA_REQUIRE(std::isfinite(options.recovered_at_ms) && options.recovered_at_ms >= 0.0,
                 "recovery time must be finite and non-negative");
+  // Units, outcomes and streams all key on the service id, so two services
+  // sharing one would silently merge into the first.
+  const core::ServiceIdIndex svc_by_id(services_);
+  const auto repeat = svc_by_id.first_repeat();
+  PARVA_REQUIRE(!repeat, "service id " + std::to_string(services_[*repeat].id) +
+                             " repeats an earlier service's id");
   const double horizon_ms = options.warmup_ms + options.duration_ms;
   const std::size_t service_count = services_.size();
   const std::size_t unit_count = deployment_->units.size();
@@ -1099,8 +1105,7 @@ SimulationResult ClusterSimulation::run(const SimulationOptions& options) const 
   for (std::size_t s = 0; s < service_count; ++s) rates[s] = services_[s].request_rate;
   const std::vector<int> assignment = partition_services(rates, options.shards);
 
-  // service_id -> global service index; the first service with an id wins.
-  const core::ServiceIdIndex svc_by_id(services_);
+  // service_id -> global service index.
   std::vector<int> unit_svc_global(unit_count, -1);
   for (std::size_t u = 0; u < unit_count; ++u) {
     if (const auto s = svc_by_id.find(deployment_->units[u].service_id)) {

@@ -236,6 +236,8 @@ class ClusterSimulation {
                     const perfmodel::AnalyticalPerfModel& perf)
       : deployment_(&deployment), services_(services.begin(), services.end()), perf_(&perf) {}
 
+  /// Replays the deployment. Throws std::logic_error (PARVA_REQUIRE) on a
+  /// bad option or on a service list in which two services share an id.
   SimulationResult run(const SimulationOptions& options) const;
 
  private:

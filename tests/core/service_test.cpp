@@ -2,10 +2,80 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <climits>
+#include <cstdint>
+#include <utility>
+#include <vector>
+
+#include "common/rng.hpp"
 #include "tests/core/test_support.hpp"
 
 namespace parva::core {
 namespace {
+
+/// The sorted (id, position) index ServiceIdIndex replaced, kept as its
+/// oracle: equal ids sit side by side in position order, so a lower bound
+/// finds the first position and every neighbour with the same id repeats.
+class SortedPairsIndex {
+ public:
+  explicit SortedPairsIndex(const std::vector<int>& ids) {
+    for (std::size_t i = 0; i < ids.size(); ++i) pairs_.emplace_back(ids[i], i);
+    std::sort(pairs_.begin(), pairs_.end());
+  }
+
+  std::optional<std::size_t> find(int id) const {
+    const auto it =
+        std::lower_bound(pairs_.begin(), pairs_.end(), std::pair<int, std::size_t>{id, 0});
+    if (it == pairs_.end() || it->first != id) return std::nullopt;
+    return it->second;
+  }
+
+  std::optional<std::size_t> first_repeat() const {
+    std::optional<std::size_t> first;
+    for (std::size_t i = 1; i < pairs_.size(); ++i) {
+      if (pairs_[i].first == pairs_[i - 1].first && (!first || pairs_[i].second < *first)) {
+        first = pairs_[i].second;
+      }
+    }
+    return first;
+  }
+
+ private:
+  std::vector<std::pair<int, std::size_t>> pairs_;
+};
+
+/// A uniform int in [lo, hi].
+int uniform_id(Rng& rng, std::int64_t lo, std::int64_t hi) {
+  return static_cast<int>(lo + static_cast<std::int64_t>(
+                                   rng.uniform_int(0, static_cast<std::uint64_t>(hi - lo))));
+}
+
+/// `count` ids of one shape: a dense range, the whole int range, or
+/// multiples of 2^16 or 2^20; some ids repeat earlier ones, and INT_MIN /
+/// INT_MAX turn up now and then.
+std::vector<int> random_ids(Rng& rng, std::size_t count, int shape) {
+  std::vector<int> ids;
+  ids.reserve(count);
+  const auto n = static_cast<std::int64_t>(count);
+  for (std::size_t i = 0; i < count; ++i) {
+    const double roll = rng.next_double();
+    if (!ids.empty() && roll < 0.05) {
+      ids.push_back(ids[static_cast<std::size_t>(rng.uniform_int(0, ids.size() - 1))]);
+    } else if (roll < 0.06) {
+      ids.push_back(rng.next_double() < 0.5 ? INT_MIN : INT_MAX);
+    } else if (shape == 0) {
+      ids.push_back(uniform_id(rng, -n, n));
+    } else if (shape == 1) {
+      ids.push_back(uniform_id(rng, INT_MIN, INT_MAX));
+    } else {
+      const int stride_bits = shape == 2 ? 16 : 20;
+      const std::int64_t reach = (std::int64_t{1} << (31 - stride_bits)) - 1;
+      ids.push_back(uniform_id(rng, -reach, reach) * (1 << stride_bits));
+    }
+  }
+  return ids;
+}
 
 TEST(ServiceTest, SizeIndexRoundTrip) {
   for (int gpcs : {1, 2, 3, 4, 7}) {
@@ -32,6 +102,49 @@ TEST(ServiceTest, IdIndexFindsFirstPositionOfEachId) {
   EXPECT_EQ(index.find(5), std::nullopt);
   EXPECT_EQ(index.find(100), std::nullopt);
   EXPECT_EQ(ServiceIdIndex({}).find(0), std::nullopt);
+}
+
+TEST(ServiceTest, IdIndexMatchesSortedPairsOracle) {
+  Rng rng(2025);
+  // Tiny tables, where probing wraps on most collisions, power-of-two
+  // boundaries, and random sizes up to 5,000.
+  std::vector<std::size_t> sizes = {0, 1023, 1024, 1025, 2048, 5000};
+  for (std::size_t n = 1; n <= 8; ++n) sizes.insert(sizes.end(), 8, n);
+  for (int extra = 0; extra < 40; ++extra) {
+    sizes.push_back(static_cast<std::size_t>(rng.uniform_int(0, 5000)));
+  }
+  for (std::size_t list = 0; list < sizes.size(); ++list) {
+    const int shape = static_cast<int>(list % 4);
+    const std::vector<int> ids = random_ids(rng, sizes[list], shape);
+    const SortedPairsIndex oracle(ids);
+    std::vector<ServiceSpec> services;
+    std::vector<ConfiguredService> configured;
+    for (const int id : ids) {
+      services.push_back(testing::service(id, "m", 100, 1));
+      configured.emplace_back().spec = services.back();
+    }
+    const ServiceIdIndex index(services);
+    const ServiceIdIndex configured_index = ServiceIdIndex::for_configured(configured);
+    const std::string where =
+        "list " + std::to_string(list) + " of " + std::to_string(ids.size()) + " ids";
+    EXPECT_EQ(index.first_repeat(), oracle.first_repeat()) << where;
+    EXPECT_EQ(configured_index.first_repeat(), oracle.first_repeat()) << where;
+
+    // Every present id, its neighbours, the int extremes and random ids,
+    // most of them absent.
+    std::vector<int> queries = {INT_MIN, INT_MAX, 0, -1};
+    for (const int id : ids) {
+      queries.push_back(id);
+      if (id != INT_MAX) queries.push_back(id + 1);
+      if (id != INT_MIN) queries.push_back(id - 1);
+    }
+    for (int q = 0; q < 200; ++q) queries.push_back(random_ids(rng, 1, shape).front());
+    for (const int id : queries) {
+      const auto expected = oracle.find(id);
+      ASSERT_EQ(index.find(id), expected) << where << ", id " << id;
+      ASSERT_EQ(configured_index.find(id), expected) << where << ", id " << id;
+    }
+  }
 }
 
 TEST(ServiceTest, IndicesAreOrderedBySize) {

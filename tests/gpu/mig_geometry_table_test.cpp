@@ -148,20 +148,28 @@ TEST(MigGeometryTables, FindStartSlotIsConstexprAndTableDriven) {
   static_assert(find_profile(3)->memory_slices == 4);
   static_assert(find_profile(5) == nullptr);
 
-  // Runtime agreement with the preference tables over every mask.
-  for (int mask = 0; mask <= 0x7f; ++mask) {
-    for (int gpcs : kInstanceSizes) {
+  static_assert(find_start_slot(0x80, 7) == 0);  // bit 7 lies off the die
+  static_assert(find_start_slot(0, 8) == std::nullopt);
+
+  // Runtime agreement with a preference-order scan over every 8-bit mask:
+  // bit 7 is ignored, and sizes without a profile (and out of range)
+  // never fit.
+  for (int mask = 0; mask <= 0xff; ++mask) {
+    for (int gpcs : {-1, 0, 1, 2, 3, 4, 5, 6, 7, 8}) {
       const auto found = find_start_slot(static_cast<std::uint8_t>(mask), gpcs);
       std::optional<int> expected;
       for (int start : preferred_start_slots(gpcs)) {
         const Placement candidate{gpcs, start};
         if (candidate.start_slot + candidate.span() > kGpcSlots) continue;
-        if ((mask & candidate.slot_mask()) == 0) {
+        if ((mask & 0x7f & candidate.slot_mask()) == 0) {
           expected = start;
           break;
         }
       }
       EXPECT_EQ(found, expected) << "mask=" << mask << " gpcs=" << gpcs;
+      if (!is_valid_instance_size(gpcs)) {
+        EXPECT_EQ(found, std::nullopt) << "mask=" << mask << " gpcs=" << gpcs;
+      }
     }
   }
 }

@@ -4,6 +4,7 @@
 
 #include <limits>
 
+#include "telemetry/telemetry.hpp"
 #include "tests/core/test_support.hpp"
 
 namespace parva::serving {
@@ -79,14 +80,20 @@ TEST_F(AutoscalerTest, SurgeGrowsAndShrinksTheFleet) {
 }
 
 TEST_F(AutoscalerTest, InvalidEpochIsRefused) {
+  // Below one minute: 1e-9 minutes would be 1.4e12 epochs, and near 1e-300
+  // the epoch clock stops advancing. Each must fail before any epoch runs.
   for (const double epoch_minutes : {0.0, -1.0, std::numeric_limits<double>::quiet_NaN(),
-                                     std::numeric_limits<double>::infinity()}) {
+                                     std::numeric_limits<double>::infinity(), 0.5, 1e-9,
+                                     1e-300}) {
+    telemetry::Telemetry telemetry;
     AutoscalerOptions bad = fast_options();
     bad.epoch_minutes = epoch_minutes;
+    bad.telemetry = &telemetry;
     Autoscaler autoscaler(builtin_profiles(), perf_, bad);
     const auto report = autoscaler.run_day(base_services(), RateTrace::diurnal());
     ASSERT_FALSE(report.ok()) << "epoch " << epoch_minutes;
     EXPECT_EQ(report.error().code(), ErrorCode::kInvalidArgument) << "epoch " << epoch_minutes;
+    EXPECT_EQ(telemetry.events().size(), 0u) << "an epoch ran at " << epoch_minutes;
   }
 }
 

@@ -191,5 +191,22 @@ TEST_F(ClusterSimTest, InvalidOptionsThrow) {
   EXPECT_NO_THROW((void)sim.run(late));
 }
 
+TEST_F(ClusterSimTest, RepeatedServiceIdThrows) {
+  // Units, outcomes and streams all key on the service id: two services
+  // with id 7 would silently fold every unit into the first of them.
+  const std::vector<core::ServiceSpec> sized_for = {service(7, "resnet-50", 205, 400)};
+  const core::Deployment deployment = schedule(sized_for);
+  const std::vector<core::ServiceSpec> repeated = {service(7, "resnet-50", 205, 400),
+                                                   service(7, "vgg-19", 397, 200)};
+  ClusterSimulation sim(deployment, repeated, perf_);
+  try {
+    (void)sim.run(fast_options());
+    FAIL() << "a repeated service id was accepted";
+  } catch (const std::logic_error& error) {
+    EXPECT_NE(std::string(error.what()).find("service id 7 "), std::string::npos)
+        << error.what();
+  }
+}
+
 }  // namespace
 }  // namespace parva::serving

@@ -3,7 +3,8 @@
 # out-of-range --seed, --duration-ms, --inject-fault or --transient-p value
 # must exit 1 with a message naming the flag, never run with a silently
 # substituted value. A valid short simulation must still exit 0. The
-# autoscaling example's --epoch-minutes gets the same treatment.
+# autoscaling example's --epoch-minutes gets the same treatment, and an
+# epoch shorter than one minute (1e-9 would run until killed) is refused.
 #
 # Usage: parvactl_flags_test.sh <parvactl_binary> <autoscaling_binary>
 #
@@ -48,7 +49,7 @@ expect_rejected --inject-fault --inject-fault gpu=0@t=nan
 expect_rejected --inject-fault --inject-fault gpu=0@t=inf
 expect_rejected --inject-fault --inject-fault gpu=1.9@t=5000
 expect_rejected --transient-p --transient-p nan
-for epoch in nan 0 -5 inf abc; do
+for epoch in nan 0 -5 inf abc 0.5 1e-9; do
   expect_rejected_by run_autoscaling --epoch-minutes --epoch-minutes "${epoch}"
 done
 
