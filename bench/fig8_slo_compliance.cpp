@@ -21,8 +21,9 @@ int main() {
   const ExperimentContext context = ExperimentContext::create();
 
   // One shared sink across every (framework, scenario, seed) simulation;
-  // the sharded registry merges the concurrent seed runs. The exposition
-  // snapshot lands next to the figure CSVs.
+  // run_seeds gives each concurrent seed run its own sink and merges them
+  // into this one in seed order. The exposition snapshot lands next to the
+  // figure CSVs.
   telemetry::Telemetry telemetry;
 
   std::vector<std::string> header = {"compliance"};

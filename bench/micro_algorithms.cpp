@@ -3,7 +3,8 @@
 // single-service updates on an LLM fleet and on S5 x150, the end-to-end
 // schedulers (S5 x150 among them), deploying and repairing a fleet, and the
 // discrete-event simulator: throughput, cost per event across fleet sizes,
-// and how much of a shard's time pooled execution adds.
+// how much of a shard's time pooled execution adds, and what the telemetry
+// flush adds to a replay.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -24,6 +25,7 @@
 #include "profiler/profiler.hpp"
 #include "scenarios/experiment.hpp"
 #include "serving/cluster_sim.hpp"
+#include "telemetry/telemetry.hpp"
 
 namespace {
 
@@ -366,6 +368,39 @@ void BM_ShardPoolBusyRatio(benchmark::State& state) {
   state.counters["pooled/serial"] = pooled_ms / serial_ms;
 }
 BENCHMARK(BM_ShardPoolBusyRatio)->Unit(benchmark::kMillisecond)->UseRealTime();
+
+enum class TelemetrySink { kOff, kFresh, kAfterManyRegistries };
+
+// What the end-of-run telemetry flush adds to a one-shard S5 x70 replay:
+// with telemetry off, on with a fresh sink per run, and on after this
+// thread has written once to 1,000 other registries, since destroyed. A
+// write's cost must not grow with the registries a thread has touched, so
+// the last two should read alike.
+void BM_TelemetryFlush(benchmark::State& state, TelemetrySink sink) {
+  if (sink == TelemetrySink::kAfterManyRegistries) {
+    // Once per process, so repeated runs see exactly 1,000.
+    static const bool touched = [] {
+      for (int i = 0; i < 1'000; ++i) {
+        telemetry::MetricsRegistry registry;
+        registry.counter("touched_total").inc();
+      }
+      return true;
+    }();
+    benchmark::DoNotOptimize(touched);
+  }
+  serving::ClusterSimulation sim(s5_deployment(70), s5_fleet(70).services, context().perf());
+  serving::SimulationOptions options = s5_replay_options();
+  for (auto _ : state) {
+    telemetry::Telemetry telemetry;
+    options.telemetry = sink == TelemetrySink::kOff ? nullptr : &telemetry;
+    benchmark::DoNotOptimize(sim.run(options));
+  }
+}
+BENCHMARK_CAPTURE(BM_TelemetryFlush, off, TelemetrySink::kOff)->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_TelemetryFlush, fresh, TelemetrySink::kFresh)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_TelemetryFlush, after_1000_registries, TelemetrySink::kAfterManyRegistries)
+    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

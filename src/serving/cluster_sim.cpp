@@ -1381,15 +1381,9 @@ SimulationResult ClusterSimulation::run(const SimulationOptions& options) const 
       // Histogram observations replay per service in completion order: a
       // canonical order, so the (order-sensitive) float sum is identical
       // for every shard count.
-      for (const double latency : outcome.request_latency_ms.values()) {
-        tel_latency.observe(latency);
-      }
-      for (const double latency : outcome.prefill_latency_ms.values()) {
-        tel_prefill_latency.observe(latency);
-      }
-      for (const double latency : outcome.decode_latency_ms.values()) {
-        tel_decode_latency.observe(latency);
-      }
+      tel_latency.observe(outcome.request_latency_ms.values());
+      tel_prefill_latency.observe(outcome.prefill_latency_ms.values());
+      tel_decode_latency.observe(outcome.decode_latency_ms.values());
     }
     tel_batches.inc(static_cast<double>(total_batches));
     tel_violated_batches.inc(static_cast<double>(total_violated));

@@ -95,7 +95,9 @@ struct SimulationOptions {
   /// Observability sink (nullptr = disabled, the default). The simulator
   /// only *writes* counters/histograms/events derived from its existing
   /// accounting; results are byte-identical with telemetry on or off.
-  /// Safe to share across concurrent simulations (seed sweeps aggregate).
+  /// Thread-safe, but concurrent runs sharing one sink add their latency
+  /// sums in lock order; run_seeds gives each run its own sink and merges
+  /// them in seed order instead.
   telemetry::Telemetry* telemetry = nullptr;
 
   /// Shard count for parallel execution (1 = single sub-engine, the

@@ -6,6 +6,10 @@
 // parallelize with no shared mutable state: each task owns its engine and
 // writes one pre-sized result slot, merged at the join. Results are in seed
 // order and bit-identical to a serial loop (tests/serving/sim_runner_test).
+// A telemetry sink on `base` is not shared either: each run writes a sink
+// of its own, built with its options, and the join merges them into
+// `base.telemetry` in seed order, so its exports are the same for every
+// pool size.
 //
 // Sharded runs share the sweep pool: with options.shards > 1 and no
 // dedicated shard_pool, each run's shard windows execute on `pool` itself.

@@ -28,6 +28,10 @@ EventLog::EventLog(std::size_t capacity) : capacity_(capacity == 0 ? 1 : capacit
 
 void EventLog::record(Event event) {
   MutexLock lock(mutex_);
+  append(std::move(event));
+}
+
+void EventLog::append(Event event) {
   event.seq = next_seq_++;
   if (events_.size() >= capacity_) {
     ++dropped_;
@@ -46,6 +50,20 @@ void EventLog::record(EventKind kind, double t_ms, int gpu, int service_id, doub
   event.value = value;
   event.detail = std::move(detail);
   record(std::move(event));
+}
+
+void EventLog::merge(const EventLog& other) {
+  std::vector<Event> incoming;
+  std::size_t incoming_dropped = 0;
+  {
+    MutexLock lock(other.mutex_);
+    incoming = other.events_;
+    incoming_dropped = other.dropped_;
+  }
+  MutexLock lock(mutex_);
+  for (Event& event : incoming) append(std::move(event));
+  next_seq_ += incoming_dropped;
+  dropped_ += incoming_dropped;
 }
 
 std::vector<Event> EventLog::snapshot() const {

@@ -68,12 +68,20 @@ class EventLog {
   void record(EventKind kind, double t_ms, int gpu = -1, int service_id = -1,
               double value = 0.0, std::string detail = "");
 
+  /// Appends `other`'s events in order after this log's, numbering them
+  /// on from this log's sequence, then advances the sequence past
+  /// `other`'s drops and counts them as drops here. Copies `other` first,
+  /// so it never holds both locks.
+  void merge(const EventLog& other);
+
   std::vector<Event> snapshot() const;
   std::size_t size() const;
   std::size_t dropped() const;
   std::size_t capacity() const { return capacity_; }
 
  private:
+  void append(Event event) PARVA_REQUIRES(mutex_);
+
   mutable Mutex mutex_;
   std::vector<Event> events_ PARVA_GUARDED_BY(mutex_);
   const std::size_t capacity_;  ///< immutable after construction; capacity() is lock-free

@@ -1,56 +1,10 @@
 #include "telemetry/metrics_registry.hpp"
 
 #include <algorithm>
-#include <cstdint>
 
 #include "common/error.hpp"
-#include "common/stats.hpp"
 
 namespace parva::telemetry {
-namespace {
-
-/// Per-thread cache of (registry id -> shard slot array). Registry ids are
-/// process-unique and never reused, so a stale cache entry for a destroyed
-/// registry can never alias a live one.
-struct ThreadShardCache {
-  struct Entry {
-    std::uint64_t registry_id = 0;
-    std::atomic<double>* slots = nullptr;
-    std::size_t capacity = 0;
-  };
-  std::vector<Entry> entries;
-
-  Entry* find(std::uint64_t registry_id) {
-    for (Entry& entry : entries) {
-      if (entry.registry_id == registry_id) return &entry;
-    }
-    return nullptr;
-  }
-};
-
-// Deliberate thread-local state: each thread owns its cache entries
-// outright, so there is nothing shared to race on, and registry ids are
-// never reused, so a stale entry cannot alias a live registry.
-thread_local ThreadShardCache t_shard_cache;  // parva-audit: allow(R3)
-
-std::uint64_t next_registry_id() {
-  // relaxed: id allocation needs atomicity only; nothing is published
-  // under the counter value.
-  static std::atomic<std::uint64_t> counter{1};
-  return counter.fetch_add(1, std::memory_order_relaxed);
-}
-
-/// Single-writer add: only the owning thread writes a sharded slot, so the
-/// relaxed read-back of its own previous store is exact (scrapers only
-/// read). The release store pairs with the acquire loads in scrape(): a
-/// scrape that observes this write also observes every update the writer
-/// completed before it, bounding cross-metric skew during a live scrape to
-/// the single in-flight update per thread.
-inline void shard_add(std::atomic<double>* slot, double v) {
-  slot->store(slot->load(std::memory_order_relaxed) + v, std::memory_order_release);
-}
-
-}  // namespace
 
 const char* to_string(MetricKind kind) {
   switch (kind) {
@@ -63,82 +17,68 @@ const char* to_string(MetricKind kind) {
 
 void Counter::inc(double v) {
   if (registry_ == nullptr) return;
-  shard_add(registry_->shard_slot(slot_), v);
+  MutexLock lock(registry_->mutex_);
+  registry_->series_[index_].value += v;
 }
 
 void Gauge::set(double v) {
-  if (cell_ == nullptr) return;
-  // relaxed: gauges are last-writer-wins snapshots with no cross-slot
-  // invariant; the store itself is atomic and scrape() tolerates any
-  // interleaving.
-  cell_->store(v, std::memory_order_relaxed);
-}
-
-void HistogramMetric::observe(double v) {
   if (registry_ == nullptr) return;
-  // Bounds are ascending; the first bound >= v names the bucket, the +Inf
-  // bucket at bucket_count_ catches the rest. Bucket lists are short
-  // (~a dozen), so a linear scan is cache-friendly and branch-predictable.
-  std::uint32_t bucket = bucket_count_;
-  for (std::uint32_t i = 0; i < bucket_count_; ++i) {
-    if (v <= bounds_[i]) {
-      bucket = i;
-      break;
-    }
-  }
-  shard_add(registry_->shard_slot(base_slot_ + bucket), 1.0);
-  shard_add(registry_->shard_slot(base_slot_ + bucket_count_ + 1), v);    // sum
-  shard_add(registry_->shard_slot(base_slot_ + bucket_count_ + 2), 1.0);  // count
+  MutexLock lock(registry_->mutex_);
+  registry_->series_[index_].value = v;
 }
 
-MetricsRegistry::MetricsRegistry() : id_(next_registry_id()) {}
+void HistogramMetric::observe(double v) { observe(std::span<const double>(&v, 1)); }
 
-MetricsRegistry::~MetricsRegistry() = default;
-
-MetricsRegistry::Series* MetricsRegistry::find_series(const std::string& name,
-                                                      const std::string& labels) {
-  for (Series& series : series_) {
-    if (series.name == name && series.labels == labels) return &series;
+void HistogramMetric::observe(std::span<const double> values) {
+  if (registry_ == nullptr) return;
+  MutexLock lock(registry_->mutex_);
+  MetricSnapshot& series = registry_->series_[index_];
+  const std::vector<double>& bounds = series.bounds;
+  for (const double v : values) {
+    // Bounds are ascending; the first bound >= v names the bucket, and the
+    // trailing +Inf bucket catches the rest (NaN included). Bucket lists
+    // are short (~a dozen), so a linear scan is cheap.
+    const auto bucket = std::find_if(bounds.begin(), bounds.end(),
+                                     [v](double bound) { return v <= bound; }) -
+                        bounds.begin();
+    series.bucket_counts[static_cast<std::size_t>(bucket)] += 1.0;
+    series.sum += v;  // in the caller's order: the DES flush passes completion order
+    series.count += 1.0;
   }
-  return nullptr;
+}
+
+std::size_t MetricsRegistry::find_or_add(const std::string& name, const std::string& help,
+                                         const std::string& labels, MetricKind kind,
+                                         const std::vector<double>& bounds) {
+  const auto [it, added] = index_.try_emplace({name, labels}, series_.size());
+  if (!added) {
+    const MetricSnapshot& existing = series_[it->second];
+    PARVA_REQUIRE(existing.kind == kind,
+                  "metric re-registered with a different kind: " + name);
+    PARVA_REQUIRE(existing.bounds == bounds,
+                  "histogram re-registered with different bounds: " + name);
+    return it->second;
+  }
+  MetricSnapshot& series = series_.emplace_back();
+  series.name = name;
+  series.help = help;
+  series.labels = labels;
+  series.kind = kind;
+  series.bounds = bounds;
+  if (kind == MetricKind::kHistogram) series.bucket_counts.assign(bounds.size() + 1, 0.0);
+  return it->second;
 }
 
 Counter MetricsRegistry::counter(const std::string& name, const std::string& help,
                                  const std::string& labels) {
   MutexLock lock(mutex_);
-  if (Series* existing = find_series(name, labels)) {
-    PARVA_REQUIRE(existing->kind == MetricKind::kCounter,
-                  "metric re-registered with a different kind: " + name);
-    return Counter(this, existing->slot);
-  }
-  Series series;
-  series.name = name;
-  series.help = help;
-  series.labels = labels;
-  series.kind = MetricKind::kCounter;
-  series.slot = static_cast<std::uint32_t>(slot_count_);
-  slot_count_ += 1;
-  series_.push_back(std::move(series));
-  return Counter(this, series_.back().slot);
+  return Counter(this, find_or_add(name, help, labels, MetricKind::kCounter, {}));
 }
 
 Gauge MetricsRegistry::gauge(const std::string& name, const std::string& help,
                              const std::string& labels) {
   MutexLock lock(mutex_);
-  if (Series* existing = find_series(name, labels)) {
-    PARVA_REQUIRE(existing->kind == MetricKind::kGauge,
-                  "metric re-registered with a different kind: " + name);
-    return Gauge(&gauges_[existing->slot]);
-  }
-  Series series;
-  series.name = name;
-  series.help = help;
-  series.labels = labels;
-  series.kind = MetricKind::kGauge;
-  series.slot = static_cast<std::uint32_t>(gauges_.size());
-  gauges_.emplace_back(0.0);
-  series_.push_back(std::move(series));
-  return Gauge(&gauges_.back());
+  return Gauge(this, find_or_add(name, help, labels, MetricKind::kGauge, {}));
 }
 
 HistogramMetric MetricsRegistry::histogram(const std::string& name,
@@ -149,142 +89,51 @@ HistogramMetric MetricsRegistry::histogram(const std::string& name,
   PARVA_REQUIRE(std::is_sorted(bounds.begin(), bounds.end()),
                 "histogram bounds must be ascending");
   MutexLock lock(mutex_);
-  if (Series* existing = find_series(name, labels)) {
-    PARVA_REQUIRE(existing->kind == MetricKind::kHistogram,
-                  "metric re-registered with a different kind: " + name);
-    PARVA_REQUIRE(existing->bounds == bounds,
-                  "histogram re-registered with different bounds: " + name);
-    return HistogramMetric(this, existing->slot, existing->bounds.data(),
-                           static_cast<std::uint32_t>(existing->bounds.size()));
-  }
-  Series series;
-  series.name = name;
-  series.help = help;
-  series.labels = labels;
-  series.kind = MetricKind::kHistogram;
-  series.slot = static_cast<std::uint32_t>(slot_count_);
-  series.bounds = std::move(bounds);
-  // Slots: one per finite bound, one +Inf bucket, sum, count.
-  slot_count_ += series.bounds.size() + 3;
-  series_.push_back(std::move(series));
-  const Series& stored = series_.back();
-  return HistogramMetric(this, stored.slot, stored.bounds.data(),
-                         static_cast<std::uint32_t>(stored.bounds.size()));
+  return HistogramMetric(this,
+                         find_or_add(name, help, labels, MetricKind::kHistogram, bounds));
 }
 
 std::vector<double> MetricsRegistry::default_latency_buckets_ms() {
   return {1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0, 200.0, 500.0, 1000.0, 2000.0, 5000.0};
 }
 
-std::atomic<double>* MetricsRegistry::shard_slot(std::uint32_t slot) {
-  ThreadShardCache::Entry* entry = t_shard_cache.find(id_);
-  if (entry != nullptr && slot < entry->capacity) return entry->slots + slot;
-  return shard_slot_slow(slot);
-}
-
-std::atomic<double>* MetricsRegistry::shard_slot_slow(std::uint32_t slot) {
-  MutexLock lock(mutex_);
-  PARVA_REQUIRE(slot < slot_count_, "metric slot out of range");
-  // Allocate (or grow) this thread's shard to the registry's current slot
-  // count, carrying existing values forward. The retired (smaller) array is
-  // removed from the merge set under the same mutex scrape() takes, so the
-  // carried values are summed exactly once.
-  ThreadShardCache::Entry* entry = t_shard_cache.find(id_);
-  const std::size_t capacity = std::max<std::size_t>(slot_count_, 64);
-  auto shard = std::make_unique<Shard>();
-  shard->slots = std::make_unique<std::atomic<double>[]>(capacity);
-  shard->capacity = capacity;
-  for (std::size_t i = 0; i < capacity; ++i) {
-    // relaxed: the shard is only published to scrape() via shards_ under
-    // mutex_ below; no other thread can observe these initializing stores.
-    shard->slots[i].store(0.0, std::memory_order_relaxed);
-  }
-  if (entry != nullptr && entry->slots != nullptr) {
-    for (std::size_t i = 0; i < entry->capacity; ++i) {
-      // relaxed: carries this thread's own single-writer values into the
-      // grown shard (same-thread reads are exact); publication of the new
-      // shard happens under mutex_.
-      shard->slots[i].store(entry->slots[i].load(std::memory_order_relaxed),
-                            std::memory_order_relaxed);
-    }
-    shards_.erase(std::remove_if(shards_.begin(), shards_.end(),
-                                 [&](const std::unique_ptr<Shard>& s) {
-                                   return s->slots.get() == entry->slots;
-                                 }),
-                  shards_.end());
-  }
-  std::atomic<double>* slots = shard->slots.get();
-  shards_.push_back(std::move(shard));
-  if (entry == nullptr) {
-    t_shard_cache.entries.push_back({id_, slots, capacity});
-  } else {
-    entry->slots = slots;
-    entry->capacity = capacity;
-  }
-  return slots + slot;
-}
-
 std::vector<MetricSnapshot> MetricsRegistry::scrape() const {
   MutexLock lock(mutex_);
-  // Merge shards into one flat slot array. shards_ is ordered by thread
-  // arrival, i.e. by scheduling, and double addition is not associative --
-  // summing in registration order would let two identical runs scrape
-  // values differing in the last ulp and break byte-identical .prom/.csv
-  // exports. parva::sorted_sum orders each slot's contributions by bit
-  // pattern first, making the merged value a pure function of the
-  // contribution multiset.
-  std::vector<double> merged(slot_count_, 0.0);
-  std::vector<double> contributions;
-  contributions.reserve(shards_.size());
-  for (std::size_t i = 0; i < slot_count_; ++i) {
-    contributions.clear();
-    for (const std::unique_ptr<Shard>& shard : shards_) {
-      if (i >= shard->capacity) continue;
-      // acquire: pairs with the release store in shard_add(); see there.
-      contributions.push_back(shard->slots[i].load(std::memory_order_acquire));
-    }
-    merged[i] = sorted_sum(contributions);
-  }
-
   std::vector<MetricSnapshot> out;
   out.reserve(series_.size());
-  for (const Series& series : series_) {
-    MetricSnapshot snapshot;
-    snapshot.name = series.name;
-    snapshot.help = series.help;
-    snapshot.labels = series.labels;
-    snapshot.kind = series.kind;
-    switch (series.kind) {
-      case MetricKind::kCounter:
-        snapshot.value = merged[series.slot];
-        break;
-      case MetricKind::kGauge:
-        // relaxed: last-writer-wins snapshot; see Gauge::set().
-        snapshot.value = gauges_[series.slot].load(std::memory_order_relaxed);
-        break;
-      case MetricKind::kHistogram: {
-        const std::size_t buckets = series.bounds.size();
-        snapshot.bounds = series.bounds;
-        snapshot.bucket_counts.resize(buckets + 1);
-        for (std::size_t b = 0; b <= buckets; ++b) {
-          snapshot.bucket_counts[b] = merged[series.slot + b];
-        }
-        snapshot.sum = merged[series.slot + buckets + 1];
-        snapshot.count = merged[series.slot + buckets + 2];
-        break;
-      }
-    }
-    out.push_back(std::move(snapshot));
-  }
-  std::sort(out.begin(), out.end(), [](const MetricSnapshot& a, const MetricSnapshot& b) {
-    return a.name != b.name ? a.name < b.name : a.labels < b.labels;
-  });
+  for (const auto& [key, index] : index_) out.push_back(series_[index]);
   return out;
 }
 
 std::size_t MetricsRegistry::series_count() const {
   MutexLock lock(mutex_);
   return series_.size();
+}
+
+void MetricsRegistry::merge(const MetricsRegistry& other) {
+  // One add per series per merge, so the order of merges fixes every sum
+  // (run_seeds merges in seed order).
+  const std::vector<MetricSnapshot> incoming = other.scrape();
+  MutexLock lock(mutex_);
+  for (const MetricSnapshot& from : incoming) {
+    MetricSnapshot& into =
+        series_[find_or_add(from.name, from.help, from.labels, from.kind, from.bounds)];
+    switch (from.kind) {
+      case MetricKind::kCounter:
+        into.value += from.value;
+        break;
+      case MetricKind::kGauge:
+        into.value = from.value;
+        break;
+      case MetricKind::kHistogram:
+        for (std::size_t b = 0; b < from.bucket_counts.size(); ++b) {
+          into.bucket_counts[b] += from.bucket_counts[b];
+        }
+        into.sum += from.sum;
+        into.count += from.count;
+        break;
+    }
+  }
 }
 
 }  // namespace parva::telemetry

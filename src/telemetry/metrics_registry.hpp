@@ -1,13 +1,9 @@
-// Metrics registry: counters, gauges, and fixed-bucket histograms with a
-// lock-free fast path.
+// Metrics registry: counters, gauges, and fixed-bucket histograms.
 //
-// Counters and histograms write through per-thread shards (each registered
-// thread owns a slot array of relaxed atomics; only the owner writes, so an
-// update is one relaxed load+store — no CAS, no lock) that scrape() merges.
-// Gauges are "set to X" semantics, which cannot be merged across shards, so
-// each gauge is a single shared atomic slot (a set is still one relaxed
-// store). Registration and scraping take a mutex; both happen at setup /
-// export time, never in the serving or simulation hot path.
+// Every series is a plain MetricSnapshot under the registry's one mutex,
+// and each write takes it. No writer is on a hot path: writes are
+// control-plane events or the simulator's end-of-run flush, which hands
+// each service's sample vector to HistogramMetric::observe in one call.
 //
 // Handles (Counter/Gauge/HistogramMetric) are cheap values that remain
 // valid as long as the registry lives. A default-constructed handle is a
@@ -15,11 +11,11 @@
 // predictable branch when telemetry is disabled.
 #pragma once
 
-#include <atomic>
-#include <cstdint>
-#include <deque>
-#include <memory>
+#include <cstddef>
+#include <map>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/thread_annotations.hpp"
@@ -32,7 +28,7 @@ enum class MetricKind { kCounter, kGauge, kHistogram };
 
 const char* to_string(MetricKind kind);
 
-/// Monotonically increasing value (merged across shards by summation).
+/// Monotonically increasing value.
 class Counter {
  public:
   Counter() = default;
@@ -40,13 +36,12 @@ class Counter {
 
  private:
   friend class MetricsRegistry;
-  Counter(MetricsRegistry* registry, std::uint32_t slot)
-      : registry_(registry), slot_(slot) {}
+  Counter(MetricsRegistry* registry, std::size_t index) : registry_(registry), index_(index) {}
   MetricsRegistry* registry_ = nullptr;
-  std::uint32_t slot_ = 0;
+  std::size_t index_ = 0;
 };
 
-/// Last-written value (single shared slot; no shard merging).
+/// Last-written value.
 class Gauge {
  public:
   Gauge() = default;
@@ -54,8 +49,9 @@ class Gauge {
 
  private:
   friend class MetricsRegistry;
-  explicit Gauge(std::atomic<double>* cell) : cell_(cell) {}
-  std::atomic<double>* cell_ = nullptr;
+  Gauge(MetricsRegistry* registry, std::size_t index) : registry_(registry), index_(index) {}
+  MetricsRegistry* registry_ = nullptr;
+  std::size_t index_ = 0;
 };
 
 /// Fixed-bucket histogram: per-bound bucket counts plus sum and count,
@@ -64,20 +60,19 @@ class HistogramMetric {
  public:
   HistogramMetric() = default;
   void observe(double v);
+  /// Observes `values` in order under one lock; the sum adds them in that
+  /// order.
+  void observe(std::span<const double> values);
 
  private:
   friend class MetricsRegistry;
-  HistogramMetric(MetricsRegistry* registry, std::uint32_t base_slot,
-                  const double* bounds, std::uint32_t bucket_count)
-      : registry_(registry), base_slot_(base_slot), bounds_(bounds),
-        bucket_count_(bucket_count) {}
+  HistogramMetric(MetricsRegistry* registry, std::size_t index)
+      : registry_(registry), index_(index) {}
   MetricsRegistry* registry_ = nullptr;
-  std::uint32_t base_slot_ = 0;     ///< first bucket slot; then +Inf, sum, count
-  const double* bounds_ = nullptr;  ///< finite upper bounds (registry-owned)
-  std::uint32_t bucket_count_ = 0;  ///< finite bounds (excludes +Inf)
+  std::size_t index_ = 0;
 };
 
-/// Point-in-time view of one metric series, produced by scrape().
+/// One metric series: the registry's storage, and what scrape() returns.
 struct MetricSnapshot {
   std::string name;
   std::string help;
@@ -95,8 +90,7 @@ struct MetricSnapshot {
 
 class MetricsRegistry {
  public:
-  MetricsRegistry();
-  ~MetricsRegistry();
+  MetricsRegistry() = default;
   MetricsRegistry(const MetricsRegistry&) = delete;
   MetricsRegistry& operator=(const MetricsRegistry&) = delete;
 
@@ -112,48 +106,34 @@ class MetricsRegistry {
   /// Latency buckets (ms) shared by the serving-path histograms.
   static std::vector<double> default_latency_buckets_ms();
 
-  /// Merged view of every registered series, sorted by (name, labels) so
-  /// exporter output is stable run-to-run.
+  /// Every registered series, sorted by (name, labels) so exporter output
+  /// is stable run-to-run.
   std::vector<MetricSnapshot> scrape() const;
 
   std::size_t series_count() const;
 
+  /// Folds `other`'s series into this registry, creating the ones it lacks:
+  /// counters and histograms add, gauges take `other`'s value. A series
+  /// whose kind or bounds differ here throws; the series folded before it
+  /// stay folded. Scrapes `other` first, so it never holds both locks.
+  void merge(const MetricsRegistry& other);
+
  private:
   friend class Counter;
+  friend class Gauge;
   friend class HistogramMetric;
 
-  struct Shard {
-    std::unique_ptr<std::atomic<double>[]> slots;
-    std::size_t capacity = 0;
-  };
-
-  struct Series {
-    std::string name;
-    std::string help;
-    std::string labels;
-    MetricKind kind = MetricKind::kCounter;
-    std::uint32_t slot = 0;      ///< sharded base slot, or gauge index
-    std::vector<double> bounds;  ///< histograms only
-  };
-
-  /// The calling thread's slot pointer for a sharded metric; registers the
-  /// thread's shard (and grows it) on first touch of a new slot.
-  std::atomic<double>* shard_slot(std::uint32_t slot);
-  std::atomic<double>* shard_slot_slow(std::uint32_t slot);
-
-  Series* find_series(const std::string& name, const std::string& labels)
-      PARVA_REQUIRES(mutex_);
+  /// Index of the (name, labels) series in series_, created with `help`,
+  /// `kind` and `bounds` if new. Throws if it exists with another kind or
+  /// other bounds.
+  std::size_t find_or_add(const std::string& name, const std::string& help,
+                          const std::string& labels, MetricKind kind,
+                          const std::vector<double>& bounds) PARVA_REQUIRES(mutex_);
 
   mutable Mutex mutex_;
-  /// deque: bounds stay address-stable for handles
-  std::deque<Series> series_ PARVA_GUARDED_BY(mutex_);
-  std::vector<std::unique_ptr<Shard>> shards_ PARVA_GUARDED_BY(mutex_);
-  /// Cells are atomics written lock-free via Gauge handles; the deque's
-  /// structure (growth) is mutated only under mutex_ and deque growth never
-  /// moves existing elements.
-  std::deque<std::atomic<double>> gauges_;
-  std::size_t slot_count_ PARVA_GUARDED_BY(mutex_) = 0;  ///< sharded slots allocated
-  const std::uint64_t id_;  ///< process-unique, guards thread-local caches
+  std::vector<MetricSnapshot> series_ PARVA_GUARDED_BY(mutex_);  ///< registration order
+  /// (name, labels) -> position in series_; scrape() walks it in key order.
+  std::map<std::pair<std::string, std::string>, std::size_t> index_ PARVA_GUARDED_BY(mutex_);
 };
 
 }  // namespace parva::telemetry

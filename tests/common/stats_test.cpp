@@ -2,12 +2,34 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 #include "common/rng.hpp"
 
 namespace parva {
 namespace {
+
+// sorted_sum is a pure function of the multiset, whatever order the
+// values come in. 1e16 absorbs 1.0 (the ulp at 1e16 is 2.0), so these
+// inputs are order-sensitive: summed left to right they read 0 in one
+// order and 1 in another.
+TEST(StatsTest, SortedSumIsIndependentOfInputOrder) {
+  std::vector<double> values = {-1e16, 1.0, 1e16};  // ascending: every permutation follows
+  const std::uint64_t expected = std::bit_cast<std::uint64_t>(sorted_sum(values));
+  std::vector<double> naive_sums;
+  do {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(sorted_sum(values)), expected);
+    double naive = 0.0;
+    for (const double v : values) naive += v;
+    naive_sums.push_back(naive);
+  } while (std::next_permutation(values.begin(), values.end()));
+  EXPECT_NE(*std::min_element(naive_sums.begin(), naive_sums.end()),
+            *std::max_element(naive_sums.begin(), naive_sums.end()));
+}
 
 TEST(OnlineStatsTest, EmptyIsZero) {
   const OnlineStats stats;

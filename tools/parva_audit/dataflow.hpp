@@ -10,8 +10,8 @@
 //       in any function reachable from an export-manifest entry (the R12
 //       reachability machinery) makes summation order observable in exported
 //       bytes; such reductions must go through the canonical-order helper
-//       `sorted_sum` (the bit-pattern-sort idiom of MetricsRegistry::scrape)
-//       or carry an allow(R14) justification.
+//       `sorted_sum` (sort by bit pattern, then add; common/stats.hpp) or
+//       carry an allow(R14) justification.
 //   R15 iterator/reference invalidation -- a reference, pointer or iterator
 //       obtained from a vector/deque must not be used after a push_back/
 //       emplace_back/insert/erase/clear/resize/... on the same container in

@@ -92,8 +92,8 @@ void check_r2(const LexedFile& lexed, const std::string& path,
 // R3 -- mutable namespace-scope state. A mutable global is (a) shared state
 // the ThreadPool can race on and (b) cross-run state that can leak between
 // simulations; both break the contracts. Constants are fine; deliberate
-// exceptions (the logging sink, per-thread shard caches) carry an
-// allow(R3) with their safety argument.
+// exceptions (the logging sink) carry an allow(R3) with their safety
+// argument.
 //
 // Implementation: a brace-matching scope machine over the token stream.
 // Statements are accumulated between ';'/'{'/'}' and evaluated only when
