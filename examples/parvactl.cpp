@@ -477,8 +477,11 @@ int cmd_simulate(const CliArgs& args) {
       }
     }
     std::cerr << "telemetry: " << telemetry->metrics().series_count() << " series, "
-              << telemetry->events().size() << " events -> " << telemetry_prefix
-              << ".{prom,jsonl,csv}\n";
+              << telemetry->events().size() << " events";
+    if (const std::size_t dropped = telemetry->events().dropped(); dropped != 0) {
+      std::cerr << " (" << dropped << " dropped past the log's capacity)";
+    }
+    std::cerr << " -> " << telemetry_prefix << ".{prom,jsonl,csv}\n";
   }
   return 0;
 }

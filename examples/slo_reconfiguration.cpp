@@ -22,7 +22,7 @@ int main() {
 
   auto scenario = scenarios::scenario("S2");
   core::ParvaGpuScheduler scheduler(profiles);
-  (void)scheduler.schedule(scenario.services).value();
+  scheduler.schedule(scenario.services).value();
   auto plan = scheduler.last_plan();
   auto configured = scheduler.last_configured();
 

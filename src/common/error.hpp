@@ -13,8 +13,9 @@
 
 namespace parva {
 
-/// Error category for recoverable failures.
-enum class ErrorCode {
+/// Error category for recoverable failures. `[[nodiscard]]` like the
+/// types below, so a function returning a bare code cannot drop it either.
+enum class [[nodiscard]] ErrorCode {
   kInvalidArgument,   ///< caller passed something malformed
   kNotFound,          ///< lookup failed
   kOutOfMemory,       ///< simulated GPU memory exhausted
@@ -39,7 +40,10 @@ constexpr const char* to_string(ErrorCode code) {
 /// A recoverable error: code plus context message.
 class [[nodiscard]] Error {
  public:
-  Error(ErrorCode code, std::string message)
+  // The constructors that carry an error are `[[nodiscard]]` too, so a
+  // temporary built and discarded on the spot (`Status(code, "...");`) is
+  // a compile error rather than a lost failure.
+  [[nodiscard]] Error(ErrorCode code, std::string message)
       : code_(code), message_(std::move(message)) {}
 
   [[nodiscard]] ErrorCode code() const { return code_; }
@@ -59,7 +63,7 @@ template <typename T>
 class [[nodiscard]] Result {
  public:
   Result(T value) : storage_(std::move(value)) {}          // NOLINT(implicit)
-  Result(Error error) : storage_(std::move(error)) {}      // NOLINT(implicit)
+  [[nodiscard]] Result(Error error) : storage_(std::move(error)) {}  // NOLINT(implicit)
 
   bool ok() const { return std::holds_alternative<T>(storage_); }
   explicit operator bool() const { return ok(); }
@@ -94,8 +98,9 @@ class [[nodiscard]] Result {
 class [[nodiscard]] Status {
  public:
   Status() = default;                                     // success
-  Status(Error error) : error_(std::move(error)) {}       // NOLINT(implicit)
-  Status(ErrorCode code, std::string message) : error_(Error(code, std::move(message))) {}
+  [[nodiscard]] Status(Error error) : error_(std::move(error)) {}  // NOLINT(implicit)
+  [[nodiscard]] Status(ErrorCode code, std::string message)
+      : error_(Error(code, std::move(message))) {}
 
   bool ok() const { return !error_.has_value(); }
   explicit operator bool() const { return ok(); }

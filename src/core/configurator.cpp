@@ -1,7 +1,6 @@
 #include "core/configurator.hpp"
 
 #include <cmath>
-#include <limits>
 #include <string>
 #include <utility>
 
@@ -77,14 +76,13 @@ Status SegmentConfigurator::demand_matching(ConfiguredService& service) const {
     return Status::Ok();
   }
 
-  // Checked before the cast, which is undefined beyond `int` (negated so a
-  // NaN quotient fails too).
+  // Checked before the cast (negated so a NaN quotient fails too).
   const double whole = std::floor(rate / service.opt_seg.throughput);
-  if (!(whole <= static_cast<double>(std::numeric_limits<int>::max()))) {
+  if (!(whole <= static_cast<double>(kMaxSegmentsPerService))) {
     return Status(ErrorCode::kCapacityExceeded,
                   "service " + std::to_string(service.spec.id) + " (" + service.spec.model +
-                      "): request rate " + std::to_string(rate) +
-                      " req/s needs more whole segments than an int can count");
+                      "): request rate " + std::to_string(rate) + " req/s needs more than " +
+                      std::to_string(kMaxSegmentsPerService) + " whole segments");
   }
   service.num_opt_seg = static_cast<int>(whole);
 

@@ -17,6 +17,12 @@ struct ConfiguratorOptions {
   int max_processes = 3;
 };
 
+/// Ceiling on one service's whole optimal segments. The largest count in
+/// any committed scenario or fold is 26 (S6 bert-large), and 128 at the
+/// 5x peak rate extra_autoscaling plans for; a services row asking for
+/// more is refused before a segment is allocated.
+inline constexpr int kMaxSegmentsPerService = 1 << 16;
+
 class SegmentConfigurator {
  public:
   explicit SegmentConfigurator(ConfiguratorOptions options = {}) : options_(options) {}
@@ -38,8 +44,8 @@ class SegmentConfigurator {
   /// GPC-efficiency-optimal segment (the O(1) argument of Eq. 1-2), counts
   /// whole optimal segments with the floor rule, and picks the smallest
   /// last segment covering the remainder. A non-finite rate fails with
-  /// kInvalidArgument, and a whole-segment count beyond `int` with
-  /// kCapacityExceeded.
+  /// kInvalidArgument, and a whole-segment count above
+  /// kMaxSegmentsPerService with kCapacityExceeded.
   [[nodiscard]] Status demand_matching(ConfiguredService& service) const;
 
   /// Full Algorithm 1 over a service set, in input order; the first

@@ -122,6 +122,9 @@ std::string to_json_lines(const EventLog& log) {
     if (!event.detail.empty()) out += ",\"detail\":\"" + escape(event.detail) + "\"";
     out += "}\n";
   }
+  if (const std::size_t dropped = log.dropped(); dropped != 0) {
+    out += "{\"dropped\":" + std::to_string(dropped) + "}\n";
+  }
   return out;
 }
 

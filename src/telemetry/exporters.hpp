@@ -21,7 +21,9 @@ namespace parva::telemetry {
 /// Prometheus text exposition of every registered series.
 std::string to_prometheus(const MetricsRegistry& registry);
 
-/// JSON-lines dump of the event log (one object per line, seq order).
+/// JSON-lines dump of the event log (one object per line, seq order). A
+/// log that dropped events past its capacity ends with one
+/// `{"dropped":N}` line, so a truncated export says so.
 std::string to_json_lines(const EventLog& log);
 
 /// CSV summary (header `metric,labels,value`; histograms flatten to

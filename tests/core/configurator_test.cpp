@@ -267,18 +267,20 @@ TEST_F(ConfiguratorTest, HugeOrInfiniteRateIsRefusedNotUnderProvisioned) {
   ASSERT_FALSE(infinite_plan.ok());
   EXPECT_EQ(infinite_plan.error().code(), ErrorCode::kInvalidArgument);
 
-  // The boundary: 2^31 whole segments is one more than an int holds, 2^30
-  // is not (both quotients are exact, the factors being powers of two).
+  // The boundary: kMaxSegmentsPerService whole segments are accepted, twice
+  // that is refused (both quotients are exact, the factors being powers of
+  // two).
+  static_assert((kMaxSegmentsPerService & (kMaxSegmentsPerService - 1)) == 0);
   decided = configurator_.triplet_decision(service(0, "resnet-50", 205, 1000), *surface).value();
   ASSERT_TRUE(configurator_.demand_matching(decided).ok());
   const double throughput = decided.opt_seg.throughput;
-  decided.spec.request_rate = throughput * 2147483648.0;
+  decided.spec.request_rate = throughput * 2.0 * kMaxSegmentsPerService;
   const Status over = configurator_.demand_matching(decided);
   ASSERT_FALSE(over.ok());
   EXPECT_EQ(over.error().code(), ErrorCode::kCapacityExceeded);
-  decided.spec.request_rate = throughput * 1073741824.0;
+  decided.spec.request_rate = throughput * kMaxSegmentsPerService;
   ASSERT_TRUE(configurator_.demand_matching(decided).ok());
-  EXPECT_EQ(decided.num_opt_seg, 1073741824);
+  EXPECT_EQ(decided.num_opt_seg, kMaxSegmentsPerService);
   EXPECT_FALSE(decided.last_seg.has_value());
 }
 

@@ -116,6 +116,17 @@ TEST(ExportersTest, JsonLinesGolden) {
   EXPECT_EQ(to_json_lines(log), expected);
 }
 
+TEST(ExportersTest, JsonLinesEndWithTheDroppedCount) {
+  EventLog log(2);
+  log.record(EventKind::kGpuFailure, 1.0, 0);
+  log.record(EventKind::kGpuFailure, 2.0, 1);
+  log.record(EventKind::kGpuFailure, 3.0, 2);
+  EXPECT_EQ(to_json_lines(log),
+            "{\"seq\":0,\"t_ms\":1,\"kind\":\"gpu_failure\",\"gpu\":0}\n"
+            "{\"seq\":1,\"t_ms\":2,\"kind\":\"gpu_failure\",\"gpu\":1}\n"
+            "{\"dropped\":1}\n");
+}
+
 TEST(ExportersTest, JsonEscapesQuotesAndBackslashes) {
   EventLog log;
   log.record(EventKind::kHealthEvent, 1.0, 0, -1, 0.0, "path=\"a\\b\"");

@@ -52,8 +52,8 @@ inline void cg_drive() {
   CgCounter counter;
   counter.bump();
   bump();
-  (void)cg_scale(3);
-  (void)cg_scale(3.0);
+  cg_scale(3);
+  cg_scale(3.0);
   cg_widget_source().poke();
-  (void)cg_mystery_source().measure();
+  cg_mystery_source().measure();
 }

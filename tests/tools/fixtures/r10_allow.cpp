@@ -15,7 +15,7 @@ namespace fixture_r10_allow {
 
 inline void replay(unsigned long long seed) {
   // parva-audit: allow(R10) golden trace pins the raw tag byte-for-byte
-  (void)Rng::stream(seed, 57, 0);
+  Rng::stream(seed, 57, 0);
 }
 
 }  // namespace fixture_r10_allow

@@ -14,8 +14,8 @@ enum class RngStreamTag : unsigned long long {
 namespace fixture_r10_clean {
 
 inline void draw_streams(unsigned long long seed) {
-  (void)Rng::stream(seed, RngStreamTag::kFixturePrefill, 0);
-  (void)Rng::stream(seed, RngStreamTag::kFixtureDecode, 1);
+  Rng::stream(seed, RngStreamTag::kFixturePrefill, 0);
+  Rng::stream(seed, RngStreamTag::kFixtureDecode, 1);
 }
 
 }  // namespace fixture_r10_clean

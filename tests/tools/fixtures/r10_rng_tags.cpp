@@ -18,9 +18,9 @@ namespace fixture_r10 {
 constexpr unsigned long long kRogueTag = 49;
 
 inline void draw_streams(unsigned long long seed) {
-  (void)Rng::stream(seed, RngStreamTag::kFixtureArrival, 0);
-  (void)Rng::stream(seed, 47, 0);
-  (void)Rng::stream(seed, kRogueTag, 0);
+  Rng::stream(seed, RngStreamTag::kFixtureArrival, 0);
+  Rng::stream(seed, 47, 0);
+  Rng::stream(seed, kRogueTag, 0);
 }
 
 }  // namespace fixture_r10

@@ -1,28 +1,21 @@
-// Golden fixture: rule R6 -- status-returning functions must be
-// [[nodiscard]] and call sites must consume the result. Violation lines
-// are pinned in audit_test.cpp.
+// Golden fixture: rule R6 -- a statement that (void)-casts a call must say
+// why with `// parva-audit: allow(R6) <why>`. A discard without the cast is
+// a compile error (-Werror=unused-result), so R6 does not look for one.
+// Violation lines are pinned in audit_test.cpp.
 namespace fixture {
 
-enum class NvmlReturn { kSuccess, kError };
+enum class [[nodiscard]] NvmlReturn { kSuccess, kError };
 
-NvmlReturn create_instance(int gpu);
 NvmlReturn destroy_instance(int gpu);
-[[nodiscard]] NvmlReturn annotated_destroy(int gpu);
 
 struct Controller {
   NvmlReturn reset();
 };
 
-inline void teardown(Controller& controller) {
-  destroy_instance(0);
+inline void teardown(Controller& controller, bool lost) {
   (void)destroy_instance(1);
-  controller.reset();
-}
-
-inline NvmlReturn consumed(Controller& controller) {
-  const NvmlReturn ret = controller.reset();
-  if (ret != NvmlReturn::kSuccess) return ret;
-  return annotated_destroy(2);
+  (void)controller.reset();
+  if (lost) (void)destroy_instance(2);
 }
 
 }  // namespace fixture

@@ -41,6 +41,12 @@ expect_rc 2 $? "parva_audit with no paths is a usage error (exit 2)"
 "${AUDIT_BIN}" --format bogus src >/dev/null 2>&1
 expect_rc 2 $? "parva_audit rejects an unknown --format with exit 2"
 
+"${AUDIT_BIN}" --format json "${REPO_ROOT}/src" >/dev/null 2>&1
+expect_rc 2 $? "parva_audit has no json format (text and sarif only)"
+
+"${AUDIT_BIN}" --baseline /dev/null "${REPO_ROOT}/src" >/dev/null 2>&1
+expect_rc 2 $? "parva_audit has no --baseline (allow() is the one suppression)"
+
 "${AUDIT_BIN}" /nonexistent/path/parva >/dev/null 2>&1
 expect_rc 2 $? "parva_audit reports an unreadable path with exit 2"
 
@@ -73,30 +79,6 @@ expect_rc 2 $? "lint.sh rejects a non-executable PARVA_AUDIT_BIN"
 
 (cd "${REPO_ROOT}" && ./scripts/lint.sh --bogus-flag >/dev/null 2>&1)
 expect_rc 2 $? "lint.sh rejects an unknown flag with exit 2"
-
-# --- baseline round-trip: --update-baseline accepts, new findings fail ----
-
-BASE_DIR="$(mktemp -d)"
-trap 'rm -rf "${STUB_DIR}" "${BASE_DIR}"' EXIT
-cat > "${BASE_DIR}/legacy.cpp" <<'EOF'
-inline int legacy_seed() { return rand(); }
-EOF
-BASELINE="${BASE_DIR}/baseline.txt"
-
-"${AUDIT_BIN}" "${BASE_DIR}" >/dev/null 2>&1
-expect_rc 1 $? "planted violation fails without a baseline"
-
-"${AUDIT_BIN}" --baseline "${BASELINE}" --update-baseline "${BASE_DIR}" >/dev/null 2>&1
-expect_rc 0 $? "--update-baseline records current findings and exits 0"
-
-"${AUDIT_BIN}" --baseline "${BASELINE}" "${BASE_DIR}" >/dev/null 2>&1
-expect_rc 0 $? "baselined finding is suppressed on re-audit"
-
-cat > "${BASE_DIR}/fresh.cpp" <<'EOF'
-inline int fresh_seed() { return rand(); }
-EOF
-"${AUDIT_BIN}" --baseline "${BASELINE}" "${BASE_DIR}" >/dev/null 2>&1
-expect_rc 1 $? "a finding outside the baseline still fails"
 
 # --- and the real binary still passes the gate ----------------------------
 

@@ -6,7 +6,8 @@
 # autoscaling example's --epoch-minutes gets the same treatment, and an
 # epoch shorter than one minute (1e-9 would run until killed) is refused.
 # Two runs of parvactl schedule print the same stdout, with the wall-clock
-# delay on stderr.
+# delay on stderr. A services row whose rate needs more segments than one
+# service may hold is refused before anything is allocated.
 #
 # Usage: parvactl_flags_test.sh <parvactl_binary> <autoscaling_binary>
 #
@@ -76,6 +77,19 @@ if cmp -s "${SCRATCH}/out1" "${SCRATCH}/out2" && grep -q "delay:" "${SCRATCH}/er
   echo "ok: schedule stdout is identical across runs, delay on stderr"
 else
   echo "FAIL: schedule stdout differs across runs or the delay is not on stderr"
+  FAILURES=$((FAILURES + 1))
+fi
+
+# 1e12 req/s of resnet-50 would be about 1.7e8 segments: refused by the
+# per-service ceiling (core::kMaxSegmentsPerService), not run out of memory.
+printf 'id,model,slo_latency_ms,request_rate\n0,resnet-50,50,1e12\n' >"${SCRATCH}/huge.csv"
+err="$(timeout 20 "${PARVACTL}" schedule --services "${SCRATCH}/huge.csv" 2>&1 >/dev/null)"
+rc=$?
+if [[ "${rc}" -eq 1 && "${err}" == *"capacity_exceeded"*"needs more than 65536 whole segments"* ]]; then
+  echo "ok: a services row above the per-service segment ceiling (exit 1)"
+else
+  echo "FAIL: a services row above the segment ceiling: expected exit 1 naming the ceiling," \
+    "got exit ${rc}: ${err}"
   FAILURES=$((FAILURES + 1))
 fi
 

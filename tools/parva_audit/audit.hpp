@@ -5,7 +5,9 @@
 //   * concurrency  -- shared state must be race-free under the ThreadPool,
 //   * status flow  -- fallible MIG control-plane calls must never drop
 //                     their result (a silently ignored NvmlReturn corrupts
-//                     the placement state the Segment Allocator reasons on),
+//                     the placement state the Segment Allocator reasons on);
+//                     the compiler rejects a dropped status, and R6 checks
+//                     the one way past it,
 //   * geometry     -- all A100 slot arithmetic must come from the proved
 //                     constexpr tables in src/gpu/mig_geometry.hpp.
 //
@@ -17,9 +19,9 @@
 //   R3  no mutable namespace-scope state in library code
 //   R4  header hygiene: #pragma once present, no `using namespace` in headers
 //   R5  every memory_order_relaxed carries a nearby justification comment
-//   R6  status-returning functions (NvmlReturn/ErrorCode/Status/Result) are
-//       declared [[nodiscard]] and no call site discards the result
-//       (symbol-aware: call sites are checked against a cross-file index)
+//   R6  a statement that (void)-casts a call carries allow(R6) with its
+//       reason; every other dropped Status/Result/Error/ErrorCode/
+//       NvmlReturn is a compile error (-Werror=unused-result/unused-value)
 //   R7  every mutable data member of a mutex-owning class carries a
 //       PARVA_GUARDED_BY(lock) annotation (src/common/thread_annotations.hpp)
 //   R8  MIG geometry is table-driven: src/gpu/mig_geometry.hpp must keep its
@@ -59,9 +61,6 @@
 // directly above; `allow(all)` silences every rule for that line.
 #pragma once
 
-#include <cstddef>
-#include <map>
-#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -105,26 +104,6 @@ struct RuleInfo {
 };
 const std::vector<RuleInfo>& rule_catalog();
 
-/// Phase-1 output: the cross-file declaration index the symbol-aware rules
-/// (R6) consult in phase 2. Built once over every file in the scan set so a
-/// definition in a .cpp is excused by the [[nodiscard]] declaration in its
-/// header, and call sites anywhere see every status-returning function.
-struct SymbolIndex {
-  /// Function name -> true when at least one declaration of that name
-  /// carries [[nodiscard]]. Every key returns a status-like type
-  /// (NvmlReturn / ErrorCode / Status / Result<...>).
-  std::map<std::string, bool> status_functions;
-  /// R13: function name -> parameter index -> inferred unit of the declared
-  /// parameter name ("" when overloads disagree; such slots never flag).
-  std::map<std::string, std::map<int, std::string>> unit_params;
-};
-
-/// Phase 1: index one in-memory file into `index` (merges with prior files).
-void index_file(const std::string& content, SymbolIndex& index);
-
-/// Phase 1 over a whole scan set of (path, content) pairs.
-SymbolIndex build_index(const std::vector<std::pair<std::string, std::string>>& files);
-
 /// The built-in R2/R12 manifest: translation units on the exporter / CSV /
 /// determinism-fingerprint paths, where container iteration order reaches
 /// persisted output byte-for-byte.
@@ -134,17 +113,11 @@ std::vector<std::string> default_export_manifest();
 /// event-engine heap operations, arrival-tournament replay).
 std::vector<std::string> default_hotpath_roots();
 
-/// Audits one in-memory file against a pre-built cross-file index. `path`
-/// is used for reporting, extension dispatch (R4 runs on headers), manifest
-/// matching (R2) and geometry-file dispatch (R8). Runs the per-file rules
-/// R1-R8 only; the interprocedural rules need the whole scan set (use
-/// audit_files / audit_paths).
-std::vector<Finding> audit_file(const std::string& path, const std::string& content,
-                                const AuditConfig& config, const SymbolIndex& index);
-
-/// Single-file convenience: all three phases over just this file --
-/// per-file rules plus the call-graph rules R9-R12 restricted to what one
-/// translation unit can see.
+/// Single-file convenience: every phase over just this file -- per-file
+/// rules plus the call-graph rules R9-R12 and R14 restricted to what one
+/// translation unit can see. `path` is used for reporting, extension
+/// dispatch (R4 runs on headers), manifest matching (R2) and geometry-file
+/// dispatch (R8).
 std::vector<Finding> audit_file(const std::string& path, const std::string& content,
                                 const AuditConfig& config);
 
@@ -167,28 +140,8 @@ std::vector<Finding> audit_paths(const std::vector<std::string>& paths,
 /// `file:line: [R#] message` -- one line per finding.
 std::string format_findings(const std::vector<Finding>& findings);
 
-/// Machine-readable formats for CI. JSON is an array of
-/// {"file","line","rule","message"} objects; SARIF is a minimal but valid
-/// SARIF 2.1.0 log (one run, rule metadata from rule_catalog()).
-std::string format_findings_json(const std::vector<Finding>& findings);
+/// SARIF for CI: a minimal but valid SARIF 2.1.0 log (one run, rule
+/// metadata from rule_catalog()).
 std::string format_findings_sarif(const std::vector<Finding>& findings);
-
-/// Baseline support: CI diffs findings against an accepted set instead of
-/// hard-failing on legacy code. A baseline entry is `file|rule|message`
-/// (line numbers are deliberately excluded so unrelated edits above a
-/// finding do not churn the baseline); the file is newline-separated with
-/// '#' comments, and entries form a multiset so N accepted occurrences
-/// suppress at most N findings.
-std::string baseline_key(const Finding& finding);
-std::multiset<std::string> parse_baseline(const std::string& content);
-std::string format_baseline(const std::vector<Finding>& findings);
-
-struct BaselineResult {
-  std::vector<Finding> fresh;     ///< Findings not covered by the baseline.
-  std::size_t suppressed = 0;     ///< Findings matched (and consumed) by it.
-  std::size_t stale = 0;          ///< Baseline entries no finding matched.
-};
-BaselineResult apply_baseline(const std::vector<Finding>& findings,
-                              std::multiset<std::string> baseline);
 
 }  // namespace parva::audit

@@ -45,6 +45,14 @@ std::string unit_suffix(const std::string& name);
 /// builder, which attributes each hit to its enclosing function.
 std::vector<FpAccumulation> collect_fp_accumulations(const LexedFile& lexed);
 
+/// Phase-1 output: the cross-file declaration index R13 consults in phase
+/// 2, built once over the headers in the scan set.
+struct SymbolIndex {
+  /// Function name -> parameter index -> inferred unit of the declared
+  /// parameter name ("" when overloads disagree; such slots never flag).
+  std::map<std::string, std::map<int, std::string>> unit_params;
+};
+
 namespace internal {
 
 /// Phase-1 contribution: records `name -> param index -> unit` for every

@@ -1,5 +1,5 @@
 // Internal helpers shared between the per-file lexical rules (rules.cpp)
-// and the symbol-aware rules R6-R8 (symbols.cpp). Not part of the public
+// and the structural rules R7-R8 (symbols.cpp). Not part of the public
 // audit API.
 #pragma once
 
@@ -71,10 +71,7 @@ inline void add_finding(std::vector<Finding>& findings, const LexedFile& lexed,
 /// Implemented in rules.cpp.
 bool rule_enabled(const AuditConfig& config, const char* rule);
 
-// R6/R7/R8 entry points (implemented in symbols.cpp).
-void scan_status_functions_into_index(const LexedFile& lexed, SymbolIndex& index);
-void check_r6(const LexedFile& lexed, const std::string& path, const SymbolIndex& index,
-              std::vector<Finding>& findings);
+// R7/R8 entry points (implemented in symbols.cpp).
 void check_r7(const LexedFile& lexed, const std::string& path,
               std::vector<Finding>& findings);
 void check_r8(const LexedFile& lexed, const std::string& path,

@@ -3,12 +3,8 @@
 //   parva_audit src/                        # full scan with built-in manifest
 //   parva_audit --rules R1-R5 src/ tests/   # subset of rules (ranges ok)
 //   parva_audit --format sarif src/         # SARIF 2.1.0 for CI upload
-//   parva_audit --baseline accepted.txt src/  # only NEW findings fail
-#include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -20,20 +16,15 @@ constexpr const char* kUsage = R"(usage: parva_audit [options] <path>...
 
 Project-specific static analysis for the ParvaGPU determinism, concurrency,
 status-flow and geometry contracts (DESIGN.md 4.3/4.4/4.8/4.9). Scans C++
-sources/headers under the given files or directories; rules R6-R8 are
-symbol-aware (phase 1 indexes declarations across the whole scan set),
-rules R9-R12 are call-graph-aware (phase 1.5 builds a lexical call graph;
-phase 3 runs lock-order, RNG-tag and reachability checks over it), and
-rules R13-R15 are dataflow rules (phase 4: unit discipline, floating-point
-determinism, iterator/reference invalidation).
+sources/headers under the given files or directories; rules R1-R8 are
+per-file, rules R9-R12 are call-graph-aware (phase 1.5 builds a lexical
+call graph; phase 3 runs lock-order, RNG-tag and reachability checks over
+it), and rules R13-R15 are dataflow rules (phase 4: unit discipline,
+floating-point determinism, iterator/reference invalidation).
 
 options:
   --rules R1,R2,...    run only the named rules; ranges expand (R1-R15)
-  --format FMT         output format: text (default), json, sarif
-  --baseline FILE      suppress findings listed in FILE (file|rule|message
-                       lines); exit 1 only on findings NOT in the baseline
-  --update-baseline    with --baseline: rewrite FILE from current findings
-                       and exit 0
+  --format FMT         output format: text (default) or sarif
   --list-rules         print the rule catalog and exit
   -h, --help           this message
 
@@ -83,8 +74,6 @@ int main(int argc, char** argv) {
   config.export_manifest = parva::audit::default_export_manifest();
   std::vector<std::string> paths;
   std::string format = "text";
-  std::string baseline_path;
-  bool update_baseline = false;
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -125,23 +114,11 @@ int main(int argc, char** argv) {
         return 2;
       }
       format = argv[i];
-      if (format != "text" && format != "json" && format != "sarif") {
+      if (format != "text" && format != "sarif") {
         std::cerr << "parva_audit: unknown format '" << format
-                  << "' (expected text, json or sarif)\n";
+                  << "' (expected text or sarif)\n";
         return 2;
       }
-      continue;
-    }
-    if (arg == "--baseline") {
-      if (++i >= argc) {
-        std::cerr << "parva_audit: --baseline needs an argument\n";
-        return 2;
-      }
-      baseline_path = argv[i];
-      continue;
-    }
-    if (arg == "--update-baseline") {
-      update_baseline = true;
       continue;
     }
     if (!arg.empty() && arg[0] == '-') {
@@ -154,69 +131,25 @@ int main(int argc, char** argv) {
     std::cerr << kUsage;
     return 2;
   }
-  if (update_baseline && baseline_path.empty()) {
-    std::cerr << "parva_audit: --update-baseline requires --baseline FILE\n";
-    return 2;
-  }
 
   std::vector<std::string> errors;
-  std::vector<parva::audit::Finding> findings =
+  const std::vector<parva::audit::Finding> findings =
       parva::audit::audit_paths(paths, config, errors);
   for (const std::string& error : errors) {
     std::cerr << "parva_audit: " << error << "\n";
   }
 
-  if (update_baseline) {
-    std::ofstream out(baseline_path, std::ios::binary);
-    if (!out) {
-      std::cerr << "parva_audit: cannot write baseline " << baseline_path << "\n";
-      return 2;
-    }
-    out << parva::audit::format_baseline(findings);
-    std::cout << "parva_audit: baseline updated (" << findings.size() << " finding"
-              << (findings.size() == 1 ? "" : "s") << ")\n";
-    return errors.empty() ? 0 : 2;
-  }
-
-  std::size_t suppressed = 0;
-  if (!baseline_path.empty()) {
-    std::ifstream in(baseline_path, std::ios::binary);
-    if (!in) {
-      std::cerr << "parva_audit: cannot open baseline " << baseline_path << "\n";
-      return 2;
-    }
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    parva::audit::BaselineResult result = parva::audit::apply_baseline(
-        findings, parva::audit::parse_baseline(buffer.str()));
-    suppressed = result.suppressed;
-    if (result.stale != 0) {
-      std::cerr << "parva_audit: " << result.stale
-                << " stale baseline entr" << (result.stale == 1 ? "y" : "ies")
-                << " (fixed findings; regenerate with --update-baseline)\n";
-    }
-    findings = std::move(result.fresh);
-  }
-
-  if (format == "json") {
-    std::cout << parva::audit::format_findings_json(findings);
-  } else if (format == "sarif") {
+  if (format == "sarif") {
     std::cout << parva::audit::format_findings_sarif(findings);
   } else {
     std::cout << parva::audit::format_findings(findings);
     if (!findings.empty()) {
       std::cout << "parva_audit: " << findings.size() << " finding"
-                << (findings.size() == 1 ? "" : "s");
-      if (suppressed != 0) std::cout << " (+" << suppressed << " baselined)";
-      std::cout << "\n";
+                << (findings.size() == 1 ? "" : "s") << "\n";
     }
   }
   if (!findings.empty()) return 1;
   if (!errors.empty()) return 2;
-  if (format == "text") {
-    std::cout << "parva_audit: clean";
-    if (suppressed != 0) std::cout << " (" << suppressed << " baselined)";
-    std::cout << "\n";
-  }
+  if (format == "text") std::cout << "parva_audit: clean\n";
   return 0;
 }

@@ -274,6 +274,41 @@ void check_r5(const LexedFile& lexed, const std::string& path,
   }
 }
 
+// R6 -- a deliberate discard carries its reason. A dropped Status, Result,
+// Error, ErrorCode or NvmlReturn is a compile error (the types and their
+// error constructors are [[nodiscard]], and every target builds with
+// -Werror=unused-result -Werror=unused-value), so a `(void)` cast is the
+// one way to drop one. A statement that (void)-casts a call must say why.
+void check_r6(const LexedFile& lexed, const std::string& path,
+              std::vector<Finding>& findings) {
+  const auto& toks = lexed.tokens;
+  for (std::size_t i = 0; i + 3 < toks.size(); ++i) {
+    if (!is_punct(toks[i], "(") || !is_ident(toks[i + 1], "void") ||
+        !is_punct(toks[i + 2], ")")) {
+      continue;
+    }
+    // Statement position: after a statement boundary, `else`/`do`, or a
+    // control-flow head's closing ')'.
+    if (i > 0 && !is_punct(toks[i - 1], ";") && !is_punct(toks[i - 1], "{") &&
+        !is_punct(toks[i - 1], "}") && !is_punct(toks[i - 1], ")") &&
+        !is_ident(toks[i - 1], "else") && !is_ident(toks[i - 1], "do")) {
+      continue;
+    }
+    // A call: a name (or a template's closing '>') followed by '(' before
+    // the statement ends. `(void)unused;` is not one.
+    for (std::size_t j = i + 4; j < toks.size() && !is_punct(toks[j], ";"); ++j) {
+      if (!is_punct(toks[j], "(")) continue;
+      if (toks[j - 1].kind != Token::Kind::kIdent && !is_punct(toks[j - 1], ">")) continue;
+      add_finding(findings, lexed, path, toks[i].line, "R6",
+                  "(void) discards the result of '" + toks[j - 1].text +
+                      "' without a reason: the compiler rejects every other "
+                      "dropped status, so say why this one is safe with "
+                      "`// parva-audit: allow(R6) <why>`");
+      break;
+    }
+  }
+}
+
 using internal::rule_enabled;
 
 // Phase 2 over one already-lexed file: every per-file rule (R1-R8, R13,
@@ -286,7 +321,7 @@ void run_per_file_rules(const std::string& path, const std::string& content,
   if (rule_enabled(config, "R3")) check_r3(lexed, path, findings);
   if (rule_enabled(config, "R4")) check_r4(lexed, path, content, findings);
   if (rule_enabled(config, "R5")) check_r5(lexed, path, findings);
-  if (rule_enabled(config, "R6")) internal::check_r6(lexed, path, index, findings);
+  if (rule_enabled(config, "R6")) check_r6(lexed, path, findings);
   if (rule_enabled(config, "R7")) internal::check_r7(lexed, path, findings);
   if (rule_enabled(config, "R8")) internal::check_r8(lexed, path, findings);
   if (rule_enabled(config, "R13")) internal::check_r13(lexed, path, index, findings);
@@ -313,8 +348,8 @@ const std::vector<RuleInfo>& rule_catalog() {
       {"R3", "no mutable namespace-scope state in library code"},
       {"R4", "header hygiene: #pragma once, no `using namespace` in headers"},
       {"R5", "every memory_order_relaxed carries a nearby justification comment"},
-      {"R6", "status-returning functions (NvmlReturn/ErrorCode/Status/Result) are "
-             "[[nodiscard]] and no call site discards the result"},
+      {"R6", "a statement that (void)-casts a call carries allow(R6) with its "
+             "reason; the compiler rejects every other dropped status"},
       {"R7", "every mutable data member of a mutex-owning class carries "
              "PARVA_GUARDED_BY(lock) (src/common/thread_annotations.hpp)"},
       {"R8", "MIG geometry is table-driven: constexpr kProfileTable/kPlacementTable "
@@ -338,21 +373,6 @@ const std::vector<RuleInfo>& rule_catalog() {
               "on the same container in the same scope"},
   };
   return kCatalog;
-}
-
-void index_file(const std::string& content, SymbolIndex& index) {
-  const LexedFile lexed = lex(content);
-  internal::scan_status_functions_into_index(lexed, index);
-  internal::scan_unit_params_into_index(lexed, index);
-}
-
-SymbolIndex build_index(const std::vector<std::pair<std::string, std::string>>& files) {
-  SymbolIndex index;
-  for (const auto& [path, content] : files) {
-    (void)path;  // the index is keyed by symbol name, not by file
-    index_file(content, index);
-  }
-  return index;
 }
 
 std::vector<std::string> default_export_manifest() {
@@ -382,15 +402,6 @@ std::vector<std::string> default_export_manifest() {
 }
 
 std::vector<Finding> audit_file(const std::string& path, const std::string& content,
-                                const AuditConfig& config, const SymbolIndex& index) {
-  const LexedFile lexed = lex(content);
-  std::vector<Finding> findings;
-  run_per_file_rules(path, content, lexed, config, index, findings);
-  std::sort(findings.begin(), findings.end());
-  return findings;
-}
-
-std::vector<Finding> audit_file(const std::string& path, const std::string& content,
                                 const AuditConfig& config) {
   return audit_files({{path, content}}, config);
 }
@@ -398,15 +409,14 @@ std::vector<Finding> audit_file(const std::string& path, const std::string& cont
 std::vector<Finding> audit_files(const std::vector<std::pair<std::string, std::string>>& files,
                                  const AuditConfig& config) {
   // Phase 1: lex every file once and build the cross-file symbol index in
-  // file order.
+  // file order. Unit bindings cross TU boundaries only through headers;
+  // check_r13 re-scans each file locally for its own .cpp-level
+  // declarations.
   std::vector<LexedFile> lexed;
   lexed.reserve(files.size());
   SymbolIndex index;
   for (const auto& [path, content] : files) {
     lexed.push_back(lex(content));
-    internal::scan_status_functions_into_index(lexed.back(), index);
-    // Unit bindings cross TU boundaries only through headers; check_r13
-    // re-scans each file locally for its own .cpp-level declarations.
     if (internal::is_header_path(path)) {
       internal::scan_unit_params_into_index(lexed.back(), index);
     }
@@ -471,9 +481,7 @@ std::vector<Finding> audit_paths(const std::vector<std::string>& paths,
   std::sort(files.begin(), files.end());
   files.erase(std::unique(files.begin(), files.end()), files.end());
 
-  // Phase 1: read everything and build the cross-file symbol index, so a
-  // [[nodiscard]] declaration in a header excuses the definition in its
-  // .cpp and call sites see every status-returning function in the set.
+  // Read everything; the index and the call graph span the whole scan set.
   std::vector<std::pair<std::string, std::string>> contents;
   contents.reserve(files.size());
   for (const std::string& file : files) {

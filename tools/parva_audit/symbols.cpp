@@ -1,17 +1,8 @@
-// Phase-1 symbol indexing and the symbol-aware rules R6-R8.
-//
-// Phase 1 walks every file in the scan set and records each function whose
-// return type is status-like (NvmlReturn / ErrorCode / Status / Result<...>)
-// together with whether any declaration of it carries [[nodiscard]]. Phase 2
-// then checks each file against that index: declarations must be
-// [[nodiscard]] (a definition is excused when its header declaration is),
-// and no expression statement may drop the result of an indexed call.
+// The per-file structural rules R7 (guarded members of mutex-owning
+// classes) and R8 (table-driven MIG geometry).
 //
 // Like the rest of parva_audit this is lexical, not a front end: no name
-// lookup and no overload resolution. The index is keyed by bare function
-// name, which is precise enough for this codebase (status-returning names
-// are not reused for non-status functions) and keeps phase 1 a single
-// token-stream pass per file.
+// lookup and no overload resolution.
 #include <cctype>
 #include <initializer_list>
 #include <set>
@@ -22,298 +13,6 @@
 
 namespace parva::audit::internal {
 namespace {
-
-const std::set<std::string>& status_types() {
-  static const std::set<std::string> kTypes = {"NvmlReturn", "ErrorCode", "Status",
-                                               "Result"};
-  return kTypes;
-}
-
-bool is_decl_specifier(const Token& t) {
-  static const std::set<std::string> kSpecifiers = {
-      "static", "virtual", "inline",   "constexpr", "consteval",
-      "extern", "friend",  "explicit", "mutable"};
-  return t.kind == Token::Kind::kIdent && kSpecifiers.count(t.text) != 0;
-}
-
-/// One status-returning function declarator found in a file.
-struct StatusFunction {
-  std::string name;
-  int line = 0;
-  bool nodiscard = false;    ///< declarator carries a [[nodiscard]] attribute
-  bool has_body = false;     ///< definition (brace body follows)
-  bool qualified = false;    ///< out-of-class declarator: Type Class::name(...)
-};
-
-/// Walks backwards from `type_begin` (the index of the return-type token)
-/// over decl-specifiers and attribute blocks. Returns true when what
-/// precedes is a declaration boundary (';', '{', '}', ':', '>', or file
-/// start) rather than an expression context, and reports whether a
-/// [[nodiscard]] attribute was crossed on the way.
-bool in_decl_context(const std::vector<Token>& toks, std::size_t type_begin,
-                     bool* saw_nodiscard) {
-  *saw_nodiscard = false;
-  std::size_t i = type_begin;
-  while (i > 0) {
-    const Token& prev = toks[i - 1];
-    if (is_decl_specifier(prev)) {
-      --i;
-      continue;
-    }
-    if (i >= 2 && is_punct(prev, "]") && is_punct(toks[i - 2], "]")) {
-      // Attribute block [[...]]: scan back to the opening '[' '['.
-      std::size_t j = i - 2;  // index of the inner ']'
-      bool opened = false;
-      while (j > 0) {
-        if (j >= 2 && is_punct(toks[j - 1], "[") && is_punct(toks[j - 2], "[")) {
-          opened = true;
-          j -= 2;
-          break;
-        }
-        if (toks[j - 1].kind == Token::Kind::kIdent && toks[j - 1].text == "nodiscard") {
-          *saw_nodiscard = true;
-        }
-        --j;
-      }
-      if (!opened) return false;  // stray brackets (array subscript): not a decl
-      i = j;
-      continue;
-    }
-    return is_punct(prev, ";") || is_punct(prev, "{") || is_punct(prev, "}") ||
-           is_punct(prev, ":") || is_punct(prev, ">");
-  }
-  return true;  // file start
-}
-
-/// Scans a token stream for status-returning function declarators.
-std::vector<StatusFunction> scan_status_functions(const LexedFile& lexed) {
-  const auto& toks = lexed.tokens;
-  const std::size_t n = toks.size();
-  std::vector<StatusFunction> out;
-
-  for (std::size_t i = 0; i < n; ++i) {
-    if (toks[i].kind != Token::Kind::kIdent || status_types().count(toks[i].text) == 0) {
-      continue;
-    }
-    // Rewind over a namespace qualifier chain (gpu::NvmlReturn lexes as
-    // `gpu : : NvmlReturn`) so the decl-context test sees the chain start.
-    std::size_t type_begin = i;
-    while (type_begin >= 3 && is_punct(toks[type_begin - 1], ":") &&
-           is_punct(toks[type_begin - 2], ":") &&
-           toks[type_begin - 3].kind == Token::Kind::kIdent) {
-      type_begin -= 3;
-    }
-    bool saw_nodiscard = false;
-    if (!in_decl_context(toks, type_begin, &saw_nodiscard)) continue;
-
-    std::size_t j = i + 1;
-    if (toks[i].text == "Result") {
-      // Result must carry template arguments to be a return type here.
-      if (j >= n || !is_punct(toks[j], "<")) continue;
-      int depth = 1;
-      for (++j; j < n && depth > 0; ++j) {
-        if (is_punct(toks[j], "<")) ++depth;
-        if (is_punct(toks[j], ">")) --depth;
-      }
-      if (depth > 0) continue;
-    }
-    while (j < n && (is_punct(toks[j], "&") || is_punct(toks[j], "*") ||
-                     is_ident(toks[j], "const"))) {
-      ++j;
-    }
-    if (j >= n || toks[j].kind != Token::Kind::kIdent) continue;
-
-    // Declarator name, possibly qualified: ident (:: ident)*. The finding
-    // anchors at the return type's line (where [[nodiscard]] belongs).
-    std::string name = toks[j].text;
-    const int decl_line = toks[type_begin].line;
-    bool qualified = false;
-    ++j;
-    bool chain_ok = true;
-    while (j + 1 < n && is_punct(toks[j], ":") && is_punct(toks[j + 1], ":")) {
-      j += 2;
-      if (j >= n || toks[j].kind != Token::Kind::kIdent) {
-        chain_ok = false;
-        break;
-      }
-      name = toks[j].text;
-      qualified = true;
-      ++j;
-    }
-    if (!chain_ok) continue;
-    if (name == toks[i].text) continue;  // out-of-class constructor: Status::Status
-    if (j >= n || !is_punct(toks[j], "(")) continue;  // variable, not a function
-
-    // Skip the parameter list.
-    int pd = 1;
-    for (++j; j < n && pd > 0; ++j) {
-      if (is_punct(toks[j], "(")) ++pd;
-      if (is_punct(toks[j], ")")) --pd;
-    }
-    if (pd > 0) continue;
-    // Post-qualifiers: const, noexcept(...), override, final, trailing attrs.
-    while (j < n) {
-      if (is_ident(toks[j], "const") || is_ident(toks[j], "override") ||
-          is_ident(toks[j], "final")) {
-        ++j;
-      } else if (is_ident(toks[j], "noexcept")) {
-        ++j;
-        if (j < n && is_punct(toks[j], "(")) {
-          int d = 1;
-          for (++j; j < n && d > 0; ++j) {
-            if (is_punct(toks[j], "(")) ++d;
-            if (is_punct(toks[j], ")")) --d;
-          }
-        }
-      } else {
-        break;
-      }
-    }
-    bool has_body = false;
-    bool is_decl = false;
-    if (j < n) {
-      if (is_punct(toks[j], "{")) {
-        has_body = true;
-      } else if (is_punct(toks[j], ";") || is_punct(toks[j], "=")) {
-        is_decl = true;  // pure declaration, or `= default` / `= delete`
-      }
-    }
-    if (!has_body && !is_decl) continue;
-    out.push_back({name, decl_line, saw_nodiscard, has_body, qualified});
-  }
-  return out;
-}
-
-// ---------------------------------------------------------------------------
-// R6 call-site scan: expression statements that drop an indexed call's
-// result, and status temporaries constructed and discarded.
-// ---------------------------------------------------------------------------
-
-/// Validates a statement prefix as a pure member/scope access chain ending
-/// in a separator right before the call name: `deployer_->nvml().`,
-/// `gpu::`, empty, or a leading `(void)` cast (which is tracked so the
-/// finding can demand an allow(R6) justification). Anything else -- `return`,
-/// `if`, an assignment, a declaration (`Status teardown(...)`) -- means the
-/// result is consumed or this is not a call.
-bool prefix_is_discard_chain(const std::vector<Token>& toks, std::size_t begin,
-                             std::size_t end, bool* void_cast) {
-  std::size_t idx = begin;
-  *void_cast = false;
-  // Strip leading control-flow constructs so `if (lost) kill(x);` is seen.
-  for (;;) {
-    if (idx < end && toks[idx].kind == Token::Kind::kIdent &&
-        (toks[idx].text == "else" || toks[idx].text == "do")) {
-      ++idx;
-      continue;
-    }
-    if (idx < end && toks[idx].kind == Token::Kind::kIdent &&
-        (toks[idx].text == "if" || toks[idx].text == "while" ||
-         toks[idx].text == "for" || toks[idx].text == "switch")) {
-      std::size_t j = idx + 1;
-      // `if constexpr (...)`
-      if (j < end && is_ident(toks[j], "constexpr")) ++j;
-      if (j < end && is_punct(toks[j], "(")) {
-        int d = 1;
-        for (++j; j < end && d > 0; ++j) {
-          if (is_punct(toks[j], "(")) ++d;
-          if (is_punct(toks[j], ")")) --d;
-        }
-        if (d > 0) return false;
-        idx = j;
-        continue;
-      }
-      return false;
-    }
-    break;
-  }
-  if (idx + 2 < end && is_punct(toks[idx], "(") && is_ident(toks[idx + 1], "void") &&
-      is_punct(toks[idx + 2], ")")) {
-    *void_cast = true;
-    idx += 3;
-  }
-  enum class State { kExpectIdent, kAfterIdent };
-  State state = State::kExpectIdent;
-  while (idx < end) {
-    const Token& t = toks[idx];
-    if (state == State::kExpectIdent) {
-      if (t.kind != Token::Kind::kIdent) return false;
-      state = State::kAfterIdent;
-      ++idx;
-      continue;
-    }
-    // kAfterIdent: a separator, or an intermediate call's argument list.
-    if (is_punct(t, ".")) {
-      state = State::kExpectIdent;
-      ++idx;
-    } else if (idx + 1 < end && is_punct(t, "-") && is_punct(toks[idx + 1], ">")) {
-      state = State::kExpectIdent;
-      idx += 2;
-    } else if (idx + 1 < end && is_punct(t, ":") && is_punct(toks[idx + 1], ":")) {
-      state = State::kExpectIdent;
-      idx += 2;
-    } else if (is_punct(t, "(")) {
-      int d = 1;
-      for (++idx; idx < end && d > 0; ++idx) {
-        if (is_punct(toks[idx], "(")) ++d;
-        if (is_punct(toks[idx], ")")) --d;
-      }
-      if (d > 0) return false;
-      // Still kAfterIdent: `.nvml()` is followed by another separator.
-    } else {
-      return false;
-    }
-  }
-  // The prefix must end mid-chain (after a separator) or be empty: the call
-  // name itself completes the chain.
-  return state == State::kExpectIdent;
-}
-
-void check_call_discards(const LexedFile& lexed, const std::string& path,
-                         const SymbolIndex& index, std::vector<Finding>& findings) {
-  const auto& toks = lexed.tokens;
-  const std::size_t n = toks.size();
-  std::size_t stmt_start = 0;  // index AFTER the last boundary token
-
-  for (std::size_t i = 0; i < n; ++i) {
-    const Token& t = toks[i];
-    if (is_punct(t, ";") || is_punct(t, "{") || is_punct(t, "}")) {
-      stmt_start = i + 1;
-      continue;
-    }
-    if (t.kind != Token::Kind::kIdent || i + 1 >= n || !is_punct(toks[i + 1], "(")) {
-      continue;
-    }
-    const bool is_indexed_call = index.status_functions.count(t.text) != 0;
-    const bool is_status_temporary = status_types().count(t.text) != 0;
-    if (!is_indexed_call && !is_status_temporary) continue;
-
-    bool void_cast = false;
-    if (!prefix_is_discard_chain(toks, stmt_start, i, &void_cast)) continue;
-    // Match the call's argument list.
-    std::size_t j = i + 1;
-    int d = 1;
-    for (++j; j < n && d > 0; ++j) {
-      if (is_punct(toks[j], "(")) ++d;
-      if (is_punct(toks[j], ")")) --d;
-    }
-    if (d > 0 || j >= n || !is_punct(toks[j], ";")) continue;  // result consumed
-
-    if (is_indexed_call) {
-      std::string message =
-          void_cast
-              ? "call to '" + t.text + "' discards its status result via (void) "
-                "without justification: add `// parva-audit: allow(R6) <why>` "
-                "if the discard is deliberate"
-              : "call to '" + t.text + "' discards its status result: check it, "
-                "log via common/logging and propagate or count the failure";
-      add_finding(findings, lexed, path, t.line, "R6", std::move(message));
-    } else {
-      add_finding(findings, lexed, path, t.line, "R6",
-                  "status temporary '" + t.text + "(...)' constructed and "
-                  "immediately discarded: the error it carries is lost");
-    }
-  }
-}
 
 // ---------------------------------------------------------------------------
 // R7: mutex-owning classes must annotate their mutable data members.
@@ -642,31 +341,6 @@ void check_r8(const LexedFile& lexed, const std::string& path,
                   "the single proved implementation");
     }
   }
-}
-
-void scan_status_functions_into_index(const LexedFile& lexed, SymbolIndex& index) {
-  for (const StatusFunction& fn : scan_status_functions(lexed)) {
-    auto [it, inserted] = index.status_functions.emplace(fn.name, fn.nodiscard);
-    if (!inserted && fn.nodiscard) it->second = true;
-  }
-}
-
-void check_r6(const LexedFile& lexed, const std::string& path, const SymbolIndex& index,
-              std::vector<Finding>& findings) {
-  for (const StatusFunction& fn : scan_status_functions(lexed)) {
-    if (fn.nodiscard) continue;
-    if (fn.has_body || fn.qualified) {
-      // A definition is excused when some declaration of the same name in
-      // the scan set carries the attribute (header decl covers cpp def).
-      auto it = index.status_functions.find(fn.name);
-      if (it != index.status_functions.end() && it->second) continue;
-    }
-    add_finding(findings, lexed, path, fn.line, "R6",
-                "function '" + fn.name + "' returns a status type but is not "
-                "declared [[nodiscard]]: a dropped MIG control-plane error "
-                "corrupts placement state silently");
-  }
-  check_call_discards(lexed, path, index, findings);
 }
 
 }  // namespace parva::audit::internal
