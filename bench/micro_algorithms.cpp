@@ -178,7 +178,9 @@ void BM_Scheduler(benchmark::State& state, Framework framework, const char* scen
 }
 BENCHMARK_CAPTURE(BM_Scheduler, parvagpu_s2, Framework::kParvaGpu, "S2");
 BENCHMARK_CAPTURE(BM_Scheduler, parvagpu_s6, Framework::kParvaGpu, "S6");
+BENCHMARK_CAPTURE(BM_Scheduler, gpulet_s5, Framework::kGpulet, "S5");
 BENCHMARK_CAPTURE(BM_Scheduler, gpulet_s6, Framework::kGpulet, "S6");
+BENCHMARK_CAPTURE(BM_Scheduler, igniter_s4, Framework::kIgniter, "S4");
 BENCHMARK_CAPTURE(BM_Scheduler, migserving_s2, Framework::kMigServing, "S2");
 
 /// The S5 fleet folded `fold` times.

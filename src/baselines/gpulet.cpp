@@ -33,13 +33,9 @@ struct GpuletGpu {
 Result<core::ScheduleResult> GpuletScheduler::schedule(
     std::span<const core::ServiceSpec> services) {
   const auto start = std::chrono::steady_clock::now();
-  if (Status unique = core::check_unique_ids(services, core::ServiceIdIndex(services));
-      !unique.ok()) {
-    return unique.error();
+  if (Status valid = core::validate(services, core::ServiceIdIndex(services)); !valid.ok()) {
+    return valid.error();
   }
-  // Per-run memo: the fraction/batch sweeps below revisit the same
-  // operating points across services sharing a model.
-  const perfmodel::CachedPerfModel cache(*perf_);
 
   // Phase 1: size each service into chunks. The bulk chunk uses the most
   // resource-efficient fraction (throughput per fraction); the remainder
@@ -57,7 +53,7 @@ Result<core::ScheduleResult> GpuletScheduler::schedule(
     const int steps = static_cast<int>(1.0 / kFractionQuantum + 0.5);
     for (int i = 1; i <= steps; ++i) {
       const double fraction = kFractionQuantum * static_cast<double>(i);
-      auto point = best_partition_point(cache, *traits, fraction, latency_cap, 0.0);
+      auto point = best_partition_point(*perf_, *traits, fraction, latency_cap, 0.0);
       if (!point.has_value()) continue;
       if (!bulk.has_value() ||
           point->throughput / point->gpu_fraction > bulk->throughput / bulk->gpu_fraction) {
@@ -75,7 +71,7 @@ Result<core::ScheduleResult> GpuletScheduler::schedule(
       remaining -= bulk->throughput;
     }
     if (remaining > 0.0) {
-      auto last = smallest_fraction_for_rate(cache, *traits, remaining, latency_cap,
+      auto last = smallest_fraction_for_rate(*perf_, *traits, remaining, latency_cap,
                                              kFractionQuantum, 0.0);
       if (!last.has_value()) last = bulk;  // bulk always covers the remainder
       chunks.push_back(Chunk{&spec, traits, remaining, last->gpu_fraction, *last});
@@ -108,10 +104,10 @@ Result<core::ScheduleResult> GpuletScheduler::schedule(
           perfmodel::gpulet_predicted_interference(*first.traits, {&second_as_corunner, 1});
       const double chunk_inflation =
           perfmodel::gpulet_predicted_interference(*chunk.traits, {&first_as_corunner, 1});
-      auto first_point = best_partition_point(cache, *first.traits, gpu.granted.front(),
+      auto first_point = best_partition_point(*perf_, *first.traits, gpu.granted.front(),
                                               first_cap, first_inflation);
       auto chunk_point =
-          best_partition_point(cache, *chunk.traits, remainder, chunk_cap, chunk_inflation);
+          best_partition_point(*perf_, *chunk.traits, remainder, chunk_cap, chunk_inflation);
       if (!first_point.has_value() || first_point->throughput < first.target_rate) continue;
       if (!chunk_point.has_value() || chunk_point->throughput < chunk.target_rate) continue;
 
@@ -153,8 +149,8 @@ Result<core::ScheduleResult> GpuletScheduler::schedule(
       // The deployed process keeps the batch gpulet chose; compute its real
       // behaviour at that batch (which may now exceed the latency cap —
       // that is exactly gpulet's misprediction).
-      auto actual = cache.evaluate_mps_share(*chunk.traits, granted, chunk.point.batch, 1,
-                                              true_inflation);
+      auto actual = perf_->evaluate_mps_share(*chunk.traits, granted, chunk.point.batch, 1,
+                                               true_inflation);
 
       core::DeployedUnit unit;
       unit.service_id = chunk.spec->id;

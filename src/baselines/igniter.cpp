@@ -36,13 +36,9 @@ struct IgniterGpu {
 Result<core::ScheduleResult> IgniterScheduler::schedule(
     std::span<const core::ServiceSpec> services) {
   const auto start = std::chrono::steady_clock::now();
-  if (Status unique = core::check_unique_ids(services, core::ServiceIdIndex(services));
-      !unique.ok()) {
-    return unique.error();
+  if (Status valid = core::validate(services, core::ServiceIdIndex(services)); !valid.ok()) {
+    return valid.error();
   }
-  // Per-run memo: the fraction/batch sweeps below revisit the same
-  // operating points across services sharing a model.
-  const perfmodel::CachedPerfModel cache(*perf_);
 
   // Phase 1: per-service sizing with iGniter's (noisy) predictor + padding.
   std::vector<SizedService> sized;
@@ -59,7 +55,7 @@ Result<core::ScheduleResult> IgniterScheduler::schedule(
     const double predicted_inflation =
         perfmodel::igniter_predicted_interference(*traits, {&nominal, 1});
 
-    auto required = smallest_fraction_for_rate(cache, *traits, spec.request_rate, latency_cap,
+    auto required = smallest_fraction_for_rate(*perf_, *traits, spec.request_rate, latency_cap,
                                                kFractionQuantum, predicted_inflation);
     if (!required.has_value()) {
       // The published system cannot split a service across partitions; at
@@ -75,7 +71,7 @@ Result<core::ScheduleResult> IgniterScheduler::schedule(
     padded = std::ceil(padded / kFractionQuantum - 1e-9) * kFractionQuantum;
 
     auto padded_point =
-        best_partition_point(cache, *traits, padded, latency_cap, predicted_inflation);
+        best_partition_point(*perf_, *traits, padded, latency_cap, predicted_inflation);
     if (!padded_point.has_value()) padded_point = required;
     sized.push_back(SizedService{&spec, traits, padded, *padded_point});
   }
@@ -105,7 +101,7 @@ Result<core::ScheduleResult> IgniterScheduler::schedule(
             perfmodel::igniter_predicted_interference(*member.traits, others);
         const double cap = member.spec->slo_latency_ms * core::kInternalLatencyFactor;
         auto point =
-            best_partition_point(cache, *member.traits, member.padded_fraction, cap, inflation);
+            best_partition_point(*perf_, *member.traits, member.padded_fraction, cap, inflation);
         return point.has_value() && point->throughput >= member.spec->request_rate;
       };
       std::vector<SizedService> cohort = gpu.partitions;
@@ -149,8 +145,8 @@ Result<core::ScheduleResult> IgniterScheduler::schedule(
         others.push_back({gpu.partitions[qi].traits, gpu.partitions[qi].padded_fraction});
       }
       const double true_inflation = perfmodel::true_interference(*member.traits, others);
-      auto actual = cache.evaluate_mps_share(*member.traits, member.padded_fraction,
-                                              member.point.batch, 1, true_inflation);
+      auto actual = perf_->evaluate_mps_share(*member.traits, member.padded_fraction,
+                                               member.point.batch, 1, true_inflation);
 
       core::DeployedUnit unit;
       unit.service_id = member.spec->id;

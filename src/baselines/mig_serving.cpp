@@ -81,9 +81,8 @@ core::DeploymentPlan pack(const std::vector<ServiceProfile>& profiles,
 Result<core::ScheduleResult> MigServingScheduler::schedule(
     std::span<const core::ServiceSpec> services) {
   const auto start = std::chrono::steady_clock::now();
-  if (Status unique = core::check_unique_ids(services, core::ServiceIdIndex(services));
-      !unique.ok()) {
-    return unique.error();
+  if (Status valid = core::validate(services, core::ServiceIdIndex(services)); !valid.ok()) {
+    return valid.error();
   }
 
   // Collect the best single-process point per (service, size).

@@ -5,15 +5,12 @@
 namespace parva::baselines {
 namespace {
 constexpr std::array<int, 8> kBatchGrid = {1, 2, 4, 8, 16, 32, 64, 128};
+}  // namespace
 
-// The search logic is shared between the direct model and the memoizing
-// wrapper; both expose the same evaluate_mps_share contract and return
-// identical values for identical arguments.
-template <typename Model>
-std::optional<PartitionPoint> best_point_impl(const Model& perf,
-                                              const perfmodel::WorkloadTraits& traits,
-                                              double gpu_fraction, double latency_cap_ms,
-                                              double interference_inflation) {
+std::optional<PartitionPoint> best_partition_point(const perfmodel::AnalyticalPerfModel& perf,
+                                                   const perfmodel::WorkloadTraits& traits,
+                                                   double gpu_fraction, double latency_cap_ms,
+                                                   double interference_inflation) {
   std::optional<PartitionPoint> best;
   for (int batch : kBatchGrid) {
     auto result =
@@ -29,52 +26,18 @@ std::optional<PartitionPoint> best_point_impl(const Model& perf,
   return best;
 }
 
-template <typename Model>
-std::optional<PartitionPoint> smallest_fraction_impl(const Model& perf,
-                                                     const perfmodel::WorkloadTraits& traits,
-                                                     double target_throughput,
-                                                     double latency_cap_ms, double quantum,
-                                                     double interference_inflation) {
-  const int steps = static_cast<int>(1.0 / quantum + 0.5);
-  for (int i = 1; i <= steps; ++i) {
-    const double fraction = quantum * static_cast<double>(i);
-    auto point =
-        best_point_impl(perf, traits, fraction, latency_cap_ms, interference_inflation);
-    if (point.has_value() && point->throughput >= target_throughput) return point;
-  }
-  return std::nullopt;
-}
-
-}  // namespace
-
-std::optional<PartitionPoint> best_partition_point(const perfmodel::AnalyticalPerfModel& perf,
-                                                   const perfmodel::WorkloadTraits& traits,
-                                                   double gpu_fraction, double latency_cap_ms,
-                                                   double interference_inflation) {
-  return best_point_impl(perf, traits, gpu_fraction, latency_cap_ms, interference_inflation);
-}
-
-std::optional<PartitionPoint> best_partition_point(const perfmodel::CachedPerfModel& perf,
-                                                   const perfmodel::WorkloadTraits& traits,
-                                                   double gpu_fraction, double latency_cap_ms,
-                                                   double interference_inflation) {
-  return best_point_impl(perf, traits, gpu_fraction, latency_cap_ms, interference_inflation);
-}
-
 std::optional<PartitionPoint> smallest_fraction_for_rate(
     const perfmodel::AnalyticalPerfModel& perf, const perfmodel::WorkloadTraits& traits,
     double target_throughput, double latency_cap_ms, double quantum,
     double interference_inflation) {
-  return smallest_fraction_impl(perf, traits, target_throughput, latency_cap_ms, quantum,
-                                interference_inflation);
-}
-
-std::optional<PartitionPoint> smallest_fraction_for_rate(
-    const perfmodel::CachedPerfModel& perf, const perfmodel::WorkloadTraits& traits,
-    double target_throughput, double latency_cap_ms, double quantum,
-    double interference_inflation) {
-  return smallest_fraction_impl(perf, traits, target_throughput, latency_cap_ms, quantum,
-                                interference_inflation);
+  const int steps = static_cast<int>(1.0 / quantum + 0.5);
+  for (int i = 1; i <= steps; ++i) {
+    const double fraction = quantum * static_cast<double>(i);
+    auto point =
+        best_partition_point(perf, traits, fraction, latency_cap_ms, interference_inflation);
+    if (point.has_value() && point->throughput >= target_throughput) return point;
+  }
+  return std::nullopt;
 }
 
 }  // namespace parva::baselines

@@ -6,7 +6,6 @@
 #include <optional>
 
 #include "perfmodel/analytical_model.hpp"
-#include "perfmodel/perf_cache.hpp"
 
 namespace parva::baselines {
 
@@ -28,23 +27,11 @@ std::optional<PartitionPoint> best_partition_point(const perfmodel::AnalyticalPe
                                                    double gpu_fraction, double latency_cap_ms,
                                                    double interference_inflation);
 
-/// Memoized variant: identical results, repeated points cost a hash lookup.
-std::optional<PartitionPoint> best_partition_point(const perfmodel::CachedPerfModel& perf,
-                                                   const perfmodel::WorkloadTraits& traits,
-                                                   double gpu_fraction, double latency_cap_ms,
-                                                   double interference_inflation);
-
 /// Smallest fraction from `quantum` steps whose best point reaches
 /// `target_throughput` under the latency cap; nullopt if even a full GPU
 /// cannot.
 std::optional<PartitionPoint> smallest_fraction_for_rate(
     const perfmodel::AnalyticalPerfModel& perf, const perfmodel::WorkloadTraits& traits,
-    double target_throughput, double latency_cap_ms, double quantum,
-    double interference_inflation);
-
-/// Memoized variant: identical results, repeated points cost a hash lookup.
-std::optional<PartitionPoint> smallest_fraction_for_rate(
-    const perfmodel::CachedPerfModel& perf, const perfmodel::WorkloadTraits& traits,
     double target_throughput, double latency_cap_ms, double quantum,
     double interference_inflation);
 

@@ -95,28 +95,25 @@ class Rng {
   /// Standard normal via Box-Muller (stable across standard libraries).
   double normal(double mean, double stddev);
 
-  /// Derives an independent child stream; used to give each simulated
-  /// component its own stream without correlation.
-  Rng split() { return Rng(next_u64() ^ 0xa02bdbf7bb3c0a7ULL); }
-
   /// Derives the (tag, index) stream of a seed as a pure function of its
-  /// arguments — unlike split(), which depends on the parent's draw
-  /// position. Per-entity streams built this way are stable no matter how
-  /// many other entities exist or in what order they are constructed; the
-  /// sharded event engine relies on this to give every service and every
-  /// unit the exact same stream regardless of the shard partition.
+  /// arguments, independent of any other generator's draw position.
+  /// Per-entity streams built this way are stable no matter how many other
+  /// entities exist or in what order they are constructed; the sharded
+  /// event engine relies on this to give every service and every unit the
+  /// exact same stream regardless of the shard partition. The tag must be
+  /// an RngStreamTag: the raw-integer overload below is private, so a
+  /// literal tag does not compile.
+  static Rng stream(std::uint64_t seed, RngStreamTag tag, std::uint64_t index) {
+    return stream(seed, static_cast<std::uint64_t>(tag), index);
+  }
+
+ private:
   static Rng stream(std::uint64_t seed, std::uint64_t tag, std::uint64_t index) {
     std::uint64_t x = mix64(seed + 0x9e3779b97f4a7c15ULL * (tag + 1));
     x = mix64(x + 0x9e3779b97f4a7c15ULL * (index + 1));
     return Rng(x);
   }
 
-  /// Registry-checked overload: the only form call sites should use (R10).
-  static Rng stream(std::uint64_t seed, RngStreamTag tag, std::uint64_t index) {
-    return stream(seed, static_cast<std::uint64_t>(tag), index);
-  }
-
- private:
   static constexpr std::uint64_t rotl(std::uint64_t x, int k) {
     return (x << k) | (x >> (64 - k));
   }

@@ -114,27 +114,4 @@ double Samples::fraction_above(double threshold) const {
   return static_cast<double>(above) / static_cast<double>(values_.size());
 }
 
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), hi_(hi), counts_(bins, 0) {
-  PARVA_REQUIRE(hi > lo, "Histogram range must be non-empty");
-  PARVA_REQUIRE(bins > 0, "Histogram needs at least one bin");
-}
-
-void Histogram::add(double x) {
-  double t = (x - lo_) / (hi_ - lo_);
-  t = std::clamp(t, 0.0, 1.0);
-  auto idx = static_cast<std::size_t>(t * static_cast<double>(counts_.size()));
-  if (idx == counts_.size()) --idx;  // x == hi lands in the last bin
-  ++counts_[idx];
-  ++total_;
-}
-
-double Histogram::bin_lo(std::size_t i) const {
-  return lo_ + (hi_ - lo_) * static_cast<double>(i) / static_cast<double>(counts_.size());
-}
-
-double Histogram::bin_hi(std::size_t i) const {
-  return lo_ + (hi_ - lo_) * static_cast<double>(i + 1) / static_cast<double>(counts_.size());
-}
-
 }  // namespace parva

@@ -1,5 +1,5 @@
 // Streaming and batch statistics used by the profiler, the discrete-event
-// simulator, and the benches (mean, variance, percentiles, histograms).
+// simulator, and the benches (mean, variance, percentiles).
 #pragma once
 
 #include <cstddef>
@@ -60,7 +60,6 @@ class Samples {
   /// Percentile in [0,100]; linear interpolation between closest ranks.
   double percentile(double p) const;
   double p50() const { return percentile(50.0); }
-  double p95() const { return percentile(95.0); }
   double p99() const { return percentile(99.0); }
 
   /// Fraction of samples strictly above `threshold`.
@@ -72,24 +71,6 @@ class Samples {
   void ensure_sorted() const;
   mutable std::vector<double> values_;
   mutable bool sorted_ = false;
-};
-
-/// Fixed-bin histogram for quick distribution summaries in bench output.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t bins);
-  void add(double x);
-  std::size_t bin_count(std::size_t i) const { return counts_.at(i); }
-  std::size_t bins() const { return counts_.size(); }
-  std::size_t total() const { return total_; }
-  double bin_lo(std::size_t i) const;
-  double bin_hi(std::size_t i) const;
-
- private:
-  double lo_;
-  double hi_;
-  std::vector<std::size_t> counts_;
-  std::size_t total_ = 0;
 };
 
 }  // namespace parva

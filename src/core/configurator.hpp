@@ -33,9 +33,8 @@ class SegmentConfigurator {
   /// prefix-argmax lookup on the indexed surface finds the
   /// maximum-throughput point whose latency fits the internal bound (ties
   /// resolve as a first-wins scan of the profile table would; differential
-  /// coverage in tests/core/configurator_test.cpp). Fails with
-  /// kInvalidArgument, naming the service, when the SLO is not finite and
-  /// positive or the rate is NaN or negative, and with kCapacityExceeded
+  /// coverage in tests/core/configurator_test.cpp). Fails with validate()'s
+  /// kInvalidArgument for a service it refuses, and with kCapacityExceeded
   /// when no instance size can meet the SLO at all.
   [[nodiscard]] Result<ConfiguredService> triplet_decision(const ServiceSpec& spec,
                                              const profiler::ProfileSurface& surface) const;

@@ -66,7 +66,7 @@ Result<ScheduleResult> ParvaGpuScheduler::schedule(std::span<const ServiceSpec> 
 
   // The index also serves the model fill below, so the id table is built once.
   const ServiceIdIndex by_id(services);
-  if (Status unique = check_unique_ids(services, by_id); !unique.ok()) return unique.error();
+  if (Status valid = validate(services, by_id); !valid.ok()) return valid.error();
 
   auto configured = configurator_.configure(services, surfaces_);
   if (!configured.ok()) return configured.error();

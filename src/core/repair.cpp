@@ -7,18 +7,6 @@
 
 namespace parva::core {
 
-std::vector<std::size_t> RepairCoordinator::detect_lost_units(
-    const Deployment& deployment) const {
-  std::vector<std::size_t> lost;
-  for (std::size_t i = 0; i < deployment.units.size(); ++i) {
-    const int gpu = deployment.units[i].gpu_index;
-    if (gpu >= 0 && deployer_->nvml().device_lost(static_cast<unsigned>(gpu))) {
-      lost.push_back(i);
-    }
-  }
-  return lost;
-}
-
 Result<RepairReport> RepairCoordinator::handle_gpu_loss(Deployment& current,
                                                         DeployedState& state, int lost_gpu) {
   if (state.unit_instances.size() != current.units.size()) {

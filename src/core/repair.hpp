@@ -58,10 +58,6 @@ class RepairCoordinator {
   RepairCoordinator(Deployer& deployer, LiveUpdater& updater, RepairOptions options = {})
       : deployer_(&deployer), updater_(&updater), options_(options) {}
 
-  /// Indices into `deployment.units` of units whose device the control
-  /// plane reports lost.
-  std::vector<std::size_t> detect_lost_units(const Deployment& deployment) const;
-
   /// Handles the loss of `lost_gpu`: drops its units from `current`/`state`
   /// (they are already gone on the hardware), computes replacement
   /// placements on surviving GPUs for the displaced demand, and drives the

@@ -12,6 +12,21 @@
 
 namespace parva::core {
 
+Status validate(const ServiceSpec& spec) {
+  const auto refuse = [&spec](const char* why) {
+    return Status(ErrorCode::kInvalidArgument,
+                  "service " + std::to_string(spec.id) + " (" + spec.model + "): " + why);
+  };
+  if (spec.id < 0) return refuse("id must be non-negative");
+  // Negated comparisons, so a NaN fails them too.
+  if (!(std::isfinite(spec.slo_latency_ms) && spec.slo_latency_ms > 0.0)) {
+    return refuse("SLO latency must be finite and positive");
+  }
+  if (!(spec.request_rate >= 0.0)) return refuse("request rate must be non-negative");
+  if (!std::isfinite(spec.request_rate)) return refuse("request rate is not finite");
+  return Status::Ok();
+}
+
 Result<std::vector<ServiceSpec>> services_from_csv(std::string_view csv) {
   std::vector<ServiceSpec> services;
   std::set<int> ids;
@@ -23,7 +38,7 @@ Result<std::vector<ServiceSpec>> services_from_csv(std::string_view csv) {
       first = false;
       continue;
     }
-    const auto refuse = [&](const char* why) {
+    const auto refuse = [&](std::string_view why) {
       return Error(ErrorCode::kInvalidArgument,
                    std::string(why) + " in services row: " + std::string(row));
     };
@@ -38,13 +53,8 @@ Result<std::vector<ServiceSpec>> services_from_csv(std::string_view csv) {
     spec.id = static_cast<int>(id);
     spec.model = std::string(trim(fields[1]));
     if (!parse_double(trim(fields[2]), spec.slo_latency_ms)) return refuse("bad slo");
-    if (!std::isfinite(spec.slo_latency_ms) || spec.slo_latency_ms <= 0.0) {
-      return refuse("slo must be finite and positive");
-    }
     if (!parse_double(trim(fields[3]), spec.request_rate)) return refuse("bad rate");
-    if (!std::isfinite(spec.request_rate) || spec.request_rate < 0.0) {
-      return refuse("rate must be finite and non-negative");
-    }
+    if (Status valid = validate(spec); !valid.ok()) return refuse(valid.error().message());
     if (!ids.insert(spec.id).second) return refuse("repeated id");
     services.push_back(std::move(spec));
   }
@@ -126,7 +136,10 @@ std::size_t ServiceIdIndex::probe(int id) const {
   return slot;
 }
 
-Status check_unique_ids(std::span<const ServiceSpec> services, const ServiceIdIndex& by_id) {
+Status validate(std::span<const ServiceSpec> services, const ServiceIdIndex& by_id) {
+  for (const ServiceSpec& spec : services) {
+    if (Status valid = validate(spec); !valid.ok()) return valid;
+  }
   const auto repeat = by_id.first_repeat();
   if (!repeat) return Status::Ok();
   return Status(ErrorCode::kInvalidArgument,

@@ -50,11 +50,15 @@ struct ServiceSpec {
   std::optional<LlmWorkload> llm;
 };
 
+/// Refuses a service no stage can plan or simulate: kInvalidArgument,
+/// naming the service, for a negative id, an SLO that is not finite and
+/// positive, or a rate that is not finite and non-negative; ok otherwise.
+[[nodiscard]] Status validate(const ServiceSpec& spec);
+
 /// Parses a services CSV: a header line, then one
 /// `id,model,slo_latency_ms,request_rate` row per service. Returns
 /// kInvalidArgument, naming the row, for a malformed row, an id above
-/// INT_MAX, a non-finite or non-positive SLO, a non-finite or negative
-/// rate, or a repeated id.
+/// INT_MAX, a service validate() refuses, or a repeated id.
 [[nodiscard]] Result<std::vector<ServiceSpec>> services_from_csv(std::string_view csv);
 
 /// An operating triplet (instance size, batch size, process count) together
@@ -161,11 +165,12 @@ class ServiceIdIndex {
   std::optional<std::size_t> first_repeat_;
 };
 
-/// Refuses a service list in which two services share an id, because every
-/// stage after it keys on the id: kInvalidArgument naming the first repeat
-/// (`by_id.first_repeat()`), ok otherwise. `by_id` must index `services`.
-/// Every scheduler calls this before it plans anything.
-[[nodiscard]] Status check_unique_ids(std::span<const ServiceSpec> services,
-                                      const ServiceIdIndex& by_id);
+/// validate() on each service in list order, then refuses a list in which
+/// two services share an id, because every stage after it keys on the id:
+/// kInvalidArgument naming the first failure (a repeat is the position
+/// `by_id.first_repeat()`), ok otherwise. `by_id` must index `services`.
+/// Every scheduler calls this before it plans anything, and the simulator
+/// before it runs.
+[[nodiscard]] Status validate(std::span<const ServiceSpec> services, const ServiceIdIndex& by_id);
 
 }  // namespace parva::core

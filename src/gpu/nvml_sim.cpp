@@ -1,6 +1,5 @@
 #include "gpu/nvml_sim.hpp"
 
-#include "common/strings.hpp"
 #include "gpu/dcgm_sim.hpp"
 
 namespace parva::gpu {
@@ -28,45 +27,6 @@ void NvmlSim::log_op(std::string op) {
         .counter("parva_nvml_operations_total", "Control-plane operations performed")
         .inc();
   }
-}
-
-std::vector<GpuInstanceProfileInfo> NvmlSim::supported_profiles() {
-  std::vector<GpuInstanceProfileInfo> profiles;
-  int id = 0;
-  for (const ProfileSpec& spec : kProfileTable) {
-    GpuInstanceProfileInfo info;
-    info.profile_id = id++;
-    info.gpc_count = spec.gpcs;
-    info.memory_gib = spec.memory_gib;
-    info.name = std::to_string(spec.gpcs) + "g." + format_double(info.memory_gib, 0) + "gb";
-    profiles.push_back(std::move(info));
-  }
-  return profiles;
-}
-
-std::vector<GpuInstancePlacementInfo> NvmlSim::profile_placements(int gpc_count) {
-  std::vector<GpuInstancePlacementInfo> placements;
-  for (int start : legal_start_slots(gpc_count)) {
-    const Placement p{gpc_count, start};
-    placements.push_back({start, p.span()});
-  }
-  return placements;
-}
-
-NvmlReturn NvmlSim::set_mig_mode(unsigned device, bool enabled) {
-  if (device >= cluster_->size()) return NvmlReturn::kErrorNotFound;
-  if (device_lost(device)) return NvmlReturn::kErrorGpuIsLost;
-  if (mig_enabled_.size() < cluster_->size()) mig_enabled_.resize(cluster_->size(), true);
-  mig_enabled_[device] = enabled;
-  cluster_->gpu(device).reset();
-  log_op("set_mig_mode gpu=" + std::to_string(device) +
-                        " enabled=" + (enabled ? "1" : "0"));
-  return NvmlReturn::kSuccess;
-}
-
-bool NvmlSim::mig_mode(unsigned device) const {
-  if (device < mig_enabled_.size()) return mig_enabled_[device];
-  return true;  // simulated devices boot with MIG enabled
 }
 
 NvmlReturn NvmlSim::fail_device(unsigned device, int xid) {
@@ -100,14 +60,6 @@ NvmlReturn NvmlSim::restore_device(unsigned device) {
 
 bool NvmlSim::device_lost(unsigned device) const {
   return device < lost_.size() && lost_[device];
-}
-
-std::vector<int> NvmlSim::lost_devices() const {
-  std::vector<int> lost;
-  for (std::size_t i = 0; i < lost_.size(); ++i) {
-    if (lost_[i]) lost.push_back(static_cast<int>(i));
-  }
-  return lost;
 }
 
 NvmlReturn NvmlSim::translate(const Status& status, const std::string& op) {

@@ -8,9 +8,8 @@
 // Fault injection: an attached FaultInjector (fault_plan.hpp) can make
 // instance-creation calls fail transiently (NVML_ERROR_IN_USE) and
 // fail_device() drops a whole GPU (NVML_ERROR_GPU_IS_LOST, XID-style).
-// An attached DcgmSim receives the corresponding health events, so a
-// control loop polling the health watches observes faults exactly as a
-// production DCGM consumer would.
+// An attached DcgmSim records each of these as a HealthEvent, in the order
+// a production DCGM health watch would surface them.
 #pragma once
 
 #include <cstdint>
@@ -43,39 +42,12 @@ const char* nvml_error_string(NvmlReturn ret);
 /// them on its own); device loss and geometry errors are not retryable.
 bool nvml_is_transient(NvmlReturn ret);
 
-/// GPU-instance profile descriptors (mirrors nvmlGpuInstanceProfileInfo_t).
-struct GpuInstanceProfileInfo {
-  int profile_id = 0;      ///< index into kInstanceSizes
-  int gpc_count = 0;       ///< slice count (1,2,3,4,7)
-  double memory_gib = 0.0; ///< memory grant
-  std::string name;        ///< e.g. "1g.10gb"
-};
-
-/// Placement descriptor (mirrors nvmlGpuInstancePlacement_t).
-struct GpuInstancePlacementInfo {
-  int start = 0;
-  int size = 0;  ///< slot span
-};
-
 /// The control plane. All mutation of the simulated GPUs performed by the
 /// schedulers' deployers flows through this class, so a transcript of calls
 /// is available for tests (operation log).
 class NvmlSim {
  public:
   explicit NvmlSim(GpuCluster& cluster) : cluster_(&cluster) {}
-
-  unsigned device_count() const { return static_cast<unsigned>(cluster_->size()); }
-
-  /// Supported GI profiles on A100-80GB.
-  static std::vector<GpuInstanceProfileInfo> supported_profiles();
-
-  /// Legal placements for a profile on an idle device.
-  static std::vector<GpuInstancePlacementInfo> profile_placements(int gpc_count);
-
-  /// Enables MIG mode on a device; destroys existing instances
-  /// (matches real-driver semantics where toggling MIG resets the device).
-  [[nodiscard]] NvmlReturn set_mig_mode(unsigned device, bool enabled);
-  bool mig_mode(unsigned device) const;
 
   /// Creates a GPU instance of `gpc_count` at the driver-chosen placement.
   [[nodiscard]] NvmlReturn create_gpu_instance(unsigned device, int gpc_count, GlobalInstanceId* out);
@@ -100,7 +72,6 @@ class NvmlSim {
   /// Attaches a fault injector (non-owning; nullptr detaches). Subsequent
   /// instance-creation calls consult it for transient failures.
   void set_fault_injector(FaultInjector* injector) { injector_ = injector; }
-  FaultInjector* fault_injector() { return injector_; }
 
   /// Attaches a health monitor (non-owning); device losses and injected
   /// faults are surfaced there as HealthEvents.
@@ -126,7 +97,6 @@ class NvmlSim {
   [[nodiscard]] NvmlReturn restore_device(unsigned device);
 
   bool device_lost(unsigned device) const;
-  std::vector<int> lost_devices() const;
 
   /// Number of control-plane operations performed (reconfiguration cost
   /// accounting for the Deployer tests).
@@ -150,7 +120,6 @@ class NvmlSim {
   DcgmSim* dcgm_ = nullptr;
   telemetry::Telemetry* telemetry_ = nullptr;
   double time_ms_ = 0.0;
-  std::vector<bool> mig_enabled_;
   std::vector<bool> lost_;
   std::vector<std::string> operations_;
 };

@@ -52,8 +52,6 @@ class ProfileSurface {
 
   /// The distinct instance sizes present on the surface, ascending.
   const std::vector<int>& instance_sizes() const { return sizes_; }
-  /// The distinct process counts present, ascending.
-  const std::vector<int>& process_counts() const { return procs_; }
 
  private:
   struct Shelf {

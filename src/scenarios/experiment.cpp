@@ -27,11 +27,6 @@ std::string framework_name(Framework framework) {
   return "unknown";
 }
 
-std::vector<Framework> headline_frameworks() {
-  return {Framework::kGpulet, Framework::kIgniter, Framework::kMigServing,
-          Framework::kParvaGpu};
-}
-
 std::vector<Framework> all_frameworks() {
   return {Framework::kGpulet,   Framework::kIgniter,        Framework::kMigServing,
           Framework::kParvaGpu, Framework::kParvaGpuSingle, Framework::kParvaGpuUnoptimized};

@@ -31,8 +31,6 @@ enum class Framework {
 
 std::string framework_name(Framework framework);
 
-/// The frameworks of the paper's headline comparison (Fig. 5-9 order).
-std::vector<Framework> headline_frameworks();
 /// Including the ParvaGPU ablation variants.
 std::vector<Framework> all_frameworks();
 

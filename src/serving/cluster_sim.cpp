@@ -991,11 +991,11 @@ SimulationResult ClusterSimulation::run(const SimulationOptions& options) const 
   PARVA_REQUIRE(std::isfinite(options.recovered_at_ms) && options.recovered_at_ms >= 0.0,
                 "recovery time must be finite and non-negative");
   // Units, outcomes and streams all key on the service id, so two services
-  // sharing one would silently merge into the first.
+  // sharing one would silently merge into the first; a non-finite rate
+  // would pace arrivals 0 ms apart, and a NaN SLO is never violated.
   const core::ServiceIdIndex svc_by_id(services_);
-  const auto repeat = svc_by_id.first_repeat();
-  PARVA_REQUIRE(!repeat, "service id " + std::to_string(services_[*repeat].id) +
-                             " repeats an earlier service's id");
+  const Status valid = core::validate(services_, svc_by_id);
+  PARVA_REQUIRE(valid.ok(), valid.error().message());
   const double horizon_ms = options.warmup_ms + options.duration_ms;
   const std::size_t service_count = services_.size();
   const std::size_t unit_count = deployment_->units.size();

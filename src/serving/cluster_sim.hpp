@@ -1,7 +1,8 @@
 // Discrete-event simulation of the inference-serving cluster.
 //
-// Executes any Deployment (ParvaGPU's or a baseline's) under open-loop
-// Poisson request arrivals:
+// Executes any Deployment (ParvaGPU's or a baseline's) under paced request
+// arrivals at each service's rate (ArrivalProcess::kDeterministic, the
+// default; Poisson and bursty arrivals are options):
 //   * each deployed unit runs `procs` concurrent server processes, each
 //     serving batches up to the unit's configured batch size;
 //   * requests are dispatched to the unit with the lowest expected delay
@@ -11,8 +12,9 @@
 //   * batch service times are the unit's ground-truth latency (including
 //     any MPS interference inflation baked into actual_latency_ms) scaled
 //     to the actual fill level, with multiplicative jitter;
-//   * per-batch SM-time is charged to a DCGM-style activity counter, from
-//     which Eq. 3 internal slack is measured exactly as the paper does.
+//   * per-batch SM-time is charged to the unit's DCGM-style activity
+//     counter (SimulationResult::unit_activity), from which Eq. 3 internal
+//     slack is measured exactly as the paper does.
 //
 // SLO accounting follows Section IV-C1: a batch violates when any request
 // it contains exceeds the service's (full) SLO latency from arrival to

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "common/stats.hpp"
 
 namespace parva {
@@ -75,19 +77,15 @@ TEST(RngTest, NormalMoments) {
   EXPECT_NEAR(stats.stddev(), 3.0, 0.1);
 }
 
-TEST(RngTest, SplitStreamsAreIndependentAndDeterministic) {
-  Rng parent1(7);
-  Rng parent2(7);
-  Rng child1 = parent1.split();
-  Rng child2 = parent2.split();
-  for (int i = 0; i < 10; ++i) {
-    EXPECT_EQ(child1.next_u64(), child2.next_u64());
-  }
-  // Child differs from a fresh parent stream.
-  Rng parent3(7);
-  (void)parent3.split();
-  EXPECT_NE(child1.next_u64(), parent3.next_u64());
-}
+// Rng::stream takes its tag only as an RngStreamTag: a raw integer, which
+// could collide with a registered tag's value, does not compile.
+template <typename Tag>
+concept StreamTag = requires(std::uint64_t seed, Tag tag, std::uint64_t index) {
+  Rng::stream(seed, tag, index);
+};
+static_assert(StreamTag<RngStreamTag>);
+static_assert(!StreamTag<std::uint64_t>);
+static_assert(!StreamTag<int>);
 
 }  // namespace
 }  // namespace parva

@@ -170,24 +170,5 @@ TEST(SamplesTest, EmptySetReportsZeroInsteadOfThrowing) {
   EXPECT_THROW((void)empty.percentile(101.0), std::logic_error);
 }
 
-TEST(HistogramTest, BinningAndClamping) {
-  Histogram histogram(0.0, 10.0, 5);
-  histogram.add(0.0);    // first bin
-  histogram.add(9.999);  // last bin
-  histogram.add(10.0);   // boundary lands in last bin
-  histogram.add(-5.0);   // clamped to first
-  histogram.add(15.0);   // clamped to last
-  EXPECT_EQ(histogram.total(), 5u);
-  EXPECT_EQ(histogram.bin_count(0), 2u);
-  EXPECT_EQ(histogram.bin_count(4), 3u);
-  EXPECT_DOUBLE_EQ(histogram.bin_lo(0), 0.0);
-  EXPECT_DOUBLE_EQ(histogram.bin_hi(4), 10.0);
-}
-
-TEST(HistogramTest, InvalidConstruction) {
-  EXPECT_THROW(Histogram(1.0, 1.0, 4), std::logic_error);
-  EXPECT_THROW(Histogram(0.0, 1.0, 0), std::logic_error);
-}
-
 }  // namespace
 }  // namespace parva

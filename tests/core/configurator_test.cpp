@@ -171,10 +171,9 @@ TEST_F(ConfiguratorTest, UnknownModelFailsCleanly) {
   EXPECT_EQ(configured.error().code(), ErrorCode::kNotFound);
 }
 
-// An SLO that is not finite and positive, or a NaN or negative rate, is
-// refused with an Error naming the service, by triplet_decision and by
-// schedule() through it. (An infinite rate passes triplet_decision and is
-// refused by demand_matching; see HugeOrInfiniteRateIsRefusedNotUnderProvisioned.)
+// An SLO that is not finite and positive, or a rate that is not finite and
+// non-negative, is refused with an Error naming the service, by
+// triplet_decision and by schedule() through it.
 TEST_F(ConfiguratorTest, InvalidSloOrRateIsRefused) {
   const double nan = std::numeric_limits<double>::quiet_NaN();
   const double inf = std::numeric_limits<double>::infinity();
@@ -183,7 +182,8 @@ TEST_F(ConfiguratorTest, InvalidSloOrRateIsRefused) {
   for (const ServiceSpec& spec :
        {service(7, "resnet-50", 0, 10), service(7, "resnet-50", 100, -1),
         service(7, "resnet-50", nan, 10), service(7, "resnet-50", inf, 10),
-        service(7, "resnet-50", -5, 10), service(7, "resnet-50", 100, nan)}) {
+        service(7, "resnet-50", -5, 10), service(7, "resnet-50", 100, nan),
+        service(7, "resnet-50", 100, inf)}) {
     const std::string what =
         "slo=" + std::to_string(spec.slo_latency_ms) + " rate=" + std::to_string(spec.request_rate);
     const auto decided = configurator_.triplet_decision(spec, *surface);
@@ -240,6 +240,8 @@ INSTANTIATE_TEST_SUITE_P(AllModels, ConfiguratorProperty,
 
 // A rate whose whole-segment count leaves the `int` range, or that is not
 // finite, is refused rather than planned with fewer segments than it needs.
+// triplet_decision already refuses an infinite rate; demand_matching also
+// runs on hand-built configurations, so it refuses one on its own too.
 TEST_F(ConfiguratorTest, HugeOrInfiniteRateIsRefusedNotUnderProvisioned) {
   const ServiceSpec huge = service(0, "resnet-50", 205, 1e13);
   const ServiceSpec infinite =
@@ -251,7 +253,11 @@ TEST_F(ConfiguratorTest, HugeOrInfiniteRateIsRefusedNotUnderProvisioned) {
   ASSERT_FALSE(too_many.ok());
   EXPECT_EQ(too_many.error().code(), ErrorCode::kCapacityExceeded);
 
-  decided = configurator_.triplet_decision(infinite, *surface).value();
+  const auto infinite_decided = configurator_.triplet_decision(infinite, *surface);
+  ASSERT_FALSE(infinite_decided.ok());
+  EXPECT_EQ(infinite_decided.error().code(), ErrorCode::kInvalidArgument);
+  decided = configurator_.triplet_decision(service(0, "resnet-50", 205, 1000), *surface).value();
+  decided.spec.request_rate = std::numeric_limits<double>::infinity();
   const Status not_finite = configurator_.demand_matching(decided);
   ASSERT_FALSE(not_finite.ok());
   EXPECT_EQ(not_finite.error().code(), ErrorCode::kInvalidArgument);

@@ -57,7 +57,8 @@ TEST_F(RepairTest, GpuLossReplacesDisplacedUnitsOffTheLostDevice) {
   DeployedState state = deployer.deploy(deployment).value();
   const auto lost_triplets_before = triplets(deployment.units);
 
-  // Kill the GPU with the most units; detection sees exactly its units.
+  // Kill the GPU with the most units; the control plane reports exactly
+  // its units lost.
   std::map<int, int> per_gpu;
   for (const auto& unit : deployment.units) ++per_gpu[unit.gpu_index];
   const int victim =
@@ -68,11 +69,11 @@ TEST_F(RepairTest, GpuLossReplacesDisplacedUnitsOffTheLostDevice) {
 
   LiveUpdater updater(deployer);
   RepairCoordinator repairer(deployer, updater);
-  const auto detected = repairer.detect_lost_units(deployment);
-  EXPECT_EQ(detected.size(), static_cast<std::size_t>(per_gpu[victim]));
-  for (std::size_t index : detected) {
-    EXPECT_EQ(deployment.units[index].gpu_index, victim);
-  }
+  const auto on_lost_device = [&nvml](const DeployedUnit& unit) {
+    return nvml.device_lost(static_cast<unsigned>(unit.gpu_index));
+  };
+  EXPECT_EQ(std::count_if(deployment.units.begin(), deployment.units.end(), on_lost_device),
+            per_gpu[victim]);
 
   const auto repaired = repairer.handle_gpu_loss(deployment, state, victim);
   ASSERT_TRUE(repaired.ok()) << repaired.error().to_string();
@@ -122,7 +123,10 @@ TEST_F(RepairTest, LossOfEmptyGpuNeedsNoRecovery) {
 
   LiveUpdater updater(deployer);
   RepairCoordinator repairer(deployer, updater);
-  EXPECT_TRUE(repairer.detect_lost_units(deployment).empty());
+  EXPECT_TRUE(std::none_of(
+      deployment.units.begin(), deployment.units.end(), [&nvml](const DeployedUnit& unit) {
+        return nvml.device_lost(static_cast<unsigned>(unit.gpu_index));
+      }));
   const auto repaired = repairer.handle_gpu_loss(deployment, state, spare);
   ASSERT_TRUE(repaired.ok());
   EXPECT_EQ(repaired.value().lost_units, 0);

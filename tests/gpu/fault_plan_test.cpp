@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "gpu/dcgm_sim.hpp"
 #include "gpu/nvml_sim.hpp"
 
@@ -82,7 +84,7 @@ TEST_F(NvmlFaultTest, FailDeviceDropsInstancesAndBlocksOperations) {
   nvml_.set_time_ms(1'234.0);
   ASSERT_EQ(nvml_.fail_device(0, 79), NvmlReturn::kSuccess);
   EXPECT_TRUE(nvml_.device_lost(0));
-  EXPECT_EQ(nvml_.lost_devices(), std::vector<int>{0});
+  EXPECT_FALSE(nvml_.device_lost(1));
   EXPECT_EQ(cluster_.gpu(0).occupied_mask(), 0);  // XID reset wiped the device
 
   // Every operation on the lost device reports NVML_ERROR_GPU_IS_LOST.
@@ -105,8 +107,14 @@ TEST_F(NvmlFaultTest, FailDeviceDropsInstancesAndBlocksOperations) {
   EXPECT_EQ(event.gpu, 0);
   EXPECT_EQ(event.xid, 79);
   EXPECT_DOUBLE_EQ(event.time_ms, 1'234.0);
-  EXPECT_TRUE(dcgm_.device_unhealthy(0));
-  EXPECT_FALSE(dcgm_.device_unhealthy(1));
+  const auto device_lost_events = [this](int gpu) {
+    return std::count_if(dcgm_.health_events().begin(), dcgm_.health_events().end(),
+                         [gpu](const HealthEvent& e) {
+                           return e.gpu == gpu && e.kind == HealthEventKind::kDeviceLost;
+                         });
+  };
+  EXPECT_GT(device_lost_events(0), 0);
+  EXPECT_EQ(device_lost_events(1), 0);
 
   // Replacement hardware: the device returns clean and usable.
   ASSERT_EQ(nvml_.restore_device(0), NvmlReturn::kSuccess);

@@ -11,25 +11,6 @@ class NvmlSimTest : public ::testing::Test {
   NvmlSim nvml_{cluster_};
 };
 
-TEST_F(NvmlSimTest, SupportedProfilesMatchA100) {
-  const auto profiles = NvmlSim::supported_profiles();
-  ASSERT_EQ(profiles.size(), 5u);
-  EXPECT_EQ(profiles[0].name, "1g.10gb");
-  EXPECT_EQ(profiles[1].name, "2g.20gb");
-  EXPECT_EQ(profiles[2].name, "3g.40gb");
-  EXPECT_EQ(profiles[3].name, "4g.40gb");
-  EXPECT_EQ(profiles[4].name, "7g.80gb");
-}
-
-TEST_F(NvmlSimTest, ProfilePlacements) {
-  const auto placements = NvmlSim::profile_placements(3);
-  ASSERT_EQ(placements.size(), 2u);
-  EXPECT_EQ(placements[0].start, 0);
-  EXPECT_EQ(placements[0].size, 4);  // 3g at 0 spans 4 slots
-  EXPECT_EQ(placements[1].start, 4);
-  EXPECT_EQ(placements[1].size, 3);
-}
-
 TEST_F(NvmlSimTest, CreateDestroyRoundTrip) {
   GlobalInstanceId id;
   ASSERT_EQ(nvml_.create_gpu_instance(0, 4, &id), NvmlReturn::kSuccess);
@@ -65,14 +46,6 @@ TEST_F(NvmlSimTest, OutOfMemoryMapsToInsufficientMemory) {
   GlobalInstanceId id;
   ASSERT_EQ(nvml_.create_gpu_instance(0, 1, &id), NvmlReturn::kSuccess);  // 10 GiB
   EXPECT_EQ(nvml_.launch_process(id, {"m", 1, 11.0}), NvmlReturn::kErrorInsufficientMemory);
-}
-
-TEST_F(NvmlSimTest, MigModeToggleResetsDevice) {
-  GlobalInstanceId id;
-  ASSERT_EQ(nvml_.create_gpu_instance(0, 7, &id), NvmlReturn::kSuccess);
-  ASSERT_EQ(nvml_.set_mig_mode(0, true), NvmlReturn::kSuccess);
-  EXPECT_EQ(cluster_.find_instance(id), nullptr);
-  EXPECT_TRUE(nvml_.mig_mode(0));
 }
 
 TEST_F(NvmlSimTest, OperationLogRecordsControlPlaneCalls) {

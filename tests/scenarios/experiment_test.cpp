@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <string>
+#include <vector>
+
 namespace parva::scenarios {
 namespace {
 
@@ -20,7 +24,6 @@ TEST(ExperimentTest, FrameworkNames) {
 }
 
 TEST(ExperimentTest, FrameworkLists) {
-  EXPECT_EQ(headline_frameworks().size(), 4u);
   EXPECT_EQ(all_frameworks().size(), 6u);
 }
 
@@ -48,6 +51,34 @@ TEST(ExperimentTest, EveryFrameworkRefusesARepeatedServiceId) {
     EXPECT_NE(result.error().to_string().find("service 0 at position 1 repeats"),
               std::string::npos)
         << result.error().to_string();
+  }
+}
+
+TEST(ExperimentTest, EveryFrameworkRefusesAnInvalidService) {
+  // Each framework refuses, before it plans, a service with a negative id,
+  // an SLO that is not finite and positive, or a rate that is not finite
+  // and non-negative. Left to plan, gpulet's chunk loop never ends on an
+  // infinite rate, and a NaN SLO plans a service that can never miss it.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::vector<core::ServiceSpec> invalid = {
+      {3, "resnet-50", nan, 800, {}}, {3, "resnet-50", inf, 800, {}},
+      {3, "resnet-50", 0, 800, {}},   {3, "resnet-50", -5, 800, {}},
+      {3, "resnet-50", 205, nan, {}}, {3, "resnet-50", 205, inf, {}},
+      {3, "resnet-50", 205, -1, {}},  {-1, "resnet-50", 205, 800, {}}};
+  for (const Framework framework : all_frameworks()) {
+    for (const core::ServiceSpec& spec : invalid) {
+      const std::vector<core::ServiceSpec> services = {{0, "vgg-19", 397, 300, {}}, spec};
+      const auto result = context().make_scheduler(framework)->schedule(services);
+      const std::string what = framework_name(framework) + " id=" + std::to_string(spec.id) +
+                               " slo=" + std::to_string(spec.slo_latency_ms) +
+                               " rate=" + std::to_string(spec.request_rate);
+      ASSERT_FALSE(result.ok()) << what;
+      EXPECT_EQ(result.error().code(), ErrorCode::kInvalidArgument) << what;
+      EXPECT_NE(result.error().message().find("service " + std::to_string(spec.id) + " ("),
+                std::string::npos)
+          << what << ": " << result.error().to_string();
+    }
   }
 }
 

@@ -203,8 +203,38 @@ TEST_F(ClusterSimTest, RepeatedServiceIdThrows) {
     (void)sim.run(fast_options());
     FAIL() << "a repeated service id was accepted";
   } catch (const std::logic_error& error) {
-    EXPECT_NE(std::string(error.what()).find("service id 7 "), std::string::npos)
+    EXPECT_NE(std::string(error.what()).find("service 7 at position 1 repeats"),
+              std::string::npos)
         << error.what();
+  }
+}
+
+TEST_F(ClusterSimTest, InvalidServiceThrows) {
+  // A non-finite rate would pace arrivals 0 ms apart (arrivals repeat at
+  // t=0 until memory runs out), and a NaN SLO is never violated, so the
+  // simulator refuses every service the schedulers refuse.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::vector<core::ServiceSpec> sized_for = {service(7, "resnet-50", 205, 400)};
+  const core::Deployment deployment = schedule(sized_for);
+  for (const core::ServiceSpec& spec :
+       {service(7, "resnet-50", nan, 400), service(7, "resnet-50", inf, 400),
+        service(7, "resnet-50", 0, 400), service(7, "resnet-50", -5, 400),
+        service(7, "resnet-50", 205, nan), service(7, "resnet-50", 205, inf),
+        service(7, "resnet-50", 205, -1), service(-1, "resnet-50", 205, 400)}) {
+    const std::vector<core::ServiceSpec> offered = {spec};
+    ClusterSimulation sim(deployment, offered, perf_);
+    const std::string what = "id=" + std::to_string(spec.id) +
+                             " slo=" + std::to_string(spec.slo_latency_ms) +
+                             " rate=" + std::to_string(spec.request_rate);
+    try {
+      (void)sim.run(fast_options());
+      ADD_FAILURE() << "an invalid service was simulated: " << what;
+    } catch (const std::logic_error& error) {
+      EXPECT_NE(std::string(error.what()).find("service " + std::to_string(spec.id) + " ("),
+                std::string::npos)
+          << error.what();
+    }
   }
 }
 

@@ -52,7 +52,7 @@ void check_r1(const LexedFile& lexed, const std::string& path,
     } else if (t.text == "random_device") {
       add_finding(findings, lexed, path, t.line, "R1",
                   "std::random_device is banned: it is nondeterministic by design; "
-                  "derive streams from parva::Rng::split()");
+                  "derive streams from parva::Rng::stream()");
     } else if (t.text == "system_clock") {
       add_finding(findings, lexed, path, t.line, "R1",
                   "std::chrono::system_clock is banned in simulation code: wall-clock "
