@@ -28,6 +28,8 @@
 //       PREFIX.csv (metric summary). The printed report is byte-identical
 //       with or without it.
 //
+// A flag the subcommand does not read exits 2, as a repeated flag does.
+//
 // Examples:
 //   $ parvactl profile --models resnet-50,vgg-19 --out /tmp/profiles.csv
 //   $ parvactl schedule --services my_services.csv
@@ -37,7 +39,9 @@
 #include <iostream>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <sstream>
+#include <string_view>
 
 #include "common/cli.hpp"
 #include "common/strings.hpp"
@@ -68,9 +72,19 @@ int usage() {
                "            [--inject-fault gpu=0@t=10000] [--transient-p 0.15]\n"
                "            [--seed 7] [--duration-ms 28000] [--telemetry-out PREFIX]\n"
                "            [--shards N] [--arrivals deterministic|poisson|bursty]\n"
-               "            [--llm-admission reject|evict] [--llm-eviction fifo|lru]\n"
-               "            [--llm-dispatch least-loaded|round-robin|p2c]\n"
-               "            [--llm-chunk TOKENS]\n";
+               "            [--llm-admission reject|evict]\n";
+  return 2;
+}
+
+/// Names on stderr the first flag, in command-line order, that the
+/// subcommand does not read, and returns 2 (a usage error, like a repeated
+/// flag); returns 0 when it reads them all. A misspelled or retired flag
+/// must not run with its default.
+int refuse_unknown_flags(const CliArgs& args, std::initializer_list<std::string_view> known) {
+  const std::optional<std::string> unknown = args.first_unknown(known);
+  if (!unknown) return 0;
+  std::cerr << "error: parvactl " << args.positional().front() << " has no flag --"
+            << *unknown << "\n";
   return 2;
 }
 
@@ -112,6 +126,7 @@ bool parse_fault_spec(const std::string& spec, gpu::GpuFailureEvent* out) {
 }
 
 int cmd_profile(const CliArgs& args) {
+  if (const int rc = refuse_unknown_flags(args, {"models", "out"}); rc != 0) return rc;
   const std::string models_arg = args.get("models", "");
   std::vector<std::string> models;
   if (models_arg.empty()) {
@@ -140,6 +155,11 @@ int cmd_profile(const CliArgs& args) {
 }
 
 int cmd_schedule(const CliArgs& args) {
+  if (const int rc =
+          refuse_unknown_flags(args, {"services", "scenario", "profiles", "framework"});
+      rc != 0) {
+    return rc;
+  }
   // Services: from CSV or a built-in scenario.
   std::vector<core::ServiceSpec> services;
   if (args.has("services")) {
@@ -214,6 +234,12 @@ int cmd_schedule(const CliArgs& args) {
 }
 
 int cmd_simulate(const CliArgs& args) {
+  if (const int rc = refuse_unknown_flags(
+          args, {"services", "scenario", "inject-fault", "transient-p", "seed", "duration-ms",
+                 "telemetry-out", "shards", "arrivals", "llm-admission"});
+      rc != 0) {
+    return rc;
+  }
   std::vector<core::ServiceSpec> services;
   bool streaming_default = false;
   if (args.has("services")) {
@@ -317,7 +343,7 @@ int cmd_simulate(const CliArgs& args) {
     }
   }
 
-  // Arrival process and generative-LLM policies (DESIGN.md §4.7). Every
+  // Arrival process and generative-LLM admission (DESIGN.md §4.7). Every
   // value is validated up front; an unknown spelling is a hard CLI error.
   // Streaming scenarios (S7) default to bursty arrivals; --arrivals
   // overrides either way.
@@ -341,26 +367,6 @@ int cmd_simulate(const CliArgs& args) {
     std::cerr << "bad --llm-admission '" << args.get("llm-admission", "")
               << "' (want reject|evict)\n";
     return 1;
-  }
-  if (args.has("llm-eviction") &&
-      !serving::parse_llm_eviction(args.get("llm-eviction", ""), &options.llm.eviction)) {
-    std::cerr << "bad --llm-eviction '" << args.get("llm-eviction", "")
-              << "' (want fifo|lru)\n";
-    return 1;
-  }
-  if (args.has("llm-dispatch") &&
-      !serving::parse_llm_dispatch(args.get("llm-dispatch", ""), &options.llm.dispatch)) {
-    std::cerr << "bad --llm-dispatch '" << args.get("llm-dispatch", "")
-              << "' (want least-loaded|round-robin|p2c)\n";
-    return 1;
-  }
-  if (args.has("llm-chunk")) {
-    if (!args.int_in_range("llm-chunk", 1, 4096)) {
-      std::cerr << "bad --llm-chunk '" << args.get("llm-chunk", "")
-                << "' (want an integer in [1, 4096])\n";
-      return 1;
-    }
-    options.llm.decode_chunk_tokens = static_cast<int>(args.get_int("llm-chunk", 32));
   }
 
   // Materialise the fleet on the (possibly faulty) control plane; on a
@@ -440,9 +446,7 @@ int cmd_simulate(const CliArgs& args) {
     std::cout << "\nllm: " << result.generated_tokens << " tokens generated, "
               << result.requests_rejected << " rejected, " << result.requests_evicted
               << " evicted, peak KV " << format_double(kv_peak * 100.0, 1) << "% ("
-              << serving::to_string(options.llm.admission) << "/"
-              << serving::to_string(options.llm.eviction) << "/"
-              << serving::to_string(options.llm.dispatch) << ")";
+              << serving::to_string(options.llm.admission) << ")";
   }
   if (result.failure_at_ms >= 0.0) {
     std::cout << "  pre-failure: " << format_double(result.pre_failure.compliance(), 4)
@@ -486,7 +490,8 @@ int cmd_simulate(const CliArgs& args) {
   return 0;
 }
 
-int cmd_scenarios() {
+int cmd_scenarios(const CliArgs& args) {
+  if (const int rc = refuse_unknown_flags(args, {}); rc != 0) return rc;
   TextTable table({"scenario", "services", "total req/s", "tightest SLO (ms)", "class"});
   auto add = [&table](const scenarios::Scenario& sc, const char* klass) {
     double total = 0.0;
@@ -518,7 +523,7 @@ int main(int argc, char** argv) {
   try {
     if (command == "profile") return cmd_profile(args);
     if (command == "schedule") return cmd_schedule(args);
-    if (command == "scenarios") return cmd_scenarios();
+    if (command == "scenarios") return cmd_scenarios(args);
     if (command == "simulate") return cmd_simulate(args);
   } catch (const std::exception& e) {
     std::cerr << "error: " << e.what() << "\n";

@@ -35,20 +35,33 @@ echo "== telemetry: exporter goldens + output byte-identity =="
 ctest --preset default -L telemetry
 # With telemetry enabled the simulator must produce byte-identical output:
 # instrumentation only reads state, it never perturbs the RNG or schedule.
+# S2 runs the fixed-latency path; S7 under evict runs the LLM path, whose
+# event log must also carry the evictions it made.
 TELEMETRY_TMP="$(mktemp -d)"
 trap 'rm -rf "${TELEMETRY_TMP}"' EXIT
-./build/examples/parvactl simulate --scenario S2 --seed 7 \
-  > "${TELEMETRY_TMP}/plain.txt"
-./build/examples/parvactl simulate --scenario S2 --seed 7 \
-  --telemetry-out "${TELEMETRY_TMP}/tel" 2>/dev/null \
-  > "${TELEMETRY_TMP}/instrumented.txt"
-diff "${TELEMETRY_TMP}/plain.txt" "${TELEMETRY_TMP}/instrumented.txt"
-for ext in prom jsonl csv; do
-  test -s "${TELEMETRY_TMP}/tel.${ext}" || {
-    echo "missing telemetry export: tel.${ext}" >&2
-    exit 1
-  }
-done
+# same_with_telemetry NAME ARGS...: `parvactl simulate ARGS...` prints the
+# same bytes with --telemetry-out NAME, and writes all three exports.
+same_with_telemetry() {
+  local name="$1"
+  shift
+  ./build/examples/parvactl simulate "$@" > "${TELEMETRY_TMP}/${name}.plain.txt"
+  ./build/examples/parvactl simulate "$@" \
+    --telemetry-out "${TELEMETRY_TMP}/${name}" 2>/dev/null \
+    > "${TELEMETRY_TMP}/${name}.instrumented.txt"
+  diff "${TELEMETRY_TMP}/${name}.plain.txt" "${TELEMETRY_TMP}/${name}.instrumented.txt"
+  for ext in prom jsonl csv; do
+    test -s "${TELEMETRY_TMP}/${name}.${ext}" || {
+      echo "missing telemetry export: ${name}.${ext}" >&2
+      exit 1
+    }
+  done
+}
+same_with_telemetry s2 --scenario S2 --seed 7
+same_with_telemetry s7 --scenario S7 --llm-admission evict
+grep -q '"kind":"llm_eviction"' "${TELEMETRY_TMP}/s7.jsonl" || {
+  echo "S7 --llm-admission evict exported no llm_eviction record" >&2
+  exit 1
+}
 
 echo "== configure + build (asan-ubsan preset) =="
 cmake --preset asan-ubsan >/dev/null

@@ -45,12 +45,21 @@ CliArgs::CliArgs(int argc, const char* const* argv) {
       name = arg;
       value = "true";
     }
-    if (flags_.count(name) != 0 &&
-        std::find(repeated_.begin(), repeated_.end(), name) == repeated_.end()) {
+    if (flags_.count(name) == 0) {
+      names_.push_back(name);
+    } else if (std::find(repeated_.begin(), repeated_.end(), name) == repeated_.end()) {
       repeated_.push_back(name);
     }
     flags_[name] = std::move(value);
   }
+}
+
+std::optional<std::string> CliArgs::first_unknown(
+    std::initializer_list<std::string_view> known) const {
+  for (const std::string& name : names_) {
+    if (std::find(known.begin(), known.end(), name) == known.end()) return name;
+  }
+  return std::nullopt;
 }
 
 bool CliArgs::has(const std::string& name) const { return flags_.count(name) != 0; }

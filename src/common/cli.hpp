@@ -2,8 +2,11 @@
 // Supports --flag=value, --flag value, and boolean --flag forms.
 #pragma once
 
+#include <initializer_list>
 #include <map>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace parva {
@@ -36,12 +39,19 @@ class CliArgs {
   /// always a typo'd edit of the wrong copy).
   const std::vector<std::string>& repeated() const { return repeated_; }
 
+  /// The first flag, in command-line order, whose name is not in `known`
+  /// (nullopt when every flag is). Strict front ends refuse it rather than
+  /// run with a misspelled or retired flag silently ignored.
+  std::optional<std::string> first_unknown(
+      std::initializer_list<std::string_view> known) const;
+
   /// Positional (non-flag) arguments in order.
   const std::vector<std::string>& positional() const { return positional_; }
 
  private:
   std::string program_;
   std::map<std::string, std::string> flags_;
+  std::vector<std::string> names_;  ///< distinct flag names, first-seen order
   std::vector<std::string> repeated_;
   std::vector<std::string> positional_;
 };

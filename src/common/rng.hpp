@@ -16,10 +16,9 @@ namespace parva {
 /// tags here (and to detail::kAllStreamTags below, which carries the
 /// pairwise-distinctness proof) rather than minting local constants.
 enum class RngStreamTag : std::uint64_t {
-  kArrival = 1,   ///< per-service arrival process (cluster_sim)
-  kJitter = 2,    ///< per-unit batch-latency jitter
-  kToken = 3,     ///< per-service token-length draws (generative LLM)
-  kDispatch = 4,  ///< per-service power-of-two-choices dispatch probes
+  kArrival = 1,  ///< per-service arrival process (cluster_sim)
+  kJitter = 2,   ///< per-unit batch-latency jitter
+  kToken = 3,    ///< per-service token-length draws (generative LLM)
 };
 
 namespace detail {
@@ -27,7 +26,6 @@ inline constexpr RngStreamTag kAllStreamTags[] = {
     RngStreamTag::kArrival,
     RngStreamTag::kJitter,
     RngStreamTag::kToken,
-    RngStreamTag::kDispatch,
 };
 constexpr bool stream_tags_pairwise_distinct() {
   for (std::size_t i = 0; i < sizeof(kAllStreamTags) / sizeof(kAllStreamTags[0]); ++i) {

@@ -22,8 +22,9 @@ Status validate(const ServiceSpec& spec) {
   if (!(std::isfinite(spec.slo_latency_ms) && spec.slo_latency_ms > 0.0)) {
     return refuse("SLO latency must be finite and positive");
   }
-  if (!(spec.request_rate >= 0.0)) return refuse("request rate must be non-negative");
-  if (!std::isfinite(spec.request_rate)) return refuse("request rate is not finite");
+  if (!(std::isfinite(spec.request_rate) && spec.request_rate >= 0.0)) {
+    return refuse("request rate must be finite and non-negative");
+  }
   return Status::Ok();
 }
 

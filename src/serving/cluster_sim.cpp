@@ -21,7 +21,7 @@ constexpr double kNever = std::numeric_limits<double>::infinity();
 
 // Rng::stream tags come from the central RngStreamTag registry in
 // common/rng.hpp (audit rule R10): one family of independent streams per
-// entity kind. The LLM tags are drawn only by services carrying an
+// entity kind. The LLM tag (kToken) is drawn only by services carrying an
 // LlmWorkload, so the arrival/jitter draw sequences of fixed-latency
 // services are untouched by the generative path (the degenerate contract
 // of DESIGN.md §4.7).
@@ -29,6 +29,10 @@ constexpr double kNever = std::numeric_limits<double>::infinity();
 // Bits of the per-unit emission counter inside a BufferedRecord sub-key
 // (see shard_engine.hpp: sub = (global unit + 1) << 20 | emission).
 constexpr unsigned kSubEmissionBits = 20;
+
+// Tokens each live LLM request advances per Decode event (DESIGN.md §4.7):
+// the grain at which the KV ledger grows and decode latency is charged.
+constexpr int kDecodeChunkTokens = 32;
 
 // kBursty arrival shaping (DESIGN.md §4.7): a gap draws the boosted rate
 // `rate * kBurstFactor` with probability kBurstProb, else the slow rate
@@ -96,9 +100,6 @@ struct Batch {
   int live = 0;                  ///< requests still decoding
   double kv_bytes = 0.0;         ///< KV-ledger bytes this batch holds
   double prefill_done_ms = 0.0;  ///< first-token time (0: not prefilled yet)
-  /// Victim-choice stamps from the owning unit's monotone counter.
-  std::uint64_t admitted_stamp = 0;
-  std::uint64_t touched_stamp = 0;
   bool measured = false;  ///< front request arrived after warm-up
   bool violated = false;  ///< some finished request missed the SLO
 
@@ -108,8 +109,6 @@ struct Batch {
     live = 0;
     kv_bytes = 0.0;
     prefill_done_ms = 0.0;
-    admitted_stamp = 0;
-    touched_stamp = 0;
     measured = false;
     violated = false;
   }
@@ -150,8 +149,8 @@ struct UnitState {
   double kv_capacity = 0.0;      ///< ledger capacity in bytes
   double kv_used = 0.0;
   double kv_peak = 0.0;
-  std::uint64_t next_stamp = 0;  ///< admission/touch stamp source
-  /// Slots currently holding ledger bytes (eviction candidates).
+  /// Slots currently holding ledger bytes (eviction candidates), in the
+  /// order they were admitted: the front is the oldest.
   std::vector<std::uint32_t> resident;
   /// decode_step_ms[live]: wall time of one decode chunk at that many live
   /// requests, precomputed from the token-rate law.
@@ -178,8 +177,7 @@ struct RunConfig {
   double recovered_at_ms = 0.0;
   bool buffer_records = false;       ///< telemetry sink attached
   bool record_batch_events = false;  ///< EventLog batch records requested
-  /// Generative-LLM policies (admission/eviction/dispatch, chunking).
-  LlmSimOptions llm;
+  LlmSimOptions llm;  ///< generative-LLM admission policy
 };
 
 double ms_since(std::chrono::steady_clock::time_point t0) {
@@ -221,8 +219,6 @@ struct alignas(128) Shard {
   /// Per-service LLM workload (nullptr: fixed-latency service).
   std::vector<const core::LlmWorkload*> svc_llm;
   std::vector<Rng> token_rng;
-  std::vector<Rng> dispatch_rng;
-  std::vector<std::uint32_t> rr_cursor;  ///< round-robin dispatch state
   /// loops[s] for local service s, plus one last loop for orphan units
   /// (no matching service), which never arms an arrival.
   std::vector<ServiceLoop> loops;
@@ -326,7 +322,9 @@ struct alignas(128) Shard {
   }
 
   /// Removes `slot`'s ledger entry and returns its bytes to the unit's KV
-  /// capacity. No-op on units whose ledger is disabled.
+  /// capacity. No-op on units whose ledger is disabled. The entry is
+  /// erased, not swapped with the last, so `resident` stays in admission
+  /// order for evict_until_fits.
   void release_ledger(std::size_t ui, std::uint32_t slot) {
     UnitState& state = units[ui];
     if (state.kv_per_token <= 0.0) return;
@@ -334,10 +332,27 @@ struct alignas(128) Shard {
     state.kv_used -= batch.kv_bytes;
     batch.kv_bytes = 0.0;
     const auto it = std::find(state.resident.begin(), state.resident.end(), slot);
-    if (it != state.resident.end()) {
-      *it = state.resident.back();
-      state.resident.pop_back();
-    }
+    if (it != state.resident.end()) state.resident.erase(it);
+  }
+
+  /// Takes `slot` out of unit `ui`'s in-flight set: its process frees and
+  /// its requests leave the dispatch backlog.
+  void retire_in_flight(std::size_t ui, std::uint32_t slot) {
+    UnitState& state = units[ui];
+    const auto it =
+        std::find(state.in_flight_slots.begin(), state.in_flight_slots.end(), slot);
+    PARVA_CHECK(it != state.in_flight_slots.end(), "retiring a batch not in flight");
+    *it = state.in_flight_slots.back();
+    state.in_flight_slots.pop_back();
+    state.in_flight_requests -= batches[slot].payload.requests.size();
+    ++state.idle_processes;
+  }
+
+  /// The next record sub-key unit `ui` emits under the event being
+  /// processed: records of one event sort in the order they were emitted.
+  std::uint64_t next_sub(std::size_t ui, std::uint64_t* emission) const {
+    PARVA_CHECK(*emission >> kSubEmissionBits == 0, "record emission overflow");
+    return unit_sub(ui) | (*emission)++;
   }
 
   /// Evicts one resident batch: its unfinished requests are counted as
@@ -346,8 +361,7 @@ struct alignas(128) Shard {
   /// Prefill/Decode event goes stale.
   void evict_batch(std::size_t ui, std::uint32_t slot, double now, std::uint64_t seq,
                    std::uint64_t* emission) {
-    UnitState& state = units[ui];
-    Batch& batch = batches[slot].payload;
+    const Batch& batch = batches[slot].payload;
     const auto s = static_cast<std::size_t>(unit_service[ui]);
     std::size_t victims = 0;
     if (batch.remaining.empty()) {
@@ -359,46 +373,26 @@ struct alignas(128) Shard {
     }
     if (batch.measured) outcomes[s].evicted_requests += victims;
     if (cfg->buffer_records) {
-      PARVA_CHECK(*emission >> kSubEmissionBits == 0, "eviction emission overflow");
-      records.push_back({now, seq, unit_sub(ui) | (*emission)++,
-                         telemetry::EventKind::kLlmEviction, state.unit->gpu_index,
-                         svc_id[s], static_cast<double>(victims)});
+      records.push_back({now, seq, next_sub(ui, emission), telemetry::EventKind::kLlmEviction,
+                         units[ui].unit->gpu_index, svc_id[s],
+                         static_cast<double>(victims)});
     }
     release_ledger(ui, slot);
-    const auto it =
-        std::find(state.in_flight_slots.begin(), state.in_flight_slots.end(), slot);
-    PARVA_CHECK(it != state.in_flight_slots.end(), "evicting a batch not in flight");
-    *it = state.in_flight_slots.back();
-    state.in_flight_slots.pop_back();
-    state.in_flight_requests -= batch.requests.size();
-    ++state.idle_processes;
+    retire_in_flight(ui, slot);
     batches.release(slot);
   }
 
   /// Frees ledger capacity for `need` bytes by evicting resident batches
-  /// other than `self`, oldest first by admission (FIFO) or last-touch
-  /// (LRU) stamp. Stops when the need fits or no victim remains.
+  /// other than `self`, oldest admission first (FIFO). Stops when the need
+  /// fits or no victim remains.
   void evict_until_fits(std::size_t ui, double need, std::uint32_t self, double now,
                         std::uint64_t seq, std::uint64_t* emission) {
     UnitState& state = units[ui];
     while (need > state.kv_capacity - state.kv_used) {
-      bool found = false;
-      std::uint32_t victim = 0;
-      std::uint64_t best_stamp = 0;
-      for (const std::uint32_t slot : state.resident) {
-        if (slot == self) continue;
-        const Batch& batch = batches[slot].payload;
-        const std::uint64_t stamp = cfg->llm.eviction == LlmEvictionPolicy::kLru
-                                        ? batch.touched_stamp
-                                        : batch.admitted_stamp;
-        if (!found || stamp < best_stamp) {
-          found = true;
-          best_stamp = stamp;
-          victim = slot;
-        }
-      }
-      if (!found) return;
-      evict_batch(ui, victim, now, seq, emission);
+      const auto victim = std::find_if(state.resident.begin(), state.resident.end(),
+                                       [self](std::uint32_t slot) { return slot != self; });
+      if (victim == state.resident.end()) return;
+      evict_batch(ui, *victim, now, seq, emission);
     }
   }
 
@@ -406,14 +400,12 @@ struct alignas(128) Shard {
   /// admission (counted, not queued again) and the slot is released.
   void reject_batch(std::size_t ui, std::uint32_t slot, double now, std::uint64_t seq,
                     std::uint64_t* emission) {
-    UnitState& state = units[ui];
-    Batch& batch = batches[slot].payload;
+    const Batch& batch = batches[slot].payload;
     const auto s = static_cast<std::size_t>(unit_service[ui]);
     if (batch.measured) outcomes[s].rejected_requests += batch.requests.size();
     if (cfg->buffer_records) {
-      PARVA_CHECK(*emission >> kSubEmissionBits == 0, "reject emission overflow");
-      records.push_back({now, seq, unit_sub(ui) | (*emission)++,
-                         telemetry::EventKind::kLlmAdmissionReject, state.unit->gpu_index,
+      records.push_back({now, seq, next_sub(ui, emission),
+                         telemetry::EventKind::kLlmAdmissionReject, units[ui].unit->gpu_index,
                          svc_id[s], static_cast<double>(batch.requests.size())});
     }
     batches.release(slot);
@@ -430,8 +422,6 @@ struct alignas(128) Shard {
     Batch& batch = batches[slot].payload;
     batch.measured =
         !batch.requests.empty() && batch.requests.front().arrival_ms >= cfg->warmup_ms;
-    batch.admitted_stamp = ++state.next_stamp;
-    batch.touched_stamp = batch.admitted_stamp;
     if (state.kv_per_token <= 0.0) return true;
     double prompt_tokens = 0.0;
     double total_tokens = 0.0;
@@ -528,9 +518,10 @@ struct alignas(128) Shard {
     return backlog / state.capacity;
   }
 
-  /// The default dispatch rule: the live unit with the smallest expected
-  /// delay, matching a front-end load balancer. Returns units.size() when
-  /// every candidate is down (mid-failure, pre-repair).
+  /// The dispatch rule for every service, fixed-latency and LLM: the live
+  /// unit with the smallest expected delay, matching a front-end load
+  /// balancer. Returns units.size() when every candidate is down
+  /// (mid-failure, pre-repair).
   std::size_t choose_least_loaded(std::size_t s) const {
     const std::uint32_t cand_begin = svc_unit_off[s];
     const std::uint32_t cand_end = svc_unit_off[s + 1];
@@ -556,55 +547,15 @@ struct alignas(128) Shard {
     return any_live ? chosen : units.size();
   }
 
-  /// Replica choice for one arriving request. Fixed-latency services (and
-  /// the default LLM policy) use least-loaded; LLM services can opt into
-  /// round-robin or power-of-two-choices. P2C always consumes exactly two
-  /// draws from the service's dispatch stream, so the stream position never
-  /// depends on replica liveness.
-  std::size_t dispatch_unit(std::size_t s) {
-    if (svc_llm[s] == nullptr || cfg->llm.dispatch == LlmDispatchPolicy::kLeastLoaded) {
-      return choose_least_loaded(s);
-    }
-    const std::uint32_t cand_begin = svc_unit_off[s];
-    const std::uint32_t count = svc_unit_off[s + 1] - cand_begin;
-    if (count == 0) return units.size();
-    if (cfg->llm.dispatch == LlmDispatchPolicy::kRoundRobin) {
-      // First live replica at or after the per-service cursor; the cursor
-      // then moves past it so replicas take turns.
-      for (std::uint32_t step = 0; step < count; ++step) {
-        const std::uint32_t off = (rr_cursor[s] + step) % count;
-        const std::size_t ui = svc_unit_flat[cand_begin + off];
-        if (units[ui].up) {
-          rr_cursor[s] = (off + 1) % count;
-          return ui;
-        }
-      }
-      return units.size();
-    }
-    // Power-of-two-choices: two uniform probes, lower delay score wins,
-    // lower replica offset breaks ties; both probes dead falls back to the
-    // full scan (a front end would retry, not drop).
-    const auto a = static_cast<std::uint32_t>(dispatch_rng[s].uniform_int(0, count - 1));
-    const auto b = static_cast<std::uint32_t>(dispatch_rng[s].uniform_int(0, count - 1));
-    const std::size_t first = svc_unit_flat[cand_begin + std::min(a, b)];
-    const std::size_t second = svc_unit_flat[cand_begin + std::max(a, b)];
-    const bool first_up = units[first].up;
-    const bool second_up = units[second].up;
-    if (!first_up && !second_up) return choose_least_loaded(s);
-    if (!second_up) return first;
-    if (!first_up) return second;
-    return delay_score(second) < delay_score(first) ? second : first;
-  }
-
   void process_arrival(std::size_t s) {
     const double now = loops[s].arrival_ms;
     const std::uint64_t seq = loops[s].arrival_seq;
     ++events_processed;
     loops[s].arrival_ms = kNever;
     if (now <= cfg->horizon_ms) {
-      // Dispatch to a live unit (policy above); a service whose every unit
+      // Dispatch to a live unit (rule above); a service whose every unit
       // is down sheds the request — the front end has nowhere to send it.
-      const std::size_t chosen = dispatch_unit(s);
+      const std::size_t chosen = choose_least_loaded(s);
       if (chosen == units.size()) {
         shed_one(s, now, now, seq, /*sub=*/0);
       } else {
@@ -634,16 +585,8 @@ struct alignas(128) Shard {
   /// event — the degenerate byte-identity contract (DESIGN.md §4.7).
   void complete_batch(std::size_t ui, const SimEvent& event) {
     const double now = event.time_ms;
-    UnitState& state = units[ui];
     const std::vector<Request>& requests = batches[event.slot].payload.requests;
-    ++state.idle_processes;
-    const auto slot_it =
-        std::find(state.in_flight_slots.begin(), state.in_flight_slots.end(), event.slot);
-    PARVA_CHECK(slot_it != state.in_flight_slots.end(),
-                "completion without in-flight batch");
-    *slot_it = state.in_flight_slots.back();
-    state.in_flight_slots.pop_back();
-    state.in_flight_requests -= requests.size();
+    retire_in_flight(ui, event.slot);
 
     // Account the batch against its service (skip warm-up).
     if (!requests.empty() && requests.front().arrival_ms >= cfg->warmup_ms) {
@@ -652,7 +595,6 @@ struct alignas(128) Shard {
       const auto s = static_cast<std::size_t>(s_idx);
       ServiceOutcome& outcome = outcomes[s];
       PhaseStats* phase = phase_of(now, event.seq);  // by completion time
-      ++outcome.batches;
       bool violated = false;
       for (const Request& request : requests) {
         const double latency = now - request.arrival_ms;
@@ -664,24 +606,34 @@ struct alignas(128) Shard {
           ++phase->violated_requests;
         }
       }
-      if (violated) ++outcome.violated_batches;
-      if (cfg->record_batch_events) {
-        records.push_back({now, event.seq, 0, telemetry::EventKind::kBatchCompleted,
-                           state.unit->gpu_index, svc_id[s],
-                           static_cast<double>(requests.size())});
-      }
-
-      // Phase + timeline accounting, by completion time.
-      ++phase->batches;
-      if (violated) ++phase->violated_batches;
-      if (TimelineBucket* bucket = bucket_of(now)) {
-        ++bucket->batches;
-        if (violated) ++bucket->violated_batches;
-      }
+      account_batch(ui, requests.size(), violated, now, event.seq, /*sub=*/0);
     }
     batches.release(event.slot);
     std::uint64_t emission = 0;
     start_batch_if_possible(ui, now, event.seq, &emission);
+  }
+
+  /// Accounts a finished, measured batch of `size` requests against unit
+  /// `ui`'s service by its completion key (now, seq): service, phase and
+  /// timeline batch counts, and a kBatchCompleted record under `sub` when
+  /// batch records are on.
+  void account_batch(std::size_t ui, std::size_t size, bool violated, double now,
+                     std::uint64_t seq, std::uint64_t sub) {
+    const auto s = static_cast<std::size_t>(unit_service[ui]);
+    ServiceOutcome& outcome = outcomes[s];
+    PhaseStats* phase = phase_of(now, seq);
+    ++outcome.batches;
+    if (violated) ++outcome.violated_batches;
+    if (cfg->record_batch_events) {
+      records.push_back({now, seq, sub, telemetry::EventKind::kBatchCompleted,
+                         units[ui].unit->gpu_index, svc_id[s], static_cast<double>(size)});
+    }
+    ++phase->batches;
+    if (violated) ++phase->violated_batches;
+    if (TimelineBucket* bucket = bucket_of(now)) {
+      ++bucket->batches;
+      if (violated) ++bucket->violated_batches;
+    }
   }
 
   /// Accounts one finished LLM request at its completing event (the batch
@@ -726,37 +678,14 @@ struct alignas(128) Shard {
   /// and account the batch by its completion key like the fixed path.
   void finalize_llm_batch(std::size_t ui, const SimEvent& event, std::uint64_t* emission) {
     const double now = event.time_ms;
-    UnitState& state = units[ui];
-    Batch& batch = batches[event.slot].payload;
+    const Batch& batch = batches[event.slot].payload;
     release_ledger(ui, event.slot);
-    ++state.idle_processes;
-    const auto slot_it =
-        std::find(state.in_flight_slots.begin(), state.in_flight_slots.end(), event.slot);
-    PARVA_CHECK(slot_it != state.in_flight_slots.end(),
-                "llm completion without in-flight batch");
-    *slot_it = state.in_flight_slots.back();
-    state.in_flight_slots.pop_back();
-    state.in_flight_requests -= batch.requests.size();
+    retire_in_flight(ui, event.slot);
     if (batch.measured) {
-      const auto s = static_cast<std::size_t>(unit_service[ui]);
-      ServiceOutcome& outcome = outcomes[s];
-      PhaseStats* phase = phase_of(now, event.seq);
-      ++outcome.batches;
-      if (batch.violated) ++outcome.violated_batches;
-      if (cfg->record_batch_events) {
-        // An emission sub-key, not 0: this decode step may already have
-        // emitted evictions, and the record must sort after them.
-        PARVA_CHECK(*emission >> kSubEmissionBits == 0, "completion emission overflow");
-        records.push_back({now, event.seq, unit_sub(ui) | (*emission)++,
-                           telemetry::EventKind::kBatchCompleted, state.unit->gpu_index,
-                           svc_id[s], static_cast<double>(batch.requests.size())});
-      }
-      ++phase->batches;
-      if (batch.violated) ++phase->violated_batches;
-      if (TimelineBucket* bucket = bucket_of(now)) {
-        ++bucket->batches;
-        if (batch.violated) ++bucket->violated_batches;
-      }
+      // An emission sub-key, not 0: this decode step may already have
+      // emitted evictions, and the record must sort after them.
+      const std::uint64_t sub = cfg->record_batch_events ? next_sub(ui, emission) : 0;
+      account_batch(ui, batch.requests.size(), batch.violated, now, event.seq, sub);
     }
     batches.release(event.slot);
     start_batch_if_possible(ui, now, event.seq, emission);
@@ -806,11 +735,10 @@ struct alignas(128) Shard {
     UnitState& state = units[ui];
     Batch& batch = batches[event.slot].payload;
     std::uint64_t emission = 0;
-    const int chunk = cfg->llm.decode_chunk_tokens;
     double grown_tokens = 0.0;
     for (const int left : batch.remaining) {
       // parva-audit: allow(R14): fixed vector index order per batch.
-      if (left > 0) grown_tokens += static_cast<double>(std::min(left, chunk));
+      if (left > 0) grown_tokens += static_cast<double>(std::min(left, kDecodeChunkTokens));
     }
     if (state.kv_per_token > 0.0 && cfg->llm.admission == LlmAdmissionPolicy::kEvict) {
       // Under kReject the growth was reserved at admission; under kEvict
@@ -829,10 +757,9 @@ struct alignas(128) Shard {
       batch.kv_bytes += growth;
       state.kv_peak = std::max(state.kv_peak, state.kv_used);
     }
-    batch.touched_stamp = ++state.next_stamp;
     for (std::size_t i = 0; i < batch.remaining.size(); ++i) {
       if (batch.remaining[i] <= 0) continue;
-      batch.remaining[i] -= std::min(batch.remaining[i], chunk);
+      batch.remaining[i] -= std::min(batch.remaining[i], kDecodeChunkTokens);
       if (batch.remaining[i] == 0) {
         --batch.live;
         finish_llm_request(ui, batch, batch.requests[i], now, event.seq);
@@ -924,13 +851,10 @@ struct alignas(128) Shard {
       // An orphan unit (no matching service) cannot hold requests, so the
       // shed loops below never dereference its -1 service index.
       const auto s = static_cast<std::size_t>(unit_service[ui]);
-      const std::uint64_t unit_sub = (static_cast<std::uint64_t>(unit_global[ui]) + 1)
-                                     << kSubEmissionBits;
       std::uint64_t emission = 0;
       for (const Request* request = state.queue.begin(); request != state.queue.end();
            ++request) {
-        PARVA_CHECK(emission >> kSubEmissionBits == 0, "shed emission overflow");
-        shed_one(s, request->arrival_ms, now, seq, unit_sub | emission++);
+        shed_one(s, request->arrival_ms, now, seq, next_sub(ui, &emission));
       }
       state.queue.clear();
       for (const std::uint32_t slot : state.in_flight_slots) {
@@ -939,8 +863,7 @@ struct alignas(128) Shard {
           // LLM batches mid-decode only shed the requests still generating
           // (finished ones already completed and were accounted).
           if (!batch.remaining.empty() && batch.remaining[i] <= 0) continue;
-          PARVA_CHECK(emission >> kSubEmissionBits == 0, "shed emission overflow");
-          shed_one(s, batch.requests[i].arrival_ms, now, seq, unit_sub | emission++);
+          shed_one(s, batch.requests[i].arrival_ms, now, seq, next_sub(ui, &emission));
         }
         batches.release(slot);
       }
@@ -1006,7 +929,6 @@ SimulationResult ClusterSimulation::run(const SimulationOptions& options) const 
   cfg.horizon_ms = horizon_ms;
   cfg.timeline_bucket_ms = options.timeline_bucket_ms;
   cfg.arrivals = options.arrivals;
-  PARVA_REQUIRE(options.llm.decode_chunk_tokens > 0, "decode chunk must be positive");
   cfg.llm = options.llm;
   if (options.timeline_bucket_ms > 0.0) {
     cfg.timeline_buckets = static_cast<std::size_t>(
@@ -1127,15 +1049,13 @@ SimulationResult ClusterSimulation::run(const SimulationOptions& options) const 
     // Per-service stream as a pure function of (seed, service index): the
     // same stream no matter which shard hosts the service.
     shard.arrival_rng.push_back(Rng::stream(options.seed, RngStreamTag::kArrival, s));
-    // LLM per-service state. The token and dispatch streams exist for every
-    // service but are only ever drawn by LLM ones, so fixed-latency runs
-    // stay byte-identical to the pre-LLM engine.
+    // LLM per-service state. The token stream exists for every service but
+    // is only ever drawn by LLM ones, so fixed-latency runs stay
+    // byte-identical to the pre-LLM engine.
     const core::LlmWorkload* llm =
         services_[s].llm.has_value() ? &*services_[s].llm : nullptr;
     shard.svc_llm.push_back(llm);
     shard.token_rng.push_back(Rng::stream(options.seed, RngStreamTag::kToken, s));
-    shard.dispatch_rng.push_back(Rng::stream(options.seed, RngStreamTag::kDispatch, s));
-    shard.rr_cursor.push_back(0);
   }
 
   // Per-unit runtime state (orphan units — no matching service — ride on
@@ -1203,7 +1123,7 @@ SimulationResult ClusterSimulation::run(const SimulationOptions& options) const 
       for (int live = 1; live <= batch; ++live) {
         state.decode_step_ms[static_cast<std::size_t>(live)] = perfmodel::decode_step_ms(
             *state.llm_traits, state.unit->gpc_grant, std::max(1, state.unit->procs), live,
-            cfg.llm.decode_chunk_tokens);
+            kDecodeChunkTokens);
       }
     }
   }

@@ -115,9 +115,12 @@ struct SimulationOptions {
   /// participates), so this may be the very pool run() was submitted to.
   ThreadPool* shard_pool = nullptr;
 
-  /// Generative-LLM execution policies (DESIGN.md §4.7). Only services
-  /// carrying a core::LlmWorkload engage them; fixed-latency services are
-  /// byte-identically unaffected by every setting.
+  /// Generative-LLM admission policy (DESIGN.md §4.7): refuse a batch
+  /// whose worst-case KV footprint does not fit, or admit it on its prompt
+  /// and evict the oldest resident batches when decode outgrows the
+  /// ledger. Only services carrying a core::LlmWorkload engage it;
+  /// fixed-latency services are byte-identically unaffected by either
+  /// setting.
   LlmSimOptions llm;
 };
 

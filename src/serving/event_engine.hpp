@@ -157,8 +157,6 @@ class SlotPool {
     return slot.live && slot.generation == generation;
   }
 
-  std::size_t capacity() const { return slots_.size(); }
-
  private:
   std::vector<Slot> slots_;
   std::vector<std::uint32_t> free_;

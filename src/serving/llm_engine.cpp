@@ -10,23 +10,6 @@ const char* to_string(LlmAdmissionPolicy policy) {
   return "unknown";
 }
 
-const char* to_string(LlmEvictionPolicy policy) {
-  switch (policy) {
-    case LlmEvictionPolicy::kFifo: return "fifo";
-    case LlmEvictionPolicy::kLru: return "lru";
-  }
-  return "unknown";
-}
-
-const char* to_string(LlmDispatchPolicy policy) {
-  switch (policy) {
-    case LlmDispatchPolicy::kLeastLoaded: return "least-loaded";
-    case LlmDispatchPolicy::kRoundRobin: return "round-robin";
-    case LlmDispatchPolicy::kPowerOfTwo: return "p2c";
-  }
-  return "unknown";
-}
-
 bool parse_llm_admission(std::string_view text, LlmAdmissionPolicy* out) {
   if (text == "reject") {
     *out = LlmAdmissionPolicy::kReject;
@@ -34,34 +17,6 @@ bool parse_llm_admission(std::string_view text, LlmAdmissionPolicy* out) {
   }
   if (text == "evict") {
     *out = LlmAdmissionPolicy::kEvict;
-    return true;
-  }
-  return false;
-}
-
-bool parse_llm_eviction(std::string_view text, LlmEvictionPolicy* out) {
-  if (text == "fifo") {
-    *out = LlmEvictionPolicy::kFifo;
-    return true;
-  }
-  if (text == "lru") {
-    *out = LlmEvictionPolicy::kLru;
-    return true;
-  }
-  return false;
-}
-
-bool parse_llm_dispatch(std::string_view text, LlmDispatchPolicy* out) {
-  if (text == "least-loaded") {
-    *out = LlmDispatchPolicy::kLeastLoaded;
-    return true;
-  }
-  if (text == "round-robin") {
-    *out = LlmDispatchPolicy::kRoundRobin;
-    return true;
-  }
-  if (text == "p2c") {
-    *out = LlmDispatchPolicy::kPowerOfTwo;
     return true;
   }
   return false;

@@ -1,26 +1,21 @@
-// Policy vocabulary and helpers for generative-LLM execution in the
-// cluster simulation (DESIGN.md §4.7).
+// Admission policy for generative-LLM execution in the cluster simulation
+// (DESIGN.md §4.7).
 //
 // A service with a core::LlmWorkload runs phase-structured: an admitted
 // batch holds its slot through one Prefill event and then a chain of
-// Decode steps, while a per-instance KV-cache ledger tracks resident
-// token memory. Two policy axes are selectable per run:
-//   admission — what happens when a batch's KV need exceeds free ledger
-//               capacity: kReject refuses it up front (reserving
-//               prompt+generation worst-case so decode never overflows),
-//               kEvict admits on prompt footprint alone and evicts
-//               resident batches (FIFO or LRU victim order) when decode
-//               growth overflows.
-//   dispatch  — which replica an arriving LLM request queues at:
-//               least-loaded (the fixed-latency default), round-robin, or
-//               power-of-two-choices.
-// All choices are deterministic: victim order comes from per-unit
-// admission/touch stamps, and p2c draws from a dedicated per-service RNG
-// stream so fixed-latency services are unperturbed.
+// Decode steps of 32 tokens each, while a per-instance KV-cache ledger
+// tracks resident token memory. The one selectable axis is admission —
+// what happens when a batch's KV need exceeds free ledger capacity:
+//   kReject refuses it up front (reserving prompt+generation worst-case
+//           so decode never overflows);
+//   kEvict  admits on prompt footprint alone and, when decode growth
+//           overflows, evicts resident batches in admission order.
+// LLM requests reach a service's replicas through the same least-loaded
+// dispatch as fixed-latency ones. Neither dispatch nor eviction draws
+// randomness: token lengths are the only draws the generative path adds.
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <string_view>
 
 namespace parva::serving {
@@ -31,37 +26,14 @@ enum class LlmAdmissionPolicy : std::uint8_t {
   kEvict,   ///< admit on prompt footprint; evict victims on decode growth
 };
 
-/// Victim order when kEvict must free KV capacity.
-enum class LlmEvictionPolicy : std::uint8_t {
-  kFifo,  ///< oldest admission stamp first
-  kLru,   ///< least-recently-advanced batch first
-};
-
-/// Replica choice for an arriving LLM request.
-enum class LlmDispatchPolicy : std::uint8_t {
-  kLeastLoaded,  ///< same backlog/capacity score as fixed-latency dispatch
-  kRoundRobin,   ///< per-service cursor over live replicas
-  kPowerOfTwo,   ///< two RNG probes, lower backlog score wins
-};
-
 /// Per-run LLM execution knobs (SimulationOptions.llm).
 struct LlmSimOptions {
   LlmAdmissionPolicy admission = LlmAdmissionPolicy::kReject;
-  LlmEvictionPolicy eviction = LlmEvictionPolicy::kFifo;
-  LlmDispatchPolicy dispatch = LlmDispatchPolicy::kLeastLoaded;
-  /// Tokens each live request advances per Decode event. Smaller chunks
-  /// track KV growth more finely at the cost of more events.
-  int decode_chunk_tokens = 32;
 };
 
 const char* to_string(LlmAdmissionPolicy policy);
-const char* to_string(LlmEvictionPolicy policy);
-const char* to_string(LlmDispatchPolicy policy);
 
-/// Parse CLI spellings ("reject"/"evict", "fifo"/"lru",
-/// "least-loaded"/"round-robin"/"p2c"). Return false on unknown input.
+/// Parse the CLI spelling "reject"/"evict". Return false on unknown input.
 [[nodiscard]] bool parse_llm_admission(std::string_view text, LlmAdmissionPolicy* out);
-[[nodiscard]] bool parse_llm_eviction(std::string_view text, LlmEvictionPolicy* out);
-[[nodiscard]] bool parse_llm_dispatch(std::string_view text, LlmDispatchPolicy* out);
 
 }  // namespace parva::serving

@@ -87,5 +87,15 @@ TEST(CliTest, RepeatedFlagsAreTracked) {
   EXPECT_EQ(dup.repeated()[1], "b");
 }
 
+TEST(CliTest, FirstUnknownFlagInCommandLineOrder) {
+  const auto args = make({"prog", "run", "--seed=1", "--zeta", "2", "--alpha", "--seed=3"});
+  EXPECT_FALSE(args.first_unknown({"seed", "zeta", "alpha"}).has_value());
+  // Command-line order, not name order: --zeta comes before --alpha.
+  EXPECT_EQ(args.first_unknown({"seed"}), "zeta");
+  EXPECT_EQ(args.first_unknown({"seed", "zeta"}), "alpha");
+  EXPECT_EQ(args.first_unknown({}), "seed");
+  EXPECT_FALSE(make({"prog", "run"}).first_unknown({}).has_value());
+}
+
 }  // namespace
 }  // namespace parva

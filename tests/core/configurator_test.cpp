@@ -190,6 +190,11 @@ TEST_F(ConfiguratorTest, InvalidSloOrRateIsRefused) {
     ASSERT_FALSE(decided.ok()) << what;
     EXPECT_EQ(decided.error().code(), ErrorCode::kInvalidArgument) << what;
     EXPECT_NE(decided.error().message().find("service 7"), std::string::npos) << what;
+    if (spec.slo_latency_ms == 100) {  // the rate cases: -1, NaN and +inf
+      EXPECT_NE(decided.error().message().find("request rate must be finite and non-negative"),
+                std::string::npos)
+          << what << ": " << decided.error().message();
+    }
 
     const std::vector<ServiceSpec> one = {spec};
     const auto planned = scheduler.schedule(one);

@@ -7,7 +7,9 @@
 # epoch shorter than one minute (1e-9 would run until killed) is refused.
 # Two runs of parvactl schedule print the same stdout, with the wall-clock
 # delay on stderr. A services row whose rate needs more segments than one
-# service may hold is refused before anything is allocated.
+# service may hold is refused before anything is allocated. A flag the
+# subcommand does not read (a typo, or a retired flag such as the LLM
+# eviction, dispatch and decode-chunk knobs) exits 2 naming it.
 #
 # Usage: parvactl_flags_test.sh <parvactl_binary> <autoscaling_binary>
 #
@@ -55,6 +57,28 @@ expect_rejected --transient-p --transient-p nan
 for epoch in nan 0 -5 inf abc 0.5 1e-9; do
   expect_rejected_by run_autoscaling --epoch-minutes --epoch-minutes "${epoch}"
 done
+
+# expect_unknown FLAG ARGS...: parvactl ARGS... must exit 2 naming --FLAG.
+expect_unknown() {
+  local flag="$1"
+  shift
+  local err
+  err="$(timeout 20 "${PARVACTL}" "$@" 2>&1 >/dev/null)"
+  local rc=$?
+  if [[ "${rc}" -eq 2 && "${err}" == *"--${flag}"* ]]; then
+    echo "ok: $* (exit 2)"
+  else
+    echo "FAIL: $*: expected exit 2 naming --${flag}, got exit ${rc}: ${err}"
+    FAILURES=$((FAILURES + 1))
+  fi
+}
+
+expect_unknown shard simulate --scenario S2 --shard 4
+expect_unknown bogus-flag simulate --scenario S2 --shards 4 --bogus-flag 7
+expect_unknown llm-eviction simulate --scenario S7 --llm-eviction lru
+expect_unknown llm-dispatch simulate --scenario S7 --llm-dispatch p2c
+expect_unknown llm-chunk simulate --scenario S7 --llm-chunk 8
+expect_unknown seed schedule --scenario S2 --seed 7
 
 run --seed 7 --duration-ms 1000 --inject-fault gpu=0@t=500 >/dev/null 2>&1
 rc=$?
