@@ -2,11 +2,13 @@
 // table printing, and CSV output under results/.
 #pragma once
 
+#include <cstdlib>
 #include <filesystem>
 #include <iostream>
 #include <string>
 
 #include "common/table.hpp"
+#include "telemetry/exporters.hpp"
 
 namespace parva::bench {
 
@@ -17,13 +19,20 @@ inline void banner(const std::string& figure, const std::string& caption) {
             << "==============================================================\n";
 }
 
-/// Prints a table and mirrors it to results/<stem>.csv.
+/// Prints a table and mirrors it to results/<stem>.csv. A CSV that cannot
+/// be written ends the bench with exit 1, naming the path: a bench that
+/// wrote nothing must not look like one that reproduced its results.
 inline void emit(const TextTable& table, const std::string& stem) {
   table.print(std::cout);
+  const std::string path = "results/" + stem + ".csv";
   std::error_code ec;
   std::filesystem::create_directories("results", ec);
-  if (!ec) write_csv_file("results/" + stem + ".csv", table.to_csv());
-  std::cout << "\n[csv: results/" << stem << ".csv]\n\n";
+  const Status written = telemetry::write_text_file(path, table.to_csv());
+  if (!written.ok()) {
+    std::cerr << "error: " << written.to_string() << "\n";
+    std::exit(1);
+  }
+  std::cout << "\n[csv: " << path << "]\n\n";
 }
 
 }  // namespace parva::bench

@@ -30,11 +30,6 @@ int main() {
 
   core::ParvaGpuScheduler scheduler(profiles);
   core::Deployment deployment = scheduler.schedule(scenario.services).value().deployment;
-  for (auto& unit : deployment.units) {
-    for (const auto& spec : scenario.services) {
-      if (spec.id == unit.service_id) unit.model = spec.model;
-    }
-  }
   const core::Deployment healthy = deployment;
 
   // Fault plan: lose the busiest GPU at t=10 s; transient create faults at

@@ -44,12 +44,8 @@ int main() {
       if (!reconfigurer.update_service(plan, configured, updated, scheduler.surfaces()).ok()) {
         continue;
       }
-      core::Deployment target = core::ParvaGpuScheduler::to_deployment(plan, "ParvaGPU");
-      for (auto& unit : target.units) {
-        for (const auto& spec : scenario.services) {
-          if (spec.id == unit.service_id) unit.model = spec.model;
-        }
-      }
+      const core::Deployment target =
+          core::ParvaGpuScheduler::to_deployment(plan, "ParvaGPU", scenario.services);
 
       core::LiveUpdater updater(deployer);
       const auto report = updater.apply(current, state, target, strategy);

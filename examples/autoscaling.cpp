@@ -3,6 +3,8 @@
 // compare GPU-hours against static peak provisioning.
 //
 //   $ ./examples/autoscaling [--epoch-minutes 30]   (at least 1)
+//
+// A flag it does not read exits 2; a bad value exits 1, naming the flag.
 #include <cmath>
 #include <iostream>
 
@@ -15,6 +17,10 @@
 int main(int argc, char** argv) {
   using namespace parva;
   const CliArgs args(argc, argv);
+  if (const auto unknown = args.first_unknown({"epoch-minutes"})) {
+    std::cerr << "error: autoscaling has no flag --" << *unknown << "\n";
+    return 2;
+  }
 
   serving::AutoscalerOptions options;
   if (args.has("epoch-minutes")) {

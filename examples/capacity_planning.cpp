@@ -3,6 +3,9 @@
 // client scales its S5 service portfolio, and what the bill difference is.
 //
 //   $ ./examples/capacity_planning [--max-fold 6] [--gpu-hour-usd 4.1]
+//
+// A flag it does not read exits 2; a bad value exits 1, naming the flag.
+#include <cmath>
 #include <iostream>
 
 #include "common/cli.hpp"
@@ -14,10 +17,27 @@ int main(int argc, char** argv) {
   using namespace parva;
   using namespace parva::scenarios;
   const CliArgs args(argc, argv);
+  if (const auto unknown = args.first_unknown({"max-fold", "gpu-hour-usd"})) {
+    std::cerr << "error: capacity_planning has no flag --" << *unknown << "\n";
+    return 2;
+  }
+  constexpr long long kMaxFold = 1000;
+  if (args.has("max-fold") && !args.int_in_range("max-fold", 1, kMaxFold)) {
+    std::cerr << "bad --max-fold '" << args.get("max-fold", "")
+              << "' (want an integer in [1, " << kMaxFold << "])\n";
+    return 1;
+  }
   const int max_fold = static_cast<int>(args.get_int("max-fold", 6));
   // p4de.24xlarge on-demand is ~$40.96/h for 8 GPUs => ~$5.12 per GPU-hour;
   // default rounds down to a typical reserved price.
-  const double gpu_hour_usd = args.get_double("gpu-hour-usd", 4.1);
+  double gpu_hour_usd = 4.1;
+  if (args.has("gpu-hour-usd") &&
+      (!parse_double(args.get("gpu-hour-usd", ""), gpu_hour_usd) ||
+       !std::isfinite(gpu_hour_usd) || gpu_hour_usd < 0.0)) {
+    std::cerr << "bad --gpu-hour-usd '" << args.get("gpu-hour-usd", "")
+              << "' (want a finite non-negative price)\n";
+    return 1;
+  }
 
   std::cout << "Capacity planning on scenario S5 (predictor mode, no GPUs touched)\n\n";
   const ExperimentContext context = ExperimentContext::create();

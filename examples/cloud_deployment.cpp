@@ -4,9 +4,14 @@
 // report SLO compliance and measured utilisation.
 //
 //   $ ./examples/cloud_deployment [--scenario S2] [--duration-ms 10000]
+//
+// A flag it does not read exits 2; a bad value exits 1, naming the flag.
+#include <cmath>
 #include <iostream>
+#include <stdexcept>
 
 #include "common/cli.hpp"
+#include "common/strings.hpp"
 #include "core/deployer.hpp"
 #include "core/metrics.hpp"
 #include "core/parvagpu.hpp"
@@ -17,10 +22,27 @@
 int main(int argc, char** argv) {
   using namespace parva;
   const CliArgs args(argc, argv);
+  if (const auto unknown = args.first_unknown({"scenario", "duration-ms"})) {
+    std::cerr << "error: cloud_deployment has no flag --" << *unknown << "\n";
+    return 2;
+  }
   const std::string scenario_name = args.get("scenario", "S2");
-  const double duration_ms = args.get_double("duration-ms", 10'000.0);
-
-  const auto& scenario = scenarios::scenario(scenario_name);
+  double duration_ms = 10'000.0;
+  if (args.has("duration-ms") &&
+      (!parse_double(args.get("duration-ms", ""), duration_ms) || !std::isfinite(duration_ms) ||
+       duration_ms <= 0.0)) {
+    std::cerr << "bad --duration-ms '" << args.get("duration-ms", "")
+              << "' (want a finite positive number)\n";
+    return 1;
+  }
+  const scenarios::Scenario* found = nullptr;
+  try {
+    found = &scenarios::scenario(scenario_name);
+  } catch (const std::logic_error& error) {
+    std::cerr << "bad --scenario '" << scenario_name << "' (" << error.what() << ")\n";
+    return 1;
+  }
+  const scenarios::Scenario& scenario = *found;
   std::cout << "=== " << scenario_name << ": " << scenario.services.size()
             << " services ===\n";
 

@@ -28,7 +28,8 @@
 //       PREFIX.csv (metric summary). The printed report is byte-identical
 //       with or without it.
 //
-// A flag the subcommand does not read exits 2, as a repeated flag does.
+// A flag the subcommand does not read exits 2, as a repeated flag and an
+// argument after the subcommand do.
 //
 // Examples:
 //   $ parvactl profile --models resnet-50,vgg-19 --out /tmp/profiles.csv
@@ -269,11 +270,6 @@ int cmd_simulate(const CliArgs& args) {
     return 1;
   }
   core::Deployment deployment = scheduled.value().deployment;
-  for (auto& unit : deployment.units) {
-    for (const auto& spec : services) {
-      if (spec.id == unit.service_id) unit.model = spec.model;
-    }
-  }
 
   double value = 0.0;
   gpu::FaultPlan fault_plan;
@@ -520,6 +516,11 @@ int main(int argc, char** argv) {
   }
   if (args.positional().empty()) return usage();
   const std::string& command = args.positional().front();
+  if (args.positional().size() > 1) {
+    std::cerr << "error: parvactl " << command << " takes no argument '"
+              << args.positional()[1] << "'\n";
+    return 2;
+  }
   try {
     if (command == "profile") return cmd_profile(args);
     if (command == "schedule") return cmd_schedule(args);

@@ -3,6 +3,9 @@
 // request rate — the data ParvaGPU's decisions are made of.
 //
 //   $ ./examples/profile_explorer --model inceptionv3 --slo-ms 419 --rate 5722
+//
+// A flag it does not read exits 2; a bad value exits 1, naming the flag.
+#include <cmath>
 #include <iostream>
 
 #include "common/cli.hpp"
@@ -14,9 +17,25 @@
 int main(int argc, char** argv) {
   using namespace parva;
   const CliArgs args(argc, argv);
+  if (const auto unknown = args.first_unknown({"model", "slo-ms", "rate"})) {
+    std::cerr << "error: profile_explorer has no flag --" << *unknown << "\n";
+    return 2;
+  }
   const std::string model = args.get("model", "inceptionv3");
-  const double slo_ms = args.get_double("slo-ms", 419.0);
-  const double rate = args.get_double("rate", 5722.0);
+  double slo_ms = 419.0;
+  if (args.has("slo-ms") && (!parse_double(args.get("slo-ms", ""), slo_ms) ||
+                             !std::isfinite(slo_ms) || slo_ms <= 0.0)) {
+    std::cerr << "bad --slo-ms '" << args.get("slo-ms", "")
+              << "' (want a finite positive number)\n";
+    return 1;
+  }
+  double rate = 5722.0;
+  if (args.has("rate") &&
+      (!parse_double(args.get("rate", ""), rate) || !std::isfinite(rate) || rate < 0.0)) {
+    std::cerr << "bad --rate '" << args.get("rate", "")
+              << "' (want a finite non-negative number)\n";
+    return 1;
+  }
 
   const auto& catalog = perfmodel::ModelCatalog::builtin();
   if (catalog.find(model) == nullptr) {

@@ -51,12 +51,8 @@ int main() {
 
   // Verify the updated cluster still serves everything within SLO.
   scenario.services[4] = updated;
-  auto deployment = core::ParvaGpuScheduler::to_deployment(plan, "ParvaGPU");
-  for (auto& unit : deployment.units) {
-    for (const auto& spec : scenario.services) {
-      if (spec.id == unit.service_id) unit.model = spec.model;
-    }
-  }
+  const auto deployment =
+      core::ParvaGpuScheduler::to_deployment(plan, "ParvaGPU", scenario.services);
   serving::ClusterSimulation sim(deployment, scenario.services, perf);
   serving::SimulationOptions options;
   options.duration_ms = 6'000.0;

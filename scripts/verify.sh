@@ -63,6 +63,28 @@ grep -q '"kind":"llm_eviction"' "${TELEMETRY_TMP}/s7.jsonl" || {
   exit 1
 }
 
+echo "== shard-count identity: parvactl simulate at --shards 1 and 4 =="
+# same_across_shards NAME ARGS...: `parvactl simulate ARGS...` prints the
+# same bytes and writes the same .prom/.jsonl/.csv exports at --shards 1 and
+# --shards 4 (DESIGN.md §4.5). The S2 fault walkthrough's event log is
+# mostly the sheds of one GPU loss, written by the coordinator; S7 under
+# evict runs the LLM path with its evictions.
+same_across_shards() {
+  local name="$1"
+  shift
+  for shards in 1 4; do
+    ./build/examples/parvactl simulate "$@" --shards "${shards}" \
+      --telemetry-out "${TELEMETRY_TMP}/${name}.shards${shards}" 2>/dev/null \
+      > "${TELEMETRY_TMP}/${name}.shards${shards}.txt"
+  done
+  for ext in txt prom jsonl csv; do
+    cmp "${TELEMETRY_TMP}/${name}.shards1.${ext}" "${TELEMETRY_TMP}/${name}.shards4.${ext}"
+  done
+}
+same_across_shards s2-fault --scenario S2 --inject-fault gpu=0@t=10000 --transient-p 0.15 \
+  --seed 7 --duration-ms 28000
+same_across_shards s7-evict --scenario S7 --llm-admission evict
+
 echo "== configure + build (asan-ubsan preset) =="
 cmake --preset asan-ubsan >/dev/null
 cmake --build --preset asan-ubsan -j "$(nproc)"

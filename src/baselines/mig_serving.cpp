@@ -235,15 +235,7 @@ Result<core::ScheduleResult> MigServingScheduler::schedule(
   const auto stop = std::chrono::steady_clock::now();
 
   core::ScheduleResult result;
-  result.deployment = core::ParvaGpuScheduler::to_deployment(plan, name());
-  for (auto& unit : result.deployment.units) {
-    for (const ServiceProfile& profile : profiles) {
-      if (profile.spec->id == unit.service_id) {
-        unit.model = profile.spec->model;
-        break;
-      }
-    }
-  }
+  result.deployment = core::ParvaGpuScheduler::to_deployment(plan, name(), services);
   result.scheduling_delay_ms =
       std::chrono::duration<double, std::milli>(stop - start).count();
   return result;

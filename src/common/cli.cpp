@@ -24,7 +24,6 @@ bool parse_int_strict(const std::string& text, long long* out) {
 }  // namespace
 
 CliArgs::CliArgs(int argc, const char* const* argv) {
-  if (argc > 0) program_ = argv[0];
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
     if (!starts_with(arg, "--")) {
@@ -69,13 +68,6 @@ std::string CliArgs::get(const std::string& name, const std::string& fallback) c
   return it == flags_.end() ? fallback : it->second;
 }
 
-double CliArgs::get_double(const std::string& name, double fallback) const {
-  const auto it = flags_.find(name);
-  if (it == flags_.end()) return fallback;
-  double value = 0.0;
-  return parse_double(it->second, value) ? value : fallback;
-}
-
 long long CliArgs::get_int(const std::string& name, long long fallback) const {
   const auto it = flags_.find(name);
   if (it == flags_.end()) return fallback;
@@ -90,12 +82,6 @@ bool CliArgs::int_in_range(const std::string& name, long long min_value,
   long long value = 0;
   if (!parse_int_strict(it->second, &value)) return false;
   return value >= min_value && value <= max_value;
-}
-
-bool CliArgs::get_bool(const std::string& name, bool fallback) const {
-  const auto it = flags_.find(name);
-  if (it == flags_.end()) return fallback;
-  return it->second == "true" || it->second == "1" || it->second == "yes";
 }
 
 }  // namespace parva

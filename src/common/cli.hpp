@@ -15,17 +15,12 @@ class CliArgs {
  public:
   CliArgs(int argc, const char* const* argv);
 
-  /// Program name (argv[0]).
-  const std::string& program() const { return program_; }
-
   bool has(const std::string& name) const;
   std::string get(const std::string& name, const std::string& fallback) const;
-  double get_double(const std::string& name, double fallback) const;
   /// Integer flag value. The whole value must parse as a base-10 integer
   /// (optional sign); anything else — including trailing junk like
   /// "4x" or an empty value — returns the fallback.
   long long get_int(const std::string& name, long long fallback) const;
-  bool get_bool(const std::string& name, bool fallback) const;
 
   /// True when `name` parses as a base-10 integer in [min_value, max_value].
   /// Distinguishes "absent" (fine, use the default) from "present but
@@ -49,7 +44,6 @@ class CliArgs {
   const std::vector<std::string>& positional() const { return positional_; }
 
  private:
-  std::string program_;
   std::map<std::string, std::string> flags_;
   std::vector<std::string> names_;  ///< distinct flag names, first-seen order
   std::vector<std::string> repeated_;

@@ -1,7 +1,6 @@
 #include "common/table.hpp"
 
 #include <algorithm>
-#include <fstream>
 #include <ostream>
 
 #include "common/error.hpp"
@@ -82,11 +81,5 @@ std::string TextTable::to_csv() const {
 }
 
 void TextTable::print(std::ostream& os) const { os << render(); }
-
-void write_csv_file(const std::string& path, const std::string& csv) {
-  std::ofstream file(path, std::ios::trunc);
-  if (!file) return;  // best-effort; benches keep running without the file
-  file << csv;
-}
 
 }  // namespace parva

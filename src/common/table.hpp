@@ -36,7 +36,4 @@ class TextTable {
   std::vector<std::vector<std::string>> rows_;
 };
 
-/// Appends CSV content to a file (creating it with the header if absent).
-void write_csv_file(const std::string& path, const std::string& csv);
-
 }  // namespace parva

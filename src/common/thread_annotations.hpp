@@ -15,7 +15,6 @@
 #pragma once
 
 #include <mutex>
-#include <shared_mutex>
 
 #if defined(__clang__) && defined(__has_attribute)
 #if __has_attribute(capability)
@@ -31,15 +30,8 @@
 #define PARVA_GUARDED_BY(x) PARVA_THREAD_ANNOTATION(guarded_by(x))
 #define PARVA_PT_GUARDED_BY(x) PARVA_THREAD_ANNOTATION(pt_guarded_by(x))
 #define PARVA_REQUIRES(...) PARVA_THREAD_ANNOTATION(requires_capability(__VA_ARGS__))
-#define PARVA_REQUIRES_SHARED(...) \
-  PARVA_THREAD_ANNOTATION(requires_shared_capability(__VA_ARGS__))
 #define PARVA_ACQUIRE(...) PARVA_THREAD_ANNOTATION(acquire_capability(__VA_ARGS__))
-#define PARVA_ACQUIRE_SHARED(...) \
-  PARVA_THREAD_ANNOTATION(acquire_shared_capability(__VA_ARGS__))
 #define PARVA_RELEASE(...) PARVA_THREAD_ANNOTATION(release_capability(__VA_ARGS__))
-#define PARVA_RELEASE_SHARED(...) \
-  PARVA_THREAD_ANNOTATION(release_shared_capability(__VA_ARGS__))
-#define PARVA_TRY_ACQUIRE(...) PARVA_THREAD_ANNOTATION(try_acquire_capability(__VA_ARGS__))
 #define PARVA_EXCLUDES(...) PARVA_THREAD_ANNOTATION(locks_excluded(__VA_ARGS__))
 #define PARVA_RETURN_CAPABILITY(x) PARVA_THREAD_ANNOTATION(lock_returned(x))
 #define PARVA_NO_THREAD_SAFETY_ANALYSIS PARVA_THREAD_ANNOTATION(no_thread_safety_analysis)
@@ -56,29 +48,9 @@ class PARVA_CAPABILITY("mutex") Mutex {
 
   void lock() PARVA_ACQUIRE() { mutex_.lock(); }
   void unlock() PARVA_RELEASE() { mutex_.unlock(); }
-  bool try_lock() PARVA_TRY_ACQUIRE(true) { return mutex_.try_lock(); }
-
-  /// Escape hatch for std::condition_variable_any interop.
-  std::mutex& native() { return mutex_; }
 
  private:
   std::mutex mutex_;
-};
-
-/// std::shared_mutex counterpart for reader/writer members.
-class PARVA_CAPABILITY("shared_mutex") SharedMutex {
- public:
-  SharedMutex() = default;
-  SharedMutex(const SharedMutex&) = delete;
-  SharedMutex& operator=(const SharedMutex&) = delete;
-
-  void lock() PARVA_ACQUIRE() { mutex_.lock(); }
-  void unlock() PARVA_RELEASE() { mutex_.unlock(); }
-  void lock_shared() PARVA_ACQUIRE_SHARED() { mutex_.lock_shared(); }
-  void unlock_shared() PARVA_RELEASE_SHARED() { mutex_.unlock_shared(); }
-
- private:
-  std::shared_mutex mutex_;
 };
 
 /// Scoped exclusive guard over parva::Mutex: the std::lock_guard analogue
@@ -101,21 +73,6 @@ class PARVA_SCOPED_CAPABILITY MutexLock {
 
  private:
   Mutex& mutex_;
-};
-
-/// Scoped shared (reader) guard over parva::SharedMutex.
-class PARVA_SCOPED_CAPABILITY SharedMutexLock {
- public:
-  explicit SharedMutexLock(SharedMutex& mutex) PARVA_ACQUIRE_SHARED(mutex)
-      : mutex_(mutex) {
-    mutex_.lock_shared();
-  }
-  ~SharedMutexLock() PARVA_RELEASE() { mutex_.unlock_shared(); }
-  SharedMutexLock(const SharedMutexLock&) = delete;
-  SharedMutexLock& operator=(const SharedMutexLock&) = delete;
-
- private:
-  SharedMutex& mutex_;
 };
 
 }  // namespace parva

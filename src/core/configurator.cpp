@@ -38,6 +38,9 @@ Result<ConfiguredService> SegmentConfigurator::triplet_decision(
 }
 
 Status SegmentConfigurator::demand_matching(ConfiguredService& service) const {
+  // Hand-built configurations reach here without triplet_decision's check.
+  if (Status valid = validate(service.spec); !valid.ok()) return valid;
+
   // OPTSEG: the triplet maximising Throughput/InstanceSize. By Eq. 2 this
   // minimises the GPC count for any request rate, making the tree search
   // of Section III-D2 an O(1) decision.
@@ -54,11 +57,6 @@ Status SegmentConfigurator::demand_matching(ConfiguredService& service) const {
   service.opt_seg = *best;
 
   const double rate = service.spec.request_rate;
-  if (!std::isfinite(rate)) {
-    return Status(ErrorCode::kInvalidArgument,
-                  "service " + std::to_string(service.spec.id) + " (" + service.spec.model +
-                      "): request rate is not finite");
-  }
   if (rate <= 0.0) {
     service.num_opt_seg = 0;
     service.last_seg.reset();

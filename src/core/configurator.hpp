@@ -42,9 +42,10 @@ class SegmentConfigurator {
   /// Runs DemandMatching on a triplet-decided service: selects the
   /// GPC-efficiency-optimal segment (the O(1) argument of Eq. 1-2), counts
   /// whole optimal segments with the floor rule, and picks the smallest
-  /// last segment covering the remainder. A non-finite rate fails with
-  /// kInvalidArgument, and a whole-segment count above
-  /// kMaxSegmentsPerService with kCapacityExceeded.
+  /// last segment covering the remainder. A spec core::validate refuses
+  /// (say, a negative or non-finite rate) fails with kInvalidArgument, and
+  /// a whole-segment count above kMaxSegmentsPerService with
+  /// kCapacityExceeded.
   [[nodiscard]] Status demand_matching(ConfiguredService& service) const;
 
   /// Full Algorithm 1 over a service set, in input order; the first

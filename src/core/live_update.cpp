@@ -93,8 +93,7 @@ Result<LiveUpdateReport> LiveUpdater::apply(const Deployment& current, DeployedS
 
   // Phase 0 (shadowed only): clone one serving segment per affected
   // service onto the spare pool (GPUs beyond the target's footprint).
-  const double per_unit_create =
-      costs_.create_instance_ms + costs_.start_mps_ms + costs_.launch_process_ms;
+  const double per_unit_create = kCreateInstanceMs + kStartMpsMs + kLaunchProcessMs;
   std::map<int, gpu::GlobalInstanceId> shadows;
   int spare_gpu = std::max(current.gpu_count, target.gpu_count);
   if (strategy == UpdateStrategy::kShadowed) {
@@ -145,7 +144,7 @@ Result<LiveUpdateReport> LiveUpdater::apply(const Deployment& current, DeployedS
       return Error(ErrorCode::kInternal, std::string("teardown failed: ") +
                                              gpu::nvml_error_string(ret));
     }
-    window_ms[unit.service_id] += costs_.destroy_instance_ms;
+    window_ms[unit.service_id] += kDestroyInstanceMs;
   }
 
   // Phase 2: build the new segments.
@@ -172,7 +171,7 @@ Result<LiveUpdateReport> LiveUpdater::apply(const Deployment& current, DeployedS
                      << " (kill=" << gpu::nvml_error_string(kill_ret)
                      << ", destroy=" << gpu::nvml_error_string(destroy_ret) << ")";
     }
-    report.makespan_ms += costs_.destroy_instance_ms;
+    report.makespan_ms += kDestroyInstanceMs;
   }
 
   // Accounting: shadowed services keep serving through the window.

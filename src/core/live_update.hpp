@@ -14,8 +14,8 @@
 //                 back, tear the shadow down; downtime is zero at the cost
 //                 of temporary spare-GPU capacity.
 //
-// Control-plane operation costs are configurable; defaults follow the
-// ranges NVIDIA documents for MIG instance creation and process launch.
+// Control-plane operation costs are fixed; they follow the ranges NVIDIA
+// documents for MIG instance creation and process launch.
 #pragma once
 
 #include <map>
@@ -27,12 +27,10 @@ namespace parva::core {
 enum class UpdateStrategy { kInPlace, kShadowed };
 
 /// Wall-clock cost model of the control-plane operations (ms).
-struct ReconfigOpCosts {
-  double destroy_instance_ms = 80.0;
-  double create_instance_ms = 250.0;
-  double start_mps_ms = 40.0;
-  double launch_process_ms = 600.0;  ///< model load + CUDA context
-};
+inline constexpr double kDestroyInstanceMs = 80.0;
+inline constexpr double kCreateInstanceMs = 250.0;
+inline constexpr double kStartMpsMs = 40.0;
+inline constexpr double kLaunchProcessMs = 600.0;  ///< model load + CUDA context
 
 struct LiveUpdateReport {
   /// Unavailability window per affected service id (0 when shadowed).
@@ -60,8 +58,7 @@ struct LiveUpdateReport {
 /// current one so only changed segments are rebuilt.
 class LiveUpdater {
  public:
-  LiveUpdater(Deployer& deployer, ReconfigOpCosts costs = {})
-      : deployer_(&deployer), costs_(costs) {}
+  explicit LiveUpdater(Deployer& deployer) : deployer_(&deployer) {}
 
   /// Transitions the cluster from (current, state) to `target`.
   /// On success `state` describes the target deployment's instances.
@@ -77,7 +74,6 @@ class LiveUpdater {
 
  private:
   Deployer* deployer_;
-  ReconfigOpCosts costs_;
 };
 
 }  // namespace parva::core

@@ -35,7 +35,9 @@ std::string ParvaGpuScheduler::name() const {
 }
 
 Deployment ParvaGpuScheduler::to_deployment(const DeploymentPlan& plan,
-                                            std::string framework_name) {
+                                            std::string framework_name,
+                                            std::span<const ServiceSpec> services) {
+  const ServiceIdIndex by_id(services);
   Deployment deployment;
   deployment.framework = std::move(framework_name);
   deployment.uses_mig = true;
@@ -56,6 +58,7 @@ Deployment ParvaGpuScheduler::to_deployment(const DeploymentPlan& plan,
     unit.actual_latency_ms = placed->triplet.latency_ms;
     unit.sm_occupancy = placed->triplet.sm_occupancy;
     unit.memory_gib = placed->triplet.memory_gib;
+    if (const auto pos = by_id.find(unit.service_id)) unit.model = services[*pos].model;
     deployment.units.push_back(std::move(unit));
   }
   return deployment;
@@ -64,7 +67,6 @@ Deployment ParvaGpuScheduler::to_deployment(const DeploymentPlan& plan,
 Result<ScheduleResult> ParvaGpuScheduler::schedule(std::span<const ServiceSpec> services) {
   const auto start = std::chrono::steady_clock::now();
 
-  // The index also serves the model fill below, so the id table is built once.
   const ServiceIdIndex by_id(services);
   if (Status valid = validate(services, by_id); !valid.ok()) return valid.error();
 
@@ -77,12 +79,7 @@ Result<ScheduleResult> ParvaGpuScheduler::schedule(std::span<const ServiceSpec> 
   last_plan_ = std::move(plan).value();
 
   ScheduleResult result;
-  result.deployment = to_deployment(last_plan_, name());
-  // Configuration keeps the input order, so a position in `services` is
-  // also the position of that service's configuration.
-  for (auto& unit : result.deployment.units) {
-    if (const auto pos = by_id.find(unit.service_id)) unit.model = services[*pos].model;
-  }
+  result.deployment = to_deployment(last_plan_, name(), services);
 
   // The delay covers everything up to the returned Deployment.
   const auto stop = std::chrono::steady_clock::now();

@@ -48,8 +48,10 @@ class ParvaGpuScheduler final : public Scheduler {
   const std::vector<ConfiguredService>& last_configured() const { return last_configured_; }
 
   /// Converts a deployment map into the framework-neutral form. MIG
-  /// isolation means actual == planned for every unit.
-  static Deployment to_deployment(const DeploymentPlan& plan, std::string framework_name);
+  /// isolation means actual == planned for every unit. A unit's model is
+  /// that of the service in `services` with its id (empty when none has it).
+  static Deployment to_deployment(const DeploymentPlan& plan, std::string framework_name,
+                                  std::span<const ServiceSpec> services = {});
 
   /// The indexed profile surfaces the scheduler plans against.
   const profiler::ProfileSurfaceSet& surfaces() const { return surfaces_; }

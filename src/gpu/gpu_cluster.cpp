@@ -2,7 +2,7 @@
 
 namespace parva::gpu {
 
-GpuCluster::GpuCluster(std::size_t initial_gpus, bool elastic) : elastic_(elastic) {
+GpuCluster::GpuCluster(std::size_t initial_gpus) {
   gpus_.reserve(initial_gpus);
   for (std::size_t i = 0; i < initial_gpus; ++i) {
     gpus_.push_back(std::make_unique<VirtualGpu>(static_cast<int>(i)));
@@ -19,10 +19,7 @@ const VirtualGpu& GpuCluster::gpu(std::size_t index) const {
   return *gpus_[index];
 }
 
-Result<std::size_t> GpuCluster::add_gpu() {
-  if (!elastic_) {
-    return Error(ErrorCode::kCapacityExceeded, "fixed-size cluster cannot grow");
-  }
+std::size_t GpuCluster::add_gpu() {
   gpus_.push_back(std::make_unique<VirtualGpu>(static_cast<int>(gpus_.size())));
   return gpus_.size() - 1;
 }
@@ -32,10 +29,7 @@ void GpuCluster::reset() {
 }
 
 Result<GlobalInstanceId> GpuCluster::create_instance(std::size_t gpu_index, int gpcs) {
-  while (gpu_index >= gpus_.size()) {
-    auto grown = add_gpu();
-    if (!grown.ok()) return grown.error();
-  }
+  while (gpu_index >= gpus_.size()) add_gpu();
   auto handle = gpus_[gpu_index]->create_instance(gpcs);
   if (!handle.ok()) return handle.error();
   return GlobalInstanceId{static_cast<int>(gpu_index), handle.value()};

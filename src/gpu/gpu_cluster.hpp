@@ -20,25 +20,24 @@ struct GlobalInstanceId {
 
 class GpuCluster {
  public:
-  /// Creates a cluster with `initial_gpus` devices; `elastic` clusters grow
-  /// when allocation requests exceed the current device count (modelling
-  /// the cloud's ability to add p4de instances).
-  explicit GpuCluster(std::size_t initial_gpus = 8, bool elastic = true);
+  /// Creates a cluster with `initial_gpus` devices. It grows when an
+  /// allocation names a device beyond its count (modelling the cloud's
+  /// ability to add p4de instances).
+  explicit GpuCluster(std::size_t initial_gpus = 8);
 
   std::size_t size() const { return gpus_.size(); }
-  bool elastic() const { return elastic_; }
 
   VirtualGpu& gpu(std::size_t index);
   const VirtualGpu& gpu(std::size_t index) const;
 
-  /// Appends one more GPU and returns it (only when elastic).
-  [[nodiscard]] Result<std::size_t> add_gpu();
+  /// Appends one more GPU and returns its index.
+  std::size_t add_gpu();
 
   /// Destroys all instances on all GPUs.
   void reset();
 
-  /// Creates an instance on a specific GPU (growing an elastic cluster if
-  /// `gpu_index == size()`).
+  /// Creates an instance on a specific GPU, growing the cluster up to
+  /// `gpu_index` first.
   [[nodiscard]] Result<GlobalInstanceId> create_instance(std::size_t gpu_index, int gpcs);
 
   [[nodiscard]] Status destroy_instance(GlobalInstanceId id);
@@ -51,7 +50,6 @@ class GpuCluster {
 
  private:
   std::vector<std::unique_ptr<VirtualGpu>> gpus_;
-  bool elastic_;
 };
 
 }  // namespace parva::gpu

@@ -85,12 +85,8 @@ Result<AutoscaleReport> Autoscaler::run_day(std::span<const core::ServiceSpec> b
     report.gpu_hours += record.gpus * epoch_hours;
     report.peak_gpus = std::max(report.peak_gpus, static_cast<double>(record.gpus));
 
-    core::Deployment deployment = core::ParvaGpuScheduler::to_deployment(plan, "ParvaGPU");
-    for (auto& unit : deployment.units) {
-      for (const auto& spec : current) {
-        if (spec.id == unit.service_id) unit.model = spec.model;
-      }
-    }
+    const core::Deployment deployment =
+        core::ParvaGpuScheduler::to_deployment(plan, "ParvaGPU", current);
     ClusterSimulation sim(deployment, current, *perf_);
     SimulationOptions sim_options;
     sim_options.duration_ms = options_.verify_duration_ms;

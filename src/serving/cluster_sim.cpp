@@ -26,10 +26,6 @@ constexpr double kNever = std::numeric_limits<double>::infinity();
 // services are untouched by the generative path (the degenerate contract
 // of DESIGN.md §4.7).
 
-// Bits of the per-unit emission counter inside a BufferedRecord sub-key
-// (see shard_engine.hpp: sub = (global unit + 1) << 20 | emission).
-constexpr unsigned kSubEmissionBits = 20;
-
 // Tokens each live LLM request advances per Decode event (DESIGN.md §4.7):
 // the grain at which the KV ledger grows and decode latency is charged.
 constexpr int kDecodeChunkTokens = 32;
@@ -43,7 +39,6 @@ constexpr double kBurstProb = 0.2;
 constexpr double kBurstSlow = (1.0 - kBurstProb) / (1.0 - kBurstProb / kBurstFactor);
 
 struct Request {
-  int service_id = -1;
   double arrival_ms = 0.0;
   // Token counts drawn at arrival from the service's token stream; both
   // zero for fixed-latency services (no draws consumed).
@@ -114,10 +109,24 @@ struct Batch {
   }
 };
 
-/// Runtime state of one deployed unit.
+/// Runtime state of one deployed unit, kept in its service's loop. Its
+/// jitter stream and completion keys are keyed by its global index, so the
+/// unit draws and numbers the same events whichever shard hosts it.
 struct UnitState {
+  UnitState(const core::DeployedUnit& deployed, std::size_t global_index, std::uint64_t seed,
+            std::size_t service_count)
+      : unit(&deployed),
+        global(global_index),
+        jitter(Rng::stream(seed, RngStreamTag::kJitter, global_index)),
+        completion_keys(completion_stream_id(service_count, global_index)),
+        idle_processes(std::max(1, deployed.procs)),
+        capacity(std::max(1e-9, deployed.actual_throughput)) {}
+
   const core::DeployedUnit* unit = nullptr;
   const perfmodel::WorkloadTraits* traits = nullptr;
+  std::size_t global = 0;  ///< index into deployment.units
+  Rng jitter;
+  SeqStream completion_keys;
   RequestQueue queue;
   int idle_processes = 0;
   bool up = true;                ///< serving (false: dormant or failed)
@@ -168,12 +177,11 @@ struct RunConfig {
   double timeline_bucket_ms = 0.0;
   std::size_t timeline_buckets = 0;
   ArrivalProcess arrivals = ArrivalProcess::kDeterministic;
-  /// Canonical key of the first scheduled device loss (time < 0: none).
-  /// Phase accounting compares event keys against this boundary, which is
-  /// exactly the single-engine dynamic rule: an event lands pre-failure iff
-  /// it precedes the failure in the global (time, seq) order.
+  /// Time of the first scheduled device loss (< 0: none). An event lands
+  /// pre-failure iff it comes first in the global (time, seq) order, which
+  /// is a comparison of times alone: a fault key (stream 0) sorts below
+  /// every loop key at its time.
   double first_failure_ms = -1.0;
-  std::uint64_t first_failure_seq = 0;
   double recovered_at_ms = 0.0;
   bool buffer_records = false;       ///< telemetry sink attached
   bool record_batch_events = false;  ///< EventLog batch records requested
@@ -185,17 +193,53 @@ double ms_since(std::chrono::steady_clock::time_point t0) {
       .count();
 }
 
-/// One local service's event loop: its next pending arrival (each service
-/// has at most one outstanding) and a small heap of its own units'
-/// completion, prefill, decode and activation events. Services of a shard
-/// share only order-free counters and the slot pool, so running each loop
-/// to a window bound in turn gives every service the trajectory it has in
-/// one global (time, seq) order (DESIGN.md §4.5).
+/// One service and its event loop: the service's parameters, arrival and
+/// token streams (keyed by its global index), outcome and units, its next
+/// pending arrival (each service has at most one outstanding) and a small
+/// heap of its units' completion, prefill, decode and activation events.
+/// Services of a shard share only order-free counters and the slot pool,
+/// so running each loop to a window bound in turn gives every service the
+/// trajectory it has in one global (time, seq) order (DESIGN.md §4.5).
 struct ServiceLoop {
-  double arrival_ms = kNever;  ///< kNever: no arrival pending
+  ServiceLoop(std::size_t service_index, const core::ServiceSpec& service, std::uint64_t seed)
+      : index(service_index),
+        spec(&service),
+        paced_gap_ms(service.request_rate > 0.0 ? 1.0 / (service.request_rate / 1000.0) : 0.0),
+        arrival_rng(Rng::stream(seed, RngStreamTag::kArrival, service_index)),
+        token_rng(Rng::stream(seed, RngStreamTag::kToken, service_index)),
+        arrival_keys(arrival_stream_id(service_index)) {
+    outcome.service_id = service.id;
+    outcome.offered_rate = service.request_rate;
+  }
+
+  std::size_t index = 0;  ///< global service index
+  const core::ServiceSpec* spec = nullptr;
+  double paced_gap_ms = 0.0;
+  Rng arrival_rng;
+  /// Drawn only by LLM services, so fixed-latency runs stay byte-identical
+  /// to the pre-LLM engine.
+  Rng token_rng;
+  ServiceOutcome outcome;
+  std::vector<UnitState> units;  ///< in ascending global order
+  double arrival_ms = kNever;    ///< kNever: no arrival pending
   std::uint64_t arrival_seq = 0;
-  SeqStream arrival_keys;  ///< the service's canonical arrival stream
+  SeqStream arrival_keys;
   EventQueue events;
+
+  /// Arms the service to arrive at `time_ms` under the next key of its
+  /// arrival stream.
+  void arm_arrival(double time_ms) {
+    arrival_ms = time_ms;
+    arrival_seq = arrival_keys.next();
+  }
+};
+
+/// Where a unit lives: its shard, its service's loop there, and its
+/// position among that loop's units (SimEvent::unit_index).
+struct UnitHome {
+  std::size_t shard = 0;
+  std::size_t loop = 0;
+  std::size_t unit = 0;
 };
 
 /// One sub-engine: the full simulation restricted to a subset of the
@@ -208,34 +252,10 @@ struct ServiceLoop {
 /// sits on the line holding the next shard's hottest pointers.
 struct alignas(128) Shard {
   const RunConfig* cfg = nullptr;
-
-  // Services (local index -> global metadata), in ascending global order.
-  std::vector<std::size_t> svc_global;
-  std::vector<int> svc_id;
-  std::vector<double> svc_slo_ms;
-  std::vector<double> svc_rate;
-  std::vector<double> paced_gap_ms;
-  std::vector<Rng> arrival_rng;
-  /// Per-service LLM workload (nullptr: fixed-latency service).
-  std::vector<const core::LlmWorkload*> svc_llm;
-  std::vector<Rng> token_rng;
-  /// loops[s] for local service s, plus one last loop for orphan units
-  /// (no matching service), which never arms an arrival.
-  std::vector<ServiceLoop> loops;
-
-  // Units (local index -> global metadata), in ascending global order.
-  std::vector<UnitState> units;
-  std::vector<std::size_t> unit_global;
-  std::vector<int> unit_service;  ///< local service index (-1: orphan unit)
-  std::vector<Rng> jitter_rng;
-  std::vector<SeqStream> completion_seq;
-  std::vector<std::uint32_t> svc_unit_off;
-  std::vector<std::uint32_t> svc_unit_flat;
-
+  std::vector<ServiceLoop> loops;  ///< in ascending global service order
   BatchPool batches;
 
-  // Accounting, merged by the coordinator after the last window.
-  std::vector<ServiceOutcome> outcomes;
+  // Order-free tallies, summed by the coordinator after the last window.
   PhaseStats pre_failure;
   PhaseStats degraded;
   PhaseStats post_recovery;
@@ -244,32 +264,20 @@ struct alignas(128) Shard {
   std::size_t events_processed = 0;
   double busy_ms = 0.0;  ///< wall-clock spent advancing this shard
 
-  double next_gap_ms(std::size_t s) {
+  double next_gap_ms(ServiceLoop& loop) const {
+    const double rate = loop.spec->request_rate;
     if (cfg->arrivals == ArrivalProcess::kPoisson) {
-      return arrival_rng[s].exponential(svc_rate[s] / 1000.0);
+      return loop.arrival_rng.exponential(rate / 1000.0);
     }
     if (cfg->arrivals == ArrivalProcess::kBursty) {
       // Two-phase exponential mixture: a boosted burst rate with
       // probability kBurstProb, else a compensating slow rate — the mean
       // gap matches the offered rate (DESIGN.md §4.7).
-      const double u = arrival_rng[s].next_double();
+      const double u = loop.arrival_rng.next_double();
       const double factor = u < kBurstProb ? kBurstFactor : kBurstSlow;
-      return arrival_rng[s].exponential(svc_rate[s] * factor / 1000.0);
+      return loop.arrival_rng.exponential(rate * factor / 1000.0);
     }
-    return paced_gap_ms[s];
-  }
-
-  /// Arms local service `s` to arrive at `time_ms` under the next key of
-  /// its arrival stream.
-  void arm_arrival(std::size_t s, double time_ms) {
-    loops[s].arrival_ms = time_ms;
-    loops[s].arrival_seq = loops[s].arrival_keys.next();
-  }
-
-  /// The event heap of unit `ui`'s loop.
-  EventQueue& events_of(std::size_t ui) {
-    const int s = unit_service[ui];
-    return loops[s >= 0 ? static_cast<std::size_t>(s) : loops.size() - 1].events;
+    return loop.paced_gap_ms;
   }
 
   /// Clamped-lognormal token draw: exp(N(log(mean) - s^2/2, s)) rounded to
@@ -286,15 +294,8 @@ struct alignas(128) Shard {
     return static_cast<int>(std::lround(std::min(std::max(tokens, 1.0), hi)));
   }
 
-  std::uint64_t unit_sub(std::size_t ui) const {
-    return (static_cast<std::uint64_t>(unit_global[ui]) + 1) << kSubEmissionBits;
-  }
-
-  PhaseStats* phase_of(double t, std::uint64_t seq) {
-    if (cfg->first_failure_ms < 0.0 || t < cfg->first_failure_ms ||
-        (t == cfg->first_failure_ms && seq < cfg->first_failure_seq)) {
-      return &pre_failure;
-    }
+  PhaseStats* phase_of(double t) {
+    if (cfg->first_failure_ms < 0.0 || t < cfg->first_failure_ms) return &pre_failure;
     return (cfg->recovered_at_ms > 0.0 && t >= cfg->recovered_at_ms) ? &post_recovery
                                                                      : &degraded;
   }
@@ -306,18 +307,19 @@ struct alignas(128) Shard {
     return idx < timeline.size() ? &timeline[idx] : nullptr;
   }
 
-  /// Accounts one request dropped by a failure while processing the event
-  /// with canonical key (now, seq); `sub` serialises multiple drops under
-  /// that key. Pre-warm-up requests are not measured.
-  void shed_one(std::size_t s, double request_arrival_ms, double now, std::uint64_t seq,
-                std::uint64_t sub) {
+  /// Accounts one request of `loop`'s service dropped while processing the
+  /// event with canonical key (now, seq), recording it into `out`: this
+  /// shard's buffer for a shed arrival, the coordinator's for a failure.
+  /// Pre-warm-up requests are not measured.
+  void shed_one(ServiceLoop& loop, double request_arrival_ms, double now, std::uint64_t seq,
+                std::vector<BufferedRecord>& out) {
     if (request_arrival_ms < cfg->warmup_ms) return;
-    ++outcomes[s].shed_requests;
-    ++phase_of(now, seq)->shed_requests;
+    ++loop.outcome.shed_requests;
+    ++phase_of(now)->shed_requests;
     if (TimelineBucket* bucket = bucket_of(now)) ++bucket->shed_requests;
     if (cfg->buffer_records) {
-      records.push_back({now, seq, sub, telemetry::EventKind::kRequestShed,
-                         /*gpu=*/-1, svc_id[s], 0.0});
+      out.push_back({now, seq, telemetry::EventKind::kRequestShed, /*gpu=*/-1, loop.spec->id,
+                     0.0});
     }
   }
 
@@ -325,8 +327,7 @@ struct alignas(128) Shard {
   /// capacity. No-op on units whose ledger is disabled. The entry is
   /// erased, not swapped with the last, so `resident` stays in admission
   /// order for evict_until_fits.
-  void release_ledger(std::size_t ui, std::uint32_t slot) {
-    UnitState& state = units[ui];
+  void release_ledger(UnitState& state, std::uint32_t slot) {
     if (state.kv_per_token <= 0.0) return;
     Batch& batch = batches[slot].payload;
     state.kv_used -= batch.kv_bytes;
@@ -335,10 +336,9 @@ struct alignas(128) Shard {
     if (it != state.resident.end()) state.resident.erase(it);
   }
 
-  /// Takes `slot` out of unit `ui`'s in-flight set: its process frees and
+  /// Takes `slot` out of the unit's in-flight set: its process frees and
   /// its requests leave the dispatch backlog.
-  void retire_in_flight(std::size_t ui, std::uint32_t slot) {
-    UnitState& state = units[ui];
+  void retire_in_flight(UnitState& state, std::uint32_t slot) {
     const auto it =
         std::find(state.in_flight_slots.begin(), state.in_flight_slots.end(), slot);
     PARVA_CHECK(it != state.in_flight_slots.end(), "retiring a batch not in flight");
@@ -348,21 +348,13 @@ struct alignas(128) Shard {
     ++state.idle_processes;
   }
 
-  /// The next record sub-key unit `ui` emits under the event being
-  /// processed: records of one event sort in the order they were emitted.
-  std::uint64_t next_sub(std::size_t ui, std::uint64_t* emission) const {
-    PARVA_CHECK(*emission >> kSubEmissionBits == 0, "record emission overflow");
-    return unit_sub(ui) | (*emission)++;
-  }
-
   /// Evicts one resident batch: its unfinished requests are counted as
   /// evicted, its KV bytes return to the ledger, and its process frees.
   /// Releasing the slot bumps the generation, so the batch's pending
   /// Prefill/Decode event goes stale.
-  void evict_batch(std::size_t ui, std::uint32_t slot, double now, std::uint64_t seq,
-                   std::uint64_t* emission) {
+  void evict_batch(ServiceLoop& loop, UnitState& state, std::uint32_t slot, double now,
+                   std::uint64_t seq) {
     const Batch& batch = batches[slot].payload;
-    const auto s = static_cast<std::size_t>(unit_service[ui]);
     std::size_t victims = 0;
     if (batch.remaining.empty()) {
       victims = batch.requests.size();  // pre-prefill: nothing finished yet
@@ -371,42 +363,39 @@ struct alignas(128) Shard {
         if (left > 0) ++victims;
       }
     }
-    if (batch.measured) outcomes[s].evicted_requests += victims;
+    if (batch.measured) loop.outcome.evicted_requests += victims;
     if (cfg->buffer_records) {
-      records.push_back({now, seq, next_sub(ui, emission), telemetry::EventKind::kLlmEviction,
-                         units[ui].unit->gpu_index, svc_id[s],
-                         static_cast<double>(victims)});
+      records.push_back({now, seq, telemetry::EventKind::kLlmEviction, state.unit->gpu_index,
+                         loop.spec->id, static_cast<double>(victims)});
     }
-    release_ledger(ui, slot);
-    retire_in_flight(ui, slot);
+    release_ledger(state, slot);
+    retire_in_flight(state, slot);
     batches.release(slot);
   }
 
   /// Frees ledger capacity for `need` bytes by evicting resident batches
   /// other than `self`, oldest admission first (FIFO). Stops when the need
   /// fits or no victim remains.
-  void evict_until_fits(std::size_t ui, double need, std::uint32_t self, double now,
-                        std::uint64_t seq, std::uint64_t* emission) {
-    UnitState& state = units[ui];
+  void evict_until_fits(ServiceLoop& loop, UnitState& state, double need, std::uint32_t self,
+                        double now, std::uint64_t seq) {
     while (need > state.kv_capacity - state.kv_used) {
       const auto victim = std::find_if(state.resident.begin(), state.resident.end(),
                                        [self](std::uint32_t slot) { return slot != self; });
       if (victim == state.resident.end()) return;
-      evict_batch(ui, *victim, now, seq, emission);
+      evict_batch(loop, state, *victim, now, seq);
     }
   }
 
   /// Rejects the just-drained batch in `slot`: its requests are refused
   /// admission (counted, not queued again) and the slot is released.
-  void reject_batch(std::size_t ui, std::uint32_t slot, double now, std::uint64_t seq,
-                    std::uint64_t* emission) {
+  void reject_batch(ServiceLoop& loop, const UnitState& state, std::uint32_t slot, double now,
+                    std::uint64_t seq) {
     const Batch& batch = batches[slot].payload;
-    const auto s = static_cast<std::size_t>(unit_service[ui]);
-    if (batch.measured) outcomes[s].rejected_requests += batch.requests.size();
+    if (batch.measured) loop.outcome.rejected_requests += batch.requests.size();
     if (cfg->buffer_records) {
-      records.push_back({now, seq, next_sub(ui, emission),
-                         telemetry::EventKind::kLlmAdmissionReject, units[ui].unit->gpu_index,
-                         svc_id[s], static_cast<double>(batch.requests.size())});
+      records.push_back({now, seq, telemetry::EventKind::kLlmAdmissionReject,
+                         state.unit->gpu_index, loop.spec->id,
+                         static_cast<double>(batch.requests.size())});
     }
     batches.release(slot);
   }
@@ -416,9 +405,8 @@ struct alignas(128) Shard {
   /// kEvict admits on prompt footprint alone and reclaims from residents
   /// when even that does not fit. Returns false when the batch was
   /// rejected (the slot is already released).
-  bool admit_llm_batch(std::size_t ui, std::uint32_t slot, double now, std::uint64_t seq,
-                       std::uint64_t* emission) {
-    UnitState& state = units[ui];
+  bool admit_llm_batch(ServiceLoop& loop, UnitState& state, std::uint32_t slot, double now,
+                       std::uint64_t seq) {
     Batch& batch = batches[slot].payload;
     batch.measured =
         !batch.requests.empty() && batch.requests.front().arrival_ms >= cfg->warmup_ms;
@@ -436,10 +424,10 @@ struct alignas(128) Shard {
     const bool reserve_full = cfg->llm.admission == LlmAdmissionPolicy::kReject;
     const double need = state.kv_per_token * (reserve_full ? total_tokens : prompt_tokens);
     if (!reserve_full && need > state.kv_capacity - state.kv_used) {
-      evict_until_fits(ui, need, slot, now, seq, emission);
+      evict_until_fits(loop, state, need, slot, now, seq);
     }
     if (need > state.kv_capacity - state.kv_used) {
-      reject_batch(ui, slot, now, seq, emission);
+      reject_batch(loop, state, slot, now, seq);
       return false;
     }
     state.kv_used += need;
@@ -449,16 +437,16 @@ struct alignas(128) Shard {
     return true;
   }
 
-  void start_batch_if_possible(std::size_t ui, double now, std::uint64_t seq,
-                               std::uint64_t* emission) {
-    UnitState& state = units[ui];
+  void start_batch_if_possible(ServiceLoop& loop, std::size_t ui, double now,
+                               std::uint64_t seq) {
+    UnitState& state = loop.units[ui];
     while (state.up && state.idle_processes > 0 && !state.queue.empty()) {
       const auto take = std::min<std::size_t>(static_cast<std::size_t>(state.unit->batch),
                                               state.queue.size());
       const std::uint32_t slot = batches.acquire();
       Batch& batch = batches[slot].payload;
       state.queue.drain_into(batch.requests, take);
-      if (state.is_llm && !admit_llm_batch(ui, slot, now, seq, emission)) {
+      if (state.is_llm && !admit_llm_batch(loop, state, slot, now, seq)) {
         continue;  // rejected under memory pressure; the process stays free
       }
       // Service time: ground-truth full-batch latency scaled to the fill
@@ -487,8 +475,7 @@ struct alignas(128) Shard {
         }
         service_ms *= state.prefill_share * prompt_scale;
       }
-      service_ms =
-          perfmodel::AnalyticalPerfModel::sample_latency_ms(service_ms, jitter_rng[ui]);
+      service_ms = perfmodel::AnalyticalPerfModel::sample_latency_ms(service_ms, state.jitter);
       // Charge SM-time (Eq. 3 numerator) within the measurement window.
       if (state.traits != nullptr && now >= cfg->warmup_ms) {
         // One term per dispatched batch, not a bulk reduction.
@@ -500,19 +487,18 @@ struct alignas(128) Shard {
       state.in_flight_requests += take;
       SimEvent event;
       event.time_ms = now + service_ms;
-      event.seq = completion_seq[ui].next();
+      event.seq = state.completion_keys.next();
       event.kind = state.is_llm ? EventKind::kLlmPrefillDone : EventKind::kBatchComplete;
       event.unit_index = static_cast<int>(ui);
       event.slot = slot;
       event.generation = batches[slot].generation;
-      events_of(ui).push(event);
+      loop.events.push(event);
     }
   }
 
   /// Expected-delay score of a unit for dispatch: backlog (queued + in
   /// service) over ground-truth capacity.
-  double delay_score(std::size_t ui) const {
-    const UnitState& state = units[ui];
+  static double delay_score(const UnitState& state) {
     const double backlog =
         static_cast<double>(state.queue.size() + state.in_flight_requests);
     return backlog / state.capacity;
@@ -520,24 +506,21 @@ struct alignas(128) Shard {
 
   /// The dispatch rule for every service, fixed-latency and LLM: the live
   /// unit with the smallest expected delay, matching a front-end load
-  /// balancer. Returns units.size() when every candidate is down
+  /// balancer. Returns the unit count when every unit is down
   /// (mid-failure, pre-repair).
-  std::size_t choose_least_loaded(std::size_t s) const {
-    const std::uint32_t cand_begin = svc_unit_off[s];
-    const std::uint32_t cand_end = svc_unit_off[s + 1];
-    if (cand_end - cand_begin == 1) {
+  static std::size_t choose_least_loaded(const ServiceLoop& loop) {
+    const std::vector<UnitState>& units = loop.units;
+    if (units.size() == 1) {
       // Single-unit service (the common case): the choice is forced, so
       // the delay score is never compared against anything.
-      const std::size_t only = svc_unit_flat[cand_begin];
-      return units[only].up ? only : units.size();
+      return units.front().up ? 0 : units.size();
     }
     bool any_live = false;
     std::size_t chosen = 0;
     double best_score = 0.0;
-    for (std::uint32_t idx = cand_begin; idx < cand_end; ++idx) {
-      const std::size_t ui = svc_unit_flat[idx];
+    for (std::size_t ui = 0; ui < units.size(); ++ui) {
       if (!units[ui].up) continue;
-      const double score = delay_score(ui);
+      const double score = delay_score(units[ui]);
       if (!any_live || score < best_score) {
         any_live = true;
         best_score = score;
@@ -547,35 +530,35 @@ struct alignas(128) Shard {
     return any_live ? chosen : units.size();
   }
 
-  void process_arrival(std::size_t s) {
-    const double now = loops[s].arrival_ms;
-    const std::uint64_t seq = loops[s].arrival_seq;
+  void process_arrival(ServiceLoop& loop) {
+    const double now = loop.arrival_ms;
+    const std::uint64_t seq = loop.arrival_seq;
     ++events_processed;
-    loops[s].arrival_ms = kNever;
+    loop.arrival_ms = kNever;
     if (now <= cfg->horizon_ms) {
       // Dispatch to a live unit (rule above); a service whose every unit
       // is down sheds the request — the front end has nowhere to send it.
-      const std::size_t chosen = choose_least_loaded(s);
-      if (chosen == units.size()) {
-        shed_one(s, now, now, seq, /*sub=*/0);
+      const std::size_t chosen = choose_least_loaded(loop);
+      if (chosen == loop.units.size()) {
+        shed_one(loop, now, now, seq, records);
       } else {
-        Request request{svc_id[s], now};
-        if (const core::LlmWorkload* workload = svc_llm[s]) {
+        Request request{now};
+        if (loop.spec->llm.has_value()) {
+          const core::LlmWorkload& workload = *loop.spec->llm;
           request.prompt_tokens =
-              sample_tokens(workload->prompt_tokens_mean, workload->prompt_tokens_sigma,
-                            workload->prompt_tokens_max, token_rng[s]);
+              sample_tokens(workload.prompt_tokens_mean, workload.prompt_tokens_sigma,
+                            workload.prompt_tokens_max, loop.token_rng);
           request.gen_tokens =
-              sample_tokens(workload->gen_tokens_mean, workload->gen_tokens_sigma,
-                            workload->gen_tokens_max, token_rng[s]);
+              sample_tokens(workload.gen_tokens_mean, workload.gen_tokens_sigma,
+                            workload.gen_tokens_max, loop.token_rng);
         }
-        units[chosen].queue.push_back(request);
-        std::uint64_t emission = 0;
-        start_batch_if_possible(chosen, now, seq, &emission);
+        loop.units[chosen].queue.push_back(request);
+        start_batch_if_possible(loop, chosen, now, seq);
       }
 
       // Schedule the next arrival of this service.
-      const double next = now + next_gap_ms(s);
-      if (next <= cfg->horizon_ms) arm_arrival(s, next);
+      const double next = now + next_gap_ms(loop);
+      if (next <= cfg->horizon_ms) loop.arm_arrival(next);
     }
   }
 
@@ -583,50 +566,45 @@ struct alignas(128) Shard {
   /// batch against its service (skip warm-up), releases the slot. An LLM
   /// batch with no decode work takes exactly this path from its Prefill
   /// event — the degenerate byte-identity contract (DESIGN.md §4.7).
-  void complete_batch(std::size_t ui, const SimEvent& event) {
+  void complete_batch(ServiceLoop& loop, std::size_t ui, const SimEvent& event) {
     const double now = event.time_ms;
     const std::vector<Request>& requests = batches[event.slot].payload.requests;
-    retire_in_flight(ui, event.slot);
+    retire_in_flight(loop.units[ui], event.slot);
 
     // Account the batch against its service (skip warm-up).
     if (!requests.empty() && requests.front().arrival_ms >= cfg->warmup_ms) {
-      const int s_idx = unit_service[ui];
-      PARVA_CHECK(s_idx >= 0, "unit without a service");
-      const auto s = static_cast<std::size_t>(s_idx);
-      ServiceOutcome& outcome = outcomes[s];
-      PhaseStats* phase = phase_of(now, event.seq);  // by completion time
+      ServiceOutcome& outcome = loop.outcome;
+      const double slo_ms = loop.spec->slo_latency_ms;
+      PhaseStats* phase = phase_of(now);  // by completion time
       bool violated = false;
       for (const Request& request : requests) {
         const double latency = now - request.arrival_ms;
         outcome.request_latency_ms.add(latency);
         ++outcome.requests;
         ++phase->requests;
-        if (latency > svc_slo_ms[s]) {
+        if (latency > slo_ms) {
           violated = true;
           ++phase->violated_requests;
         }
       }
-      account_batch(ui, requests.size(), violated, now, event.seq, /*sub=*/0);
+      account_batch(loop, loop.units[ui], requests.size(), violated, now, event.seq);
     }
     batches.release(event.slot);
-    std::uint64_t emission = 0;
-    start_batch_if_possible(ui, now, event.seq, &emission);
+    start_batch_if_possible(loop, ui, now, event.seq);
   }
 
-  /// Accounts a finished, measured batch of `size` requests against unit
-  /// `ui`'s service by its completion key (now, seq): service, phase and
-  /// timeline batch counts, and a kBatchCompleted record under `sub` when
-  /// batch records are on.
-  void account_batch(std::size_t ui, std::size_t size, bool violated, double now,
-                     std::uint64_t seq, std::uint64_t sub) {
-    const auto s = static_cast<std::size_t>(unit_service[ui]);
-    ServiceOutcome& outcome = outcomes[s];
-    PhaseStats* phase = phase_of(now, seq);
+  /// Accounts a finished, measured batch of `size` requests against its
+  /// service by its completion key (now, seq): service, phase and timeline
+  /// batch counts, and a kBatchCompleted record when batch records are on.
+  void account_batch(ServiceLoop& loop, const UnitState& state, std::size_t size,
+                     bool violated, double now, std::uint64_t seq) {
+    ServiceOutcome& outcome = loop.outcome;
+    PhaseStats* phase = phase_of(now);
     ++outcome.batches;
     if (violated) ++outcome.violated_batches;
     if (cfg->record_batch_events) {
-      records.push_back({now, seq, sub, telemetry::EventKind::kBatchCompleted,
-                         units[ui].unit->gpu_index, svc_id[s], static_cast<double>(size)});
+      records.push_back({now, seq, telemetry::EventKind::kBatchCompleted,
+                         state.unit->gpu_index, loop.spec->id, static_cast<double>(size)});
     }
     ++phase->batches;
     if (violated) ++phase->violated_batches;
@@ -638,12 +616,10 @@ struct alignas(128) Shard {
 
   /// Accounts one finished LLM request at its completing event (the batch
   /// warm-up gate follows the fixed path: the front request decides).
-  void finish_llm_request(std::size_t ui, Batch& batch, const Request& request, double now,
-                          std::uint64_t seq) {
+  void finish_llm_request(ServiceLoop& loop, Batch& batch, const Request& request, double now) {
     if (!batch.measured) return;
-    const auto s = static_cast<std::size_t>(unit_service[ui]);
-    ServiceOutcome& outcome = outcomes[s];
-    PhaseStats* phase = phase_of(now, seq);
+    ServiceOutcome& outcome = loop.outcome;
+    PhaseStats* phase = phase_of(now);
     const double latency = now - request.arrival_ms;
     outcome.request_latency_ms.add(latency);
     if (request.gen_tokens > 0) {
@@ -652,48 +628,46 @@ struct alignas(128) Shard {
     }
     ++outcome.requests;
     ++phase->requests;
-    if (latency > svc_slo_ms[s]) {
+    if (latency > loop.spec->slo_latency_ms) {
       batch.violated = true;
       ++phase->violated_requests;
     }
   }
 
   /// Pushes the next Decode event for `slot` at the current live count.
-  void schedule_decode(std::size_t ui, std::uint32_t slot, double now) {
-    UnitState& state = units[ui];
+  void schedule_decode(ServiceLoop& loop, std::size_t ui, std::uint32_t slot, double now) {
+    UnitState& state = loop.units[ui];
     const Batch& batch = batches[slot].payload;
     const auto live = std::min<std::size_t>(static_cast<std::size_t>(batch.live),
                                             state.decode_step_ms.size() - 1);
     SimEvent event;
     event.time_ms = now + state.decode_step_ms[live];
-    event.seq = completion_seq[ui].next();
+    event.seq = state.completion_keys.next();
     event.kind = EventKind::kLlmDecodeStep;
     event.unit_index = static_cast<int>(ui);
     event.slot = slot;
     event.generation = batches[slot].generation;
-    events_of(ui).push(event);
+    loop.events.push(event);
   }
 
   /// Last decode token emitted: free the ledger, the process and the slot,
   /// and account the batch by its completion key like the fixed path.
-  void finalize_llm_batch(std::size_t ui, const SimEvent& event, std::uint64_t* emission) {
+  void finalize_llm_batch(ServiceLoop& loop, std::size_t ui, const SimEvent& event) {
     const double now = event.time_ms;
+    UnitState& state = loop.units[ui];
     const Batch& batch = batches[event.slot].payload;
-    release_ledger(ui, event.slot);
-    retire_in_flight(ui, event.slot);
+    release_ledger(state, event.slot);
+    retire_in_flight(state, event.slot);
     if (batch.measured) {
-      // An emission sub-key, not 0: this decode step may already have
-      // emitted evictions, and the record must sort after them.
-      const std::uint64_t sub = cfg->record_batch_events ? next_sub(ui, emission) : 0;
-      account_batch(ui, batch.requests.size(), batch.violated, now, event.seq, sub);
+      account_batch(loop, state, batch.requests.size(), batch.violated, now, event.seq);
     }
     batches.release(event.slot);
-    start_batch_if_possible(ui, now, event.seq, emission);
+    start_batch_if_possible(loop, ui, now, event.seq);
   }
 
   /// Prompt pass finished. Requests with no generation complete here (time
   /// to first token IS their latency); the rest enter the decode chain.
-  void on_prefill_done(std::size_t ui, const SimEvent& event) {
+  void on_prefill_done(ServiceLoop& loop, std::size_t ui, const SimEvent& event) {
     const double now = event.time_ms;
     Batch& batch = batches[event.slot].payload;
     bool any_decode = false;
@@ -705,15 +679,14 @@ struct alignas(128) Shard {
     }
     if (!any_decode) {
       // Zero-decode batch: the fixed-latency completion path, verbatim.
-      release_ledger(ui, event.slot);
-      complete_batch(ui, event);
+      release_ledger(loop.units[ui], event.slot);
+      complete_batch(loop, ui, event);
       return;
     }
     batch.prefill_done_ms = now;
     if (batch.measured) {
-      ServiceOutcome& outcome = outcomes[static_cast<std::size_t>(unit_service[ui])];
       for (const Request& request : batch.requests) {
-        outcome.prefill_latency_ms.add(now - request.arrival_ms);
+        loop.outcome.prefill_latency_ms.add(now - request.arrival_ms);
       }
     }
     batch.remaining.reserve(batch.requests.size());
@@ -723,18 +696,17 @@ struct alignas(128) Shard {
       if (request.gen_tokens > 0) ++batch.live;
     }
     for (const Request& request : batch.requests) {
-      if (request.gen_tokens == 0) finish_llm_request(ui, batch, request, now, event.seq);
+      if (request.gen_tokens == 0) finish_llm_request(loop, batch, request, now);
     }
-    schedule_decode(ui, event.slot, now);
+    schedule_decode(loop, ui, event.slot, now);
   }
 
   /// One decode chunk: every live request advances, the ledger grows (with
   /// evictions under memory pressure), finished requests complete.
-  void on_decode_step(std::size_t ui, const SimEvent& event) {
+  void on_decode_step(ServiceLoop& loop, std::size_t ui, const SimEvent& event) {
     const double now = event.time_ms;
-    UnitState& state = units[ui];
+    UnitState& state = loop.units[ui];
     Batch& batch = batches[event.slot].payload;
-    std::uint64_t emission = 0;
     double grown_tokens = 0.0;
     for (const int left : batch.remaining) {
       // parva-audit: allow(R14): fixed vector index order per batch.
@@ -746,10 +718,10 @@ struct alignas(128) Shard {
       // nothing left to take, sacrifices this batch itself.
       const double growth = state.kv_per_token * grown_tokens;
       if (growth > state.kv_capacity - state.kv_used) {
-        evict_until_fits(ui, growth, event.slot, now, event.seq, &emission);
+        evict_until_fits(loop, state, growth, event.slot, now, event.seq);
         if (growth > state.kv_capacity - state.kv_used) {
-          evict_batch(ui, event.slot, now, event.seq, &emission);
-          start_batch_if_possible(ui, now, event.seq, &emission);
+          evict_batch(loop, state, event.slot, now, event.seq);
+          start_batch_if_possible(loop, ui, now, event.seq);
           return;
         }
       }
@@ -762,119 +734,103 @@ struct alignas(128) Shard {
       batch.remaining[i] -= std::min(batch.remaining[i], kDecodeChunkTokens);
       if (batch.remaining[i] == 0) {
         --batch.live;
-        finish_llm_request(ui, batch, batch.requests[i], now, event.seq);
+        finish_llm_request(loop, batch, batch.requests[i], now);
       }
     }
     if (batch.live > 0) {
-      schedule_decode(ui, event.slot, now);
+      schedule_decode(loop, ui, event.slot, now);
       return;
     }
-    finalize_llm_batch(ui, event, &emission);
+    finalize_llm_batch(loop, ui, event);
   }
 
-  void process_event(const SimEvent& event) {
+  void process_event(ServiceLoop& loop, const SimEvent& event) {
     const double now = event.time_ms;
+    const auto ui = static_cast<std::size_t>(event.unit_index);
     ++events_processed;
     if (event.kind == EventKind::kUnitActivate) {
       // A repair replacement comes online with a full complement of idle
       // processes and an empty queue; the dispatcher starts routing to it
       // on the next arrival.
-      const auto ui = static_cast<std::size_t>(event.unit_index);
-      UnitState& state = units[ui];
+      UnitState& state = loop.units[ui];
       state.up = true;
       state.idle_processes = std::max(1, state.unit->procs);
       if (cfg->buffer_records) {
-        records.push_back({now, event.seq, 0, telemetry::EventKind::kUnitActivated,
-                           state.unit->gpu_index, state.unit->service_id, 0.0});
+        records.push_back({now, event.seq, telemetry::EventKind::kUnitActivated,
+                           state.unit->gpu_index, loop.spec->id, 0.0});
       }
-      std::uint64_t emission = 0;
-      start_batch_if_possible(ui, now, event.seq, &emission);
+      start_batch_if_possible(loop, ui, now, event.seq);
       return;
     }
-    const auto ui = static_cast<std::size_t>(event.unit_index);
     if (!batches.current(event.slot, event.generation)) return;  // stale (GPU died
                                                                  // or batch evicted)
     if (event.kind == EventKind::kLlmPrefillDone) {
-      on_prefill_done(ui, event);
+      on_prefill_done(loop, ui, event);
       return;
     }
     if (event.kind == EventKind::kLlmDecodeStep) {
-      on_decode_step(ui, event);
+      on_decode_step(loop, ui, event);
       return;
     }
-    complete_batch(ui, event);
+    complete_batch(loop, ui, event);
   }
 
-  /// Processes every local event whose canonical key precedes
-  /// (bound_ms, bound_seq), one service loop after another; events at or
-  /// past the bound stay pending for a later window.
-  void advance(double bound_ms, std::uint64_t bound_seq) {
+  /// Processes every local event before `bound_ms`, one service loop after
+  /// another; events at or past the bound stay pending for a later window.
+  /// Comparing times is the whole (time, seq) test against a fault bound:
+  /// at the fault's own time every loop key sorts after the fault's.
+  void advance(double bound_ms) {
     const auto t0 = std::chrono::steady_clock::now();
-    for (std::size_t s = 0; s < loops.size(); ++s) {
-      ServiceLoop& loop = loops[s];
+    for (ServiceLoop& loop : loops) {
       while (true) {
         // The loop's next event on (time, seq): its pending arrival, unless
         // the heap top precedes it (no arrival pending reads as kNever).
-        double t = loop.arrival_ms;
-        std::uint64_t q = loop.arrival_seq;
         const bool take_arrival =
-            loop.events.empty() || t < loop.events.top().time_ms ||
-            (t == loop.events.top().time_ms && q < loop.events.top().seq);
-        if (!take_arrival) {
-          t = loop.events.top().time_ms;
-          q = loop.events.top().seq;
-        }
-        if (t > bound_ms || (t == bound_ms && q >= bound_seq)) break;
+            loop.events.empty() || loop.arrival_ms < loop.events.top().time_ms ||
+            (loop.arrival_ms == loop.events.top().time_ms &&
+             loop.arrival_seq < loop.events.top().seq);
+        const double t = take_arrival ? loop.arrival_ms : loop.events.top().time_ms;
+        if (t >= bound_ms) break;
         if (take_arrival) {
-          process_arrival(s);
+          process_arrival(loop);
         } else {
-          process_event(loop.events.pop());
+          process_event(loop, loop.events.pop());
         }
       }
     }
     busy_ms += ms_since(t0);
   }
 
-  /// XID-style device loss, delivered at a window barrier: every local unit
-  /// on the GPU stops serving; its queue and in-flight batches are shed
-  /// (the device reset destroys the processes mid-request). Releasing the
-  /// slots bumps their generations, so the already-queued completions go
-  /// stale. Shed records carry sub-keys built from the *global* unit index,
-  /// so the merged stream interleaves shards exactly as a single engine's
-  /// ascending unit-index loop would.
-  void apply_failure(int gpu, double now, std::uint64_t seq) {
-    const auto t0 = std::chrono::steady_clock::now();
-    for (std::size_t ui = 0; ui < units.size(); ++ui) {
-      UnitState& state = units[ui];
-      if (state.unit->gpu_index != gpu || !state.up) continue;
-      state.up = false;
-      // An orphan unit (no matching service) cannot hold requests, so the
-      // shed loops below never dereference its -1 service index.
-      const auto s = static_cast<std::size_t>(unit_service[ui]);
-      std::uint64_t emission = 0;
-      for (const Request* request = state.queue.begin(); request != state.queue.end();
-           ++request) {
-        shed_one(s, request->arrival_ms, now, seq, next_sub(ui, &emission));
-      }
-      state.queue.clear();
-      for (const std::uint32_t slot : state.in_flight_slots) {
-        const Batch& batch = batches[slot].payload;
-        for (std::size_t i = 0; i < batch.requests.size(); ++i) {
-          // LLM batches mid-decode only shed the requests still generating
-          // (finished ones already completed and were accounted).
-          if (!batch.remaining.empty() && batch.remaining[i] <= 0) continue;
-          shed_one(s, batch.requests[i].arrival_ms, now, seq, next_sub(ui, &emission));
-        }
-        batches.release(slot);
-      }
-      state.in_flight_slots.clear();
-      state.in_flight_requests = 0;
-      state.idle_processes = 0;
-      // The device reset wipes the unit's KV ledger with it.
-      state.kv_used = 0.0;
-      state.resident.clear();
+  /// XID-style device loss of one unit, applied by the coordinator at a
+  /// window barrier: the unit stops serving; its queue and in-flight
+  /// batches are shed into `out` (the device reset destroys the processes
+  /// mid-request). Releasing the slots bumps their generations, so the
+  /// already-queued completions go stale.
+  void fail_unit(ServiceLoop& loop, UnitState& state, double now, std::uint64_t seq,
+                 std::vector<BufferedRecord>& out) {
+    if (!state.up) return;
+    state.up = false;
+    for (const Request* request = state.queue.begin(); request != state.queue.end();
+         ++request) {
+      shed_one(loop, request->arrival_ms, now, seq, out);
     }
-    busy_ms += ms_since(t0);
+    state.queue.clear();
+    for (const std::uint32_t slot : state.in_flight_slots) {
+      const Batch& batch = batches[slot].payload;
+      for (std::size_t i = 0; i < batch.requests.size(); ++i) {
+        // LLM batches mid-decode only shed the requests still generating
+        // (finished ones already completed and were accounted).
+        if (!batch.remaining.empty() && batch.remaining[i] <= 0) continue;
+        shed_one(loop, batch.requests[i].arrival_ms, now, seq, out);
+      }
+      batches.release(slot);
+    }
+    state.in_flight_slots.clear();
+    state.in_flight_requests = 0;
+    state.idle_processes = 0;
+    // The device reset wipes the unit's KV ledger with it.
+    state.kv_used = 0.0;
+    state.resident.clear();
   }
 };
 
@@ -957,10 +913,7 @@ SimulationResult ClusterSimulation::run(const SimulationOptions& options) const 
                         static_cast<int>(sorted[i].gpu_index)});
     }
   }
-  if (!faults.empty()) {
-    cfg.first_failure_ms = faults.front().at_ms;
-    cfg.first_failure_seq = faults.front().seq;
-  }
+  if (!faults.empty()) cfg.first_failure_ms = faults.front().at_ms;
 
   double recovered_at = options.recovered_at_ms;
   if (recovered_at <= 0.0) {
@@ -969,14 +922,128 @@ SimulationResult ClusterSimulation::run(const SimulationOptions& options) const 
     }
   }
   cfg.recovered_at_ms = recovered_at;
+  cfg.buffer_records = options.telemetry != nullptr;
+  cfg.record_batch_events =
+      options.telemetry != nullptr && options.telemetry->options().request_events;
+
+  // Deterministic service partition: each service's loop goes to its
+  // shard, in ascending service order.
+  std::vector<double> rates(service_count, 0.0);
+  for (std::size_t s = 0; s < service_count; ++s) rates[s] = services_[s].request_rate;
+  const std::vector<int> assignment = partition_services(rates, options.shards);
+  std::vector<Shard> shards(shard_count);
+  std::vector<std::size_t> loop_of(service_count, 0);
+  for (std::size_t s = 0; s < service_count; ++s) {
+    Shard& shard = shards[static_cast<std::size_t>(assignment[s])];
+    loop_of[s] = shard.loops.size();
+    shard.loops.emplace_back(s, services_[s], options.seed);
+  }
+
+  // Every unit joins its service's loop, in ascending unit order. A unit
+  // whose service is missing would serve nothing, yet its granted SMs
+  // would still count toward the measured slack, so it is refused. The
+  // per-fill-level latency scale and SM-work tables hoist the work-model
+  // evaluations out of the batch hot path.
+  std::vector<UnitHome> homes(unit_count);
+  for (std::size_t u = 0; u < unit_count; ++u) {
+    const core::DeployedUnit& unit = deployment_->units[u];
+    const auto s = svc_by_id.find(unit.service_id);
+    PARVA_REQUIRE(s.has_value(), "unit " + std::to_string(u) + " serves service id " +
+                                     std::to_string(unit.service_id) +
+                                     ", which matches no service");
+    const auto shard_index = static_cast<std::size_t>(assignment[*s]);
+    ServiceLoop& loop = shards[shard_index].loops[loop_of[*s]];
+    homes[u] = {shard_index, loop_of[*s], loop.units.size()};
+    UnitState& state = loop.units.emplace_back(unit, u, options.seed, service_count);
+    state.traits = perf_->catalog().find(unit.model);
+    const int batch = unit.batch;
+    state.fill_scale.assign(static_cast<std::size_t>(batch) + 1, 1.0);
+    state.sm_work.assign(static_cast<std::size_t>(batch) + 1, 0.0);
+    if (state.traits != nullptr) {
+      const double full =
+          perfmodel::AnalyticalPerfModel::batch_work_ms(*state.traits, batch);
+      for (int take = 1; take <= batch; ++take) {
+        const double partial =
+            perfmodel::AnalyticalPerfModel::batch_work_ms(*state.traits, take);
+        if (take < batch) state.fill_scale[static_cast<std::size_t>(take)] = partial / full;
+        state.sm_work[static_cast<std::size_t>(take)] = partial * gpu::kSmsPerGpc;
+      }
+    }
+    // Generative-LLM unit state (DESIGN.md §4.7). Token laws and the KV
+    // ledger key off the unit's model in the LLM catalog (unknown models
+    // get generic defaults so synthetic tests can attach workloads to any
+    // catalog row).
+    if (loop.spec->llm.has_value()) {
+      const core::LlmWorkload& wl = *loop.spec->llm;
+      state.is_llm = true;
+      state.llm_traits = perfmodel::LlmCatalog::builtin().find(unit.model);
+      if (state.llm_traits == nullptr) state.llm_traits = &perfmodel::default_llm_traits();
+      state.prefill_share =
+          wl.gen_tokens_mean > 0.0 ? perfmodel::prefill_cost_share(*state.llm_traits) : 1.0;
+      state.expected_prompt = wl.prompt_tokens_mean;
+      state.kv_per_token = wl.kv_bytes_per_token;
+      if (state.kv_per_token > 0.0) {
+        // Ledger capacity: the MIG slice's memory (fractional MPS grants
+        // pro-rate the full device) minus one weight replica per process.
+        const int g = static_cast<int>(std::lround(unit.gpc_grant));
+        const double mem_gib =
+            gpu::is_valid_instance_size(g) &&
+                    std::abs(unit.gpc_grant - static_cast<double>(g)) < 1e-9
+                ? gpu::instance_memory_gib(g)
+                : gpu::kGpuMemoryGiB * unit.gpc_grant / static_cast<double>(gpu::kGpcSlots);
+        const double weights_gib =
+            state.llm_traits->weight_gib * static_cast<double>(std::max(1, unit.procs));
+        state.kv_capacity = std::max(0.0, mem_gib - weights_gib) * 1024.0 * 1024.0 * 1024.0;
+      }
+      // Per-live-count decode step table: evaluated once here, read every
+      // Decode event. Index 0 is never scheduled (live == 0 finalizes).
+      state.decode_step_ms.assign(static_cast<std::size_t>(batch) + 1, 0.0);
+      for (int live = 1; live <= batch; ++live) {
+        state.decode_step_ms[static_cast<std::size_t>(live)] = perfmodel::decode_step_ms(
+            *state.llm_traits, unit.gpc_grant, std::max(1, unit.procs), live,
+            kDecodeChunkTokens);
+      }
+    }
+  }
+
+  for (Shard& shard : shards) {
+    shard.cfg = &cfg;
+    shard.timeline.resize(cfg.timeline_buckets);
+    for (std::size_t b = 0; b < cfg.timeline_buckets; ++b) {
+      shard.timeline[b].t_ms = static_cast<double>(b) * cfg.timeline_bucket_ms;
+    }
+    // Seed the first arrival of every service with a unit (random phase;
+    // the phase draw precedes any gap draw on the service's stream).
+    for (ServiceLoop& loop : shard.loops) {
+      if (loop.spec->request_rate <= 0.0 || loop.units.empty()) continue;
+      const double phase = loop.arrival_rng.next_double();
+      loop.arm_arrival(phase * shard.next_gap_ms(loop));
+    }
+  }
+
+  // Repair activations: dormant at t=0, woken by an event in the unit's
+  // loop keyed by the activation's position in options.activations.
+  for (std::size_t i = 0; i < options.activations.size(); ++i) {
+    const UnitActivation& activation = options.activations[i];
+    PARVA_REQUIRE(activation.unit_index < unit_count, "activation index out of range");
+    const UnitHome& home = homes[activation.unit_index];
+    ServiceLoop& loop = shards[home.shard].loops[home.loop];
+    loop.units[home.unit].up = false;  // dormant until its time comes
+    if (activation.at_ms <= horizon_ms) {
+      SimEvent event;
+      event.time_ms = activation.at_ms;
+      event.seq = canonical_seq(kActivationStreamId, i);
+      event.kind = EventKind::kUnitActivate;
+      event.unit_index = static_cast<int>(home.unit);
+      loop.events.push(event);
+    }
+  }
 
   // Telemetry handles, registered up front (a scrape sees every series even
   // for a run with no traffic) and flushed once, in canonical per-service
   // order, after the last window — which makes the scrape a pure function
   // of the merged result, byte-identical across shard counts.
   telemetry::Telemetry* tel = options.telemetry;
-  cfg.buffer_records = tel != nullptr;
-  cfg.record_batch_events = tel != nullptr && tel->options().request_events;
   std::vector<telemetry::Counter> tel_svc_requests(service_count);
   std::vector<telemetry::Counter> tel_svc_shed(service_count);
   telemetry::Counter tel_batches;
@@ -1022,212 +1089,45 @@ SimulationResult ClusterSimulation::run(const SimulationOptions& options) const 
     }
   }
 
-  // Deterministic service partition; every unit follows its service.
-  std::vector<double> rates(service_count, 0.0);
-  for (std::size_t s = 0; s < service_count; ++s) rates[s] = services_[s].request_rate;
-  const std::vector<int> assignment = partition_services(rates, options.shards);
-
-  // service_id -> global service index.
-  std::vector<int> unit_svc_global(unit_count, -1);
-  for (std::size_t u = 0; u < unit_count; ++u) {
-    if (const auto s = svc_by_id.find(deployment_->units[u].service_id)) {
-      unit_svc_global[u] = static_cast<int>(*s);
-    }
-  }
-
-  std::vector<Shard> shards(shard_count);
-  std::vector<int> svc_shard_local(service_count, -1);
-  for (std::size_t s = 0; s < service_count; ++s) {
-    Shard& shard = shards[static_cast<std::size_t>(assignment[s])];
-    svc_shard_local[s] = static_cast<int>(shard.svc_global.size());
-    shard.svc_global.push_back(s);
-    shard.svc_id.push_back(services_[s].id);
-    shard.svc_slo_ms.push_back(services_[s].slo_latency_ms);
-    shard.svc_rate.push_back(services_[s].request_rate);
-    shard.paced_gap_ms.push_back(
-        services_[s].request_rate > 0.0 ? 1.0 / (services_[s].request_rate / 1000.0) : 0.0);
-    // Per-service stream as a pure function of (seed, service index): the
-    // same stream no matter which shard hosts the service.
-    shard.arrival_rng.push_back(Rng::stream(options.seed, RngStreamTag::kArrival, s));
-    // LLM per-service state. The token stream exists for every service but
-    // is only ever drawn by LLM ones, so fixed-latency runs stay
-    // byte-identical to the pre-LLM engine.
-    const core::LlmWorkload* llm =
-        services_[s].llm.has_value() ? &*services_[s].llm : nullptr;
-    shard.svc_llm.push_back(llm);
-    shard.token_rng.push_back(Rng::stream(options.seed, RngStreamTag::kToken, s));
-  }
-
-  // Per-unit runtime state (orphan units — no matching service — ride on
-  // shard 0; they serve nothing and only contribute a zero activity). The
-  // per-fill-level latency scale and SM-work tables hoist the work-model
-  // evaluations out of the batch hot path.
-  std::vector<std::size_t> unit_shard_local(unit_count, 0);
-  for (std::size_t u = 0; u < unit_count; ++u) {
-    const int sg = unit_svc_global[u];
-    Shard& shard = shards[sg >= 0 ? static_cast<std::size_t>(assignment[sg]) : 0];
-    unit_shard_local[u] = shard.units.size();
-    shard.unit_global.push_back(u);
-    shard.unit_service.push_back(sg >= 0 ? svc_shard_local[sg] : -1);
-    shard.jitter_rng.push_back(Rng::stream(options.seed, RngStreamTag::kJitter, u));
-    shard.completion_seq.emplace_back(completion_stream_id(service_count, u));
-    shard.units.emplace_back();
-    UnitState& state = shard.units.back();
-    state.unit = &deployment_->units[u];
-    state.traits = perf_->catalog().find(deployment_->units[u].model);
-    state.idle_processes = std::max(1, deployment_->units[u].procs);
-    state.capacity = std::max(1e-9, deployment_->units[u].actual_throughput);
-    const int batch = state.unit->batch;
-    state.fill_scale.assign(static_cast<std::size_t>(batch) + 1, 1.0);
-    state.sm_work.assign(static_cast<std::size_t>(batch) + 1, 0.0);
-    if (state.traits != nullptr) {
-      const double full =
-          perfmodel::AnalyticalPerfModel::batch_work_ms(*state.traits, batch);
-      for (int take = 1; take <= batch; ++take) {
-        const double partial =
-            perfmodel::AnalyticalPerfModel::batch_work_ms(*state.traits, take);
-        if (take < batch) state.fill_scale[static_cast<std::size_t>(take)] = partial / full;
-        state.sm_work[static_cast<std::size_t>(take)] = partial * gpu::kSmsPerGpc;
-      }
-    }
-    // Generative-LLM unit state (DESIGN.md §4.7). Token laws and the KV
-    // ledger key off the unit's model in the LLM catalog (unknown models
-    // get generic defaults so synthetic tests can attach workloads to any
-    // catalog row).
-    if (sg >= 0 && services_[static_cast<std::size_t>(sg)].llm.has_value()) {
-      const core::LlmWorkload& wl = *services_[static_cast<std::size_t>(sg)].llm;
-      state.is_llm = true;
-      state.llm_traits = perfmodel::LlmCatalog::builtin().find(state.unit->model);
-      if (state.llm_traits == nullptr) state.llm_traits = &perfmodel::default_llm_traits();
-      state.prefill_share =
-          wl.gen_tokens_mean > 0.0 ? perfmodel::prefill_cost_share(*state.llm_traits) : 1.0;
-      state.expected_prompt = wl.prompt_tokens_mean;
-      state.kv_per_token = wl.kv_bytes_per_token;
-      if (state.kv_per_token > 0.0) {
-        // Ledger capacity: the MIG slice's memory (fractional MPS grants
-        // pro-rate the full device) minus one weight replica per process.
-        const int g = static_cast<int>(std::lround(state.unit->gpc_grant));
-        const double mem_gib =
-            gpu::is_valid_instance_size(g) &&
-                    std::abs(state.unit->gpc_grant - static_cast<double>(g)) < 1e-9
-                ? gpu::instance_memory_gib(g)
-                : gpu::kGpuMemoryGiB * state.unit->gpc_grant /
-                      static_cast<double>(gpu::kGpcSlots);
-        const double weights_gib =
-            state.llm_traits->weight_gib * static_cast<double>(std::max(1, state.unit->procs));
-        state.kv_capacity = std::max(0.0, mem_gib - weights_gib) * 1024.0 * 1024.0 * 1024.0;
-      }
-      // Per-live-count decode step table: evaluated once here, read every
-      // Decode event. Index 0 is never scheduled (live == 0 finalizes).
-      state.decode_step_ms.assign(static_cast<std::size_t>(batch) + 1, 0.0);
-      for (int live = 1; live <= batch; ++live) {
-        state.decode_step_ms[static_cast<std::size_t>(live)] = perfmodel::decode_step_ms(
-            *state.llm_traits, state.unit->gpc_grant, std::max(1, state.unit->procs), live,
-            kDecodeChunkTokens);
-      }
-    }
-  }
-
-  for (Shard& shard : shards) {
-    shard.cfg = &cfg;
-    const std::size_t local_services = shard.svc_global.size();
-    // CSR of each local service's units by counting sort on unit_service:
-    // one pass to size the rows, one to fill them in ascending local-unit
-    // order (the order the nested scan this replaced produced).
-    shard.svc_unit_off.assign(local_services + 2, 0);
-    for (std::size_t lu = 0; lu < shard.units.size(); ++lu) {
-      const int ls = shard.unit_service[lu];
-      if (ls >= 0) ++shard.svc_unit_off[static_cast<std::size_t>(ls) + 2];
-    }
-    for (std::size_t ls = 2; ls < shard.svc_unit_off.size(); ++ls) {
-      shard.svc_unit_off[ls] += shard.svc_unit_off[ls - 1];
-    }
-    shard.svc_unit_flat.resize(shard.svc_unit_off[local_services + 1]);
-    for (std::size_t lu = 0; lu < shard.units.size(); ++lu) {
-      const int ls = shard.unit_service[lu];
-      if (ls < 0) continue;  // orphan unit: serves no local service
-      shard.svc_unit_flat[shard.svc_unit_off[static_cast<std::size_t>(ls) + 1]++] =
-          static_cast<std::uint32_t>(lu);
-    }
-    shard.svc_unit_off.pop_back();
-
-    shard.outcomes.resize(local_services);
-    for (std::size_t ls = 0; ls < local_services; ++ls) {
-      shard.outcomes[ls].service_id = shard.svc_id[ls];
-      shard.outcomes[ls].offered_rate = shard.svc_rate[ls];
-    }
-    if (cfg.timeline_buckets > 0) {
-      shard.timeline.resize(cfg.timeline_buckets);
-      for (std::size_t b = 0; b < cfg.timeline_buckets; ++b) {
-        shard.timeline[b].t_ms = static_cast<double>(b) * cfg.timeline_bucket_ms;
-      }
-    }
-
-    // Seed the first arrival of every service (random phase; the phase
-    // draw precedes any gap draw on the service's stream).
-    shard.loops.resize(local_services + 1);
-    for (std::size_t ls = 0; ls < local_services; ++ls) {
-      shard.loops[ls].arrival_keys = SeqStream(arrival_stream_id(shard.svc_global[ls]));
-      if (shard.svc_rate[ls] <= 0.0 ||
-          shard.svc_unit_off[ls + 1] == shard.svc_unit_off[ls]) {
-        continue;
-      }
-      const double phase = shard.arrival_rng[ls].next_double();
-      shard.arm_arrival(ls, phase * shard.next_gap_ms(ls));
-    }
-  }
-
-  // Repair activations: dormant at t=0, woken by an event in the unit's
-  // loop keyed by the activation's position in options.activations.
-  for (std::size_t i = 0; i < options.activations.size(); ++i) {
-    const UnitActivation& activation = options.activations[i];
-    PARVA_REQUIRE(activation.unit_index < unit_count, "activation index out of range");
-    const int sg = unit_svc_global[activation.unit_index];
-    Shard& shard = shards[sg >= 0 ? static_cast<std::size_t>(assignment[sg]) : 0];
-    const std::size_t lu = unit_shard_local[activation.unit_index];
-    shard.units[lu].up = false;  // dormant until its time comes
-    if (activation.at_ms <= horizon_ms) {
-      SimEvent event;
-      event.time_ms = activation.at_ms;
-      event.seq = canonical_seq(kActivationStreamId, i);
-      event.kind = EventKind::kUnitActivate;
-      event.unit_index = static_cast<int>(lu);
-      shard.events_of(lu).push(event);
-    }
-  }
-
   // ----- Coordinator: conservative windows with barrier fault delivery.
   //
   // The only cross-shard coupling is a GPU failure (one device can host
   // units of services on different shards), and the fault schedule is
-  // static — so the next undelivered failure's canonical key is an *exact*
-  // conservative bound: every shard can safely process all events that
-  // precede it.
+  // static — so the next undelivered failure's time is an *exact*
+  // conservative bound: every shard can safely process all events before
+  // it. The coordinator applies each failure itself, writing its records
+  // into its own buffer: the failure, then the sheds of its units in
+  // ascending unit order.
   ThreadPool* pool = options.shard_pool;
-  auto run_window = [&](double bound_ms, std::uint64_t bound_seq) {
+  auto run_window = [&](double bound_ms) {
     if (pool != nullptr && shard_count > 1) {
-      pool->parallel_for(shard_count,
-                         [&](std::size_t k) { shards[k].advance(bound_ms, bound_seq); });
+      pool->parallel_for(shard_count, [&](std::size_t k) { shards[k].advance(bound_ms); });
     } else {
-      for (Shard& shard : shards) shard.advance(bound_ms, bound_seq);
+      for (Shard& shard : shards) shard.advance(bound_ms);
     }
   };
 
   SimulationResult result;
   std::vector<BufferedRecord> coordinator_records;
   for (const FaultDelivery& fault : faults) {
-    run_window(fault.at_ms, fault.seq);
+    run_window(fault.at_ms);
     if (result.failure_at_ms < 0.0) result.failure_at_ms = fault.at_ms;
     if (cfg.buffer_records) {
-      coordinator_records.push_back({fault.at_ms, fault.seq, 0,
-                                     telemetry::EventKind::kGpuFailure, fault.gpu, -1, 0.0});
+      coordinator_records.push_back(
+          {fault.at_ms, fault.seq, telemetry::EventKind::kGpuFailure, fault.gpu, -1, 0.0});
     }
-    for (Shard& shard : shards) shard.apply_failure(fault.gpu, fault.at_ms, fault.seq);
+    for (const UnitHome& home : homes) {
+      Shard& shard = shards[home.shard];
+      ServiceLoop& loop = shard.loops[home.loop];
+      UnitState& state = loop.units[home.unit];
+      if (state.unit->gpu_index != fault.gpu) continue;
+      shard.fail_unit(loop, state, fault.at_ms, fault.seq, coordinator_records);
+    }
   }
-  run_window(kNever, 0);  // drain to the horizon
+  run_window(kNever);  // drain to the horizon
 
   // ----- Merge: every aggregate is either per-service / per-unit (owned by
-  // exactly one shard, copied into its global slot) or an order-free sum.
+  // exactly one loop, copied into its global slot) or an order-free sum.
   std::size_t events_processed = faults.size();  // one per delivered failure
   result.shard_events.resize(shard_count);
   result.shard_busy_ms.resize(shard_count);
@@ -1250,24 +1150,23 @@ SimulationResult ClusterSimulation::run(const SimulationOptions& options) const 
     events_processed += shard.events_processed;
     result.shard_events[k] = shard.events_processed;
     result.shard_busy_ms[k] = shard.busy_ms;
-    for (std::size_t ls = 0; ls < shard.svc_global.size(); ++ls) {
-      ServiceOutcome& outcome = shard.outcomes[ls];
+    for (ServiceLoop& loop : shard.loops) {
+      ServiceOutcome& outcome = loop.outcome;
       outcome.measured_rate =
           static_cast<double>(outcome.requests) / (options.duration_ms / 1000.0);
       result.requests_shed += outcome.shed_requests;
       result.requests_rejected += outcome.rejected_requests;
       result.requests_evicted += outcome.evicted_requests;
       result.generated_tokens += outcome.generated_tokens;
-      result.services[shard.svc_global[ls]] = std::move(outcome);
-    }
-    for (std::size_t lu = 0; lu < shard.units.size(); ++lu) {
-      const UnitState& state = shard.units[lu];
-      const double granted_sm_ms =
-          state.unit->gpc_grant * gpu::kSmsPerGpc * options.duration_ms;
-      result.unit_activity[shard.unit_global[lu]] =
-          granted_sm_ms <= 0.0 ? 0.0 : state.busy_sm_ms / granted_sm_ms;
-      if (state.kv_capacity > 0.0) {
-        result.unit_kv_peak[shard.unit_global[lu]] = state.kv_peak / state.kv_capacity;
+      result.services[loop.index] = std::move(outcome);
+      for (const UnitState& state : loop.units) {
+        const double granted_sm_ms =
+            state.unit->gpc_grant * gpu::kSmsPerGpc * options.duration_ms;
+        result.unit_activity[state.global] =
+            granted_sm_ms <= 0.0 ? 0.0 : state.busy_sm_ms / granted_sm_ms;
+        if (state.kv_capacity > 0.0) {
+          result.unit_kv_peak[state.global] = state.kv_peak / state.kv_capacity;
+        }
       }
     }
     add_phase(result.pre_failure, shard.pre_failure);

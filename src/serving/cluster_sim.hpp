@@ -31,13 +31,14 @@
 //
 // Sharded execution (DESIGN.md §4.5): `options.shards` partitions the
 // services (and their units) across N independent sub-engines that advance
-// in conservative time windows and exchange cross-shard events (GPU
-// failures) at window barriers. Every event source carries a canonical
-// (time, seq) key that is a pure function of the workload (see
-// shard_engine.hpp), and all randomness is drawn from per-service /
-// per-unit streams, so the merged output — results, CSV exports,
-// determinism fingerprints, telemetry — is byte-identical for every shard
-// count and thread schedule (tests/serving/parallel_engine_test.cpp).
+// in conservative time windows; the coordinator applies the one
+// cross-shard event, a GPU failure, at the window barriers. Every event
+// source carries a canonical (time, seq) key that is a pure function of the
+// workload (see shard_engine.hpp), and all randomness is drawn from
+// per-service / per-unit streams, so the merged output — results, CSV
+// exports, determinism fingerprints, telemetry — is byte-identical for
+// every shard count and thread schedule
+// (tests/serving/parallel_engine_test.cpp).
 #pragma once
 
 #include <cstdint>
@@ -244,7 +245,9 @@ class ClusterSimulation {
       : deployment_(&deployment), services_(services.begin(), services.end()), perf_(&perf) {}
 
   /// Replays the deployment. Throws std::logic_error (PARVA_REQUIRE) on a
-  /// bad option or on a service list in which two services share an id.
+  /// bad option, on a service core::validate refuses or a service list in
+  /// which two services share an id, and on a unit whose service id matches
+  /// no service (naming the unit index and the id).
   SimulationResult run(const SimulationOptions& options) const;
 
  private:

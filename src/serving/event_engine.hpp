@@ -47,7 +47,7 @@ struct SimEvent {
   double time_ms = 0.0;
   std::uint64_t seq = 0;       ///< canonical stream key: the deterministic tie-break
   EventKind kind = EventKind::kBatchComplete;
-  int unit_index = -1;         ///< the event's (shard-local) unit
+  int unit_index = -1;         ///< the event's unit, by position in its service loop
   std::uint32_t slot = 0;      ///< completions: batch-pool slot
   std::uint32_t generation = 0;///< completions: slot generation at issue
 };

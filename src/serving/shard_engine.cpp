@@ -36,8 +36,8 @@ std::vector<BufferedRecord> merge_records(
   std::vector<BufferedRecord> merged;
   merged.reserve(total);
   for (const auto& buffer : buffers) merged.insert(merged.end(), buffer.begin(), buffer.end());
-  // Keys are unique, so an unstable sort still has one possible result.
-  std::sort(merged.begin(), merged.end(), record_before);
+  // Stable: the records of one event keep their emission order.
+  std::stable_sort(merged.begin(), merged.end(), record_before);
   return merged;
 }
 

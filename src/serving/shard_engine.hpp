@@ -18,13 +18,14 @@
 //      service index), so the partition is a pure function of
 //      (services, shard count) and shard load is balanced.
 //
-//   3. A canonical merge. Per-shard buffers of telemetry records, in any
-//      order, merge into one stream sorted by (time, seq, sub) — the
-//      global event order. The sub-key serialises the records emitted
-//      while processing ONE event, in emission order, including an event
-//      that fans out across shards (a GPU failure shedding requests on
-//      several shards' units): it embeds the global unit index, so the
-//      merged shed order equals a unit-index iteration over the fleet.
+//   3. A canonical merge. Per-shard buffers of telemetry records merge into
+//      one stream by a stable sort on (time, seq), the global event order.
+//      Every record an event emits sits in one buffer, in emission order:
+//      a shard writes the records of the events it processes, and the
+//      coordinator writes a GPU failure's (the failure, then the sheds of
+//      its units in ascending unit order). So the records sharing one key
+//      keep their emission order, and the merged stream is the same for
+//      every shard count.
 #pragma once
 
 #include <cstdint>
@@ -100,34 +101,30 @@ std::vector<int> partition_services(const std::vector<double>& rates, int shards
 // ---------------------------------------------------------------------------
 
 /// One telemetry record buffered during sharded execution, keyed for the
-/// canonical merge: `seq` is the canonical key of the event being processed
-/// when the record was emitted, `sub` serialises multiple records emitted
-/// under that one key in emission order (0 only for a record emitted
-/// first; the others use (global unit index + 1) << 20 | per-unit
-/// emission, so shards shedding under the same failure key interleave
-/// exactly as a unit-index loop over the fleet does).
+/// canonical merge by the event being processed when it was emitted: `t_ms`
+/// and `seq` are that event's time and canonical key.
 struct BufferedRecord {
   double t_ms = 0.0;
   std::uint64_t seq = 0;
-  std::uint64_t sub = 0;
   telemetry::EventKind kind = telemetry::EventKind::kRequestShed;
   int gpu = -1;
   int service_id = -1;
   double value = 0.0;
 };
 
-/// Strict-weak order on the canonical record key (time, seq, sub). Keys are
-/// unique by construction, so the merged order is total.
+/// Strict-weak order on the canonical event key (time, seq). Keys are
+/// unique per event, so only the records of one event compare equal.
 inline bool record_before(const BufferedRecord& a, const BufferedRecord& b) {
   if (a.t_ms != b.t_ms) return a.t_ms < b.t_ms;
-  if (a.seq != b.seq) return a.seq < b.seq;
-  return a.sub < b.sub;
+  return a.seq < b.seq;
 }
 
-/// Merges per-shard buffers into one canonically ordered stream: a sort on
-/// the unique (time, seq, sub) key, so neither the order within a buffer
-/// (a shard emits one service loop's window at a time) nor how records
-/// were distributed across buffers shows in the result — the property
+/// Merges per-shard buffers into one canonically ordered stream: a stable
+/// sort on (time, seq) of the buffers laid end to end. Precondition: all
+/// records of one event sit in one buffer, in emission order. Under it,
+/// neither the order of events within a buffer (a shard emits one service
+/// loop's window at a time) nor how events were spread across buffers, nor
+/// the order of the buffers, shows in the result — the property
 /// tests/serving/shard_merge_property_test.cpp fuzzes.
 std::vector<BufferedRecord> merge_records(std::vector<std::vector<BufferedRecord>> buffers);
 

@@ -203,6 +203,26 @@ TEST_F(ConfiguratorTest, InvalidSloOrRateIsRefused) {
   }
 }
 
+// demand_matching runs on hand-built configurations too (tests, parvabench):
+// a negative, NaN or infinite rate is refused through core::validate, with
+// the message every other boundary gives, not planned as zero segments.
+TEST_F(ConfiguratorTest, HandBuiltBadRateIsRefusedByDemandMatching) {
+  const auto surface = builtin_surfaces().find("resnet-50");
+  for (const double rate : {-1.0, std::numeric_limits<double>::quiet_NaN(),
+                            std::numeric_limits<double>::infinity()}) {
+    auto decided =
+        configurator_.triplet_decision(service(3, "resnet-50", 205, 1000), *surface).value();
+    decided.spec.request_rate = rate;
+    const Status refused = configurator_.demand_matching(decided);
+    ASSERT_FALSE(refused.ok()) << "rate=" << rate;
+    EXPECT_EQ(refused.error().code(), ErrorCode::kInvalidArgument) << "rate=" << rate;
+    EXPECT_NE(refused.error().message().find(
+                  "service 3 (resnet-50): request rate must be finite and non-negative"),
+              std::string::npos)
+        << refused.error().message();
+  }
+}
+
 TEST_F(ConfiguratorTest, DemandMatchingBeforeDecisionIsInternalError) {
   ConfiguredService empty;
   empty.spec = service(0, "resnet-50", 205, 100);

@@ -40,8 +40,8 @@ inline OracleUnitKey oracle_key(const DeployedUnit& unit) {
 
 /// LiveUpdater::apply with the multiset diff and the O(kept x target) slot
 /// matching; every control-plane call is issued in the same order.
-inline Result<LiveUpdateReport> reference_apply(Deployer& deployer, const ReconfigOpCosts& costs,
-                                                const Deployment& current, DeployedState& state,
+inline Result<LiveUpdateReport> reference_apply(Deployer& deployer, const Deployment& current,
+                                                DeployedState& state,
                                                 const Deployment& target,
                                                 UpdateStrategy strategy) {
   if (!current.uses_mig || !target.uses_mig) {
@@ -89,8 +89,7 @@ inline Result<LiveUpdateReport> reference_apply(Deployer& deployer, const Reconf
   for (std::size_t i : to_remove) affected.insert(current.units[i].service_id);
   for (const DeployedUnit* unit : to_add) affected.insert(unit->service_id);
 
-  const double per_unit_create =
-      costs.create_instance_ms + costs.start_mps_ms + costs.launch_process_ms;
+  const double per_unit_create = kCreateInstanceMs + kStartMpsMs + kLaunchProcessMs;
   std::map<int, gpu::GlobalInstanceId> shadows;
   int spare_gpu = std::max(current.gpu_count, target.gpu_count);
   if (strategy == UpdateStrategy::kShadowed) {
@@ -133,7 +132,7 @@ inline Result<LiveUpdateReport> reference_apply(Deployer& deployer, const Reconf
       return Error(ErrorCode::kInternal, std::string("teardown failed: ") +
                                              gpu::nvml_error_string(ret));
     }
-    window_ms[unit.service_id] += costs.destroy_instance_ms;
+    window_ms[unit.service_id] += kDestroyInstanceMs;
   }
 
   Deployment additions;
@@ -153,7 +152,7 @@ inline Result<LiveUpdateReport> reference_apply(Deployer& deployer, const Reconf
         destroy_ret != gpu::NvmlReturn::kSuccess) {
       ++report.shadow_teardown_failures;
     }
-    report.makespan_ms += costs.destroy_instance_ms;
+    report.makespan_ms += kDestroyInstanceMs;
   }
 
   for (int service_id : affected) {

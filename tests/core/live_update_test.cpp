@@ -333,8 +333,8 @@ TEST_P(LiveUpdateDifferentialTest, MatchesTheReferenceDiffOnMutatedFleets) {
       fast.nvml.clear_operation_log();
       reference.nvml.clear_operation_log();
       const auto got = updater.apply(current, fast_state, target, strategy);
-      const auto want = testing::reference_apply(reference.deployer, ReconfigOpCosts{}, current,
-                                                 reference_state, target, strategy);
+      const auto want = testing::reference_apply(reference.deployer, current, reference_state,
+                                                 target, strategy);
       ASSERT_TRUE(want.ok()) << want.error().to_string();
       ASSERT_TRUE(got.ok()) << got.error().to_string();
       EXPECT_EQ(fast_state.unit_instances, reference_state.unit_instances);

@@ -25,13 +25,7 @@ class RepairTest : public ::testing::Test {
                                                service(1, "inceptionv3", 419, 1500),
                                                service(2, "vgg-19", 397, 900)};
     ParvaGpuScheduler scheduler(builtin_profiles());
-    Deployment deployment = scheduler.schedule(services).value().deployment;
-    for (auto& unit : deployment.units) {
-      for (const auto& spec : services) {
-        if (spec.id == unit.service_id) unit.model = spec.model;
-      }
-    }
-    return deployment;
+    return scheduler.schedule(services).value().deployment;
   }
 
   /// Sorted (gpcs, batch, procs) triplets of the units, for capacity

@@ -12,18 +12,11 @@ TEST(GpuClusterTest, InitialSize) {
 }
 
 TEST(GpuClusterTest, ElasticGrowth) {
-  GpuCluster cluster(1, /*elastic=*/true);
+  GpuCluster cluster(1);
   const auto id = cluster.create_instance(3, 2);  // index beyond current size
   ASSERT_TRUE(id.ok());
   EXPECT_EQ(cluster.size(), 4u);
   EXPECT_EQ(id.value().gpu, 3);
-}
-
-TEST(GpuClusterTest, FixedClusterRefusesGrowth) {
-  GpuCluster cluster(2, /*elastic=*/false);
-  const auto id = cluster.create_instance(2, 1);
-  ASSERT_FALSE(id.ok());
-  EXPECT_EQ(id.error().code(), ErrorCode::kCapacityExceeded);
 }
 
 TEST(GpuClusterTest, FindInstance) {

@@ -110,14 +110,8 @@ TEST(EndToEndTest, ReconfigurationKeepsClusterServing) {
 
   std::vector<core::ServiceSpec> services = sc.services;
   services[4] = updated;
-  const auto deployment = core::ParvaGpuScheduler::to_deployment(plan, "ParvaGPU");
-  core::Deployment with_models = deployment;
-  for (auto& unit : with_models.units) {
-    for (const auto& spec : services) {
-      if (spec.id == unit.service_id) unit.model = spec.model;
-    }
-  }
-  serving::ClusterSimulation sim(with_models, services, context().perf());
+  const auto deployment = core::ParvaGpuScheduler::to_deployment(plan, "ParvaGPU", services);
+  serving::ClusterSimulation sim(deployment, services, context().perf());
   serving::SimulationOptions options;
   options.duration_ms = 4'000.0;
   const auto result = sim.run(options);

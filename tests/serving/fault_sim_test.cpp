@@ -62,11 +62,6 @@ RunOutcome run_kill_one(std::uint64_t fault_seed, std::uint64_t sim_seed) {
 
   core::ParvaGpuScheduler scheduler(profiles);
   core::Deployment deployment = scheduler.schedule(scenario.services).value().deployment;
-  for (auto& unit : deployment.units) {
-    for (const auto& spec : scenario.services) {
-      if (spec.id == unit.service_id) unit.model = spec.model;
-    }
-  }
   const core::Deployment healthy = deployment;
 
   constexpr double kFailAtMs = 10'000.0;

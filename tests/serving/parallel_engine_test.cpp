@@ -8,8 +8,8 @@
 
 #include <bit>
 #include <cstdint>
+#include <stdexcept>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "common/thread_pool.hpp"
@@ -259,40 +259,30 @@ TEST_F(ParallelEngineFaultTest, TelemetryDoesNotPerturbResults) {
   EXPECT_EQ(bare, fingerprint(sim.run(opts)));
 }
 
-TEST(ParallelEngineTest, OrphanUnitActivationIsByteIdentical) {
-  // A unit whose service id matches no service runs in its shard's orphan
-  // loop: its activation must fire exactly once at every shard count, it
-  // serves nothing, and the run stays byte-identical, exports included.
+TEST(ParallelEngineTest, UnitWithoutItsServiceIsRefused) {
+  // A unit whose service id matches no service would serve nothing while
+  // its granted SMs still counted toward the measured slack: the run
+  // refuses it, naming the unit and the id, at every shard count.
   perfmodel::AnalyticalPerfModel perf(perfmodel::ModelCatalog::builtin());
   const scenarios::Scenario& scenario = scenarios::scenario("S2");
   core::Deployment deployment = schedule(scenario.services);
   core::DeployedUnit orphan = deployment.units.front();
   orphan.service_id = 9'999;
   deployment.units.push_back(orphan);
-  const std::size_t orphan_index = deployment.units.size() - 1;
+  const std::string unit = "unit " + std::to_string(deployment.units.size() - 1);
   ClusterSimulation sim(deployment, scenario.services, perf);
-  auto run = [&](int shards) {
-    telemetry::Telemetry telemetry({.request_events = true});
+  for (const int shards : {1, 4}) {
     SimulationOptions opts = base_options();
-    opts.activations = {{orphan_index, 500.0}};
-    opts.telemetry = &telemetry;
     opts.shards = shards;
-    const SimulationResult result = sim.run(opts);
-    EXPECT_EQ(result.unit_activity[orphan_index], 0.0) << "shards=" << shards;
-    int activated = 0;
-    for (const telemetry::Event& event : telemetry.events().snapshot()) {
-      if (event.kind == telemetry::EventKind::kUnitActivated && event.service_id == 9'999) {
-        ++activated;
-        EXPECT_EQ(event.t_ms, 500.0);
-      }
+    try {
+      sim.run(opts);
+      ADD_FAILURE() << "an orphan unit ran at shards=" << shards;
+    } catch (const std::logic_error& error) {
+      const std::string message = error.what();
+      EXPECT_NE(message.find(unit), std::string::npos) << message;
+      EXPECT_NE(message.find("9999"), std::string::npos) << message;
     }
-    EXPECT_EQ(activated, 1) << "shards=" << shards;
-    return std::make_pair(fingerprint(result),
-                          std::vector<std::string>{telemetry::to_prometheus(telemetry.metrics()),
-                                                   telemetry::to_json_lines(telemetry.events())});
-  };
-  const auto serial = run(1);
-  for (const int shards : {2, 4}) EXPECT_EQ(serial, run(shards)) << "shards=" << shards;
+  }
 }
 
 TEST(ParallelEnginePartitionTest, PartitionIsDeterministicAndBalanced) {
